@@ -78,15 +78,18 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
         raise InvalidArgumentError(f"unknown region {region!r}")
     if field is None:
         raise InvalidArgumentError("extrapolation region needs a field for trajectories")
-    out = np.empty((len(ts), n, d))
-    labels = labels_for_traj
-    for i in range(n):
-        z0 = RngStream(seed, stream=1000 + i).normal(d)
-        lab = None if labels is None else labels[i]
-        _, traj = integrate(field, z0, solver, record=True, label=lab)
-        for j, t in enumerate(ts):
-            out[j, i] = traj.state_at(float(t))
-    return out, labels
+    return _trajectory_states(field, n, d, ts, seed, solver,
+                              labels_for_traj), labels_for_traj
+
+
+def _trajectory_states(field, n: int, d: int, ts, seed: int,
+                       solver: SolverConfig, labels=None) -> np.ndarray:
+    """States (T, n, d) read at the timesteps ts along n inference
+    trajectories integrated as one batch; trajectory i starts from the RNG
+    stream (seed, 1000 + i)."""
+    z0 = np.stack([RngStream(seed, stream=1000 + i).normal(d) for i in range(n)])
+    _, trajs = integrate(field, z0, solver, record=True, label=labels)
+    return np.stack([[traj.state_at(float(t)) for traj in trajs] for t in ts])
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
@@ -94,12 +97,13 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
                     weighting: str = "velocity", seed: int = 0,
                     t_min: float = 1e-3,
                     solver: SolverConfig | None = None,
-                    labels_for_traj=None) -> RegionEstimate:
+                    labels_for_traj=None):
     """Monte Carlo estimate of a quantity over a region.
 
     quantity(zs, t) takes a batch (n, d) at a scalar timestep and returns n
-    values. T timesteps are drawn uniformly on the clamped range; the estimate
-    is the weighted mean over all n*T terms.
+    values, or an (m, n) array of m quantities over the same inputs, which
+    gives a list of m RegionEstimates. T timesteps are drawn uniformly on the
+    clamped range; each estimate is the weighted mean over all n*T terms.
     """
     if n < 1 or timesteps < 1:
         raise InvalidArgumentError("n and timesteps must be >= 1")
@@ -111,35 +115,46 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     solver = solver or SolverConfig()
     inputs, _ = _region_inputs(region, ds, field, n, ts, seed, solver,
                                labels_for_traj)
-    curve = []
-    total = 0.0
-    sq_total = 0.0
-    for j, t in enumerate(ts):
-        vals = wfun(t) * np.asarray(quantity(inputs[j], float(t)), dtype=float)
-        curve.append((float(t), float(np.mean(vals))))
-        total += float(np.sum(vals))
-        sq_total += float(np.sum(vals * vals))
+    vals = np.stack([wfun(t) * np.asarray(quantity(inputs[j], float(t)),
+                                          dtype=float)
+                     for j, t in enumerate(ts)], axis=-2)  # ([m,] T, n)
+
     count = n * timesteps
-    mean = total / count
-    var = max(sq_total / count - mean * mean, 0.0)
-    return RegionEstimate(region, mean, curve, n, timesteps, weighting,
-                          stderr=float(np.sqrt(var / count)))
+
+    def summary(per_t):
+        total = sq_total = 0.0
+        for v in per_t:
+            total += float(np.sum(v))
+            sq_total += float(np.sum(v * v))
+        mean = total / count
+        var = max(sq_total / count - mean * mean, 0.0)
+        curve = [(float(t), float(np.mean(v))) for t, v in zip(ts, per_t)]
+        return RegionEstimate(region, mean, curve, n, timesteps, weighting,
+                              stderr=float(np.sqrt(var / count)))
+
+    return summary(vals) if vals.ndim == 2 else [summary(v) for v in vals]
 
 
-def _as_score_batch(field, zs: np.ndarray, t: float, label=None) -> np.ndarray:
-    pred = field.evaluate_batch(zs, t, None if label is None else
-                                np.full(zs.shape[0], label, dtype=np.int64))
+def _as_score_batch(field, zs: np.ndarray, t: float, labels=None) -> np.ndarray:
+    """The field's prediction at (zs, t) as a score; labels is None, one
+    label for every row, or one label per row."""
+    pred = field.evaluate_batch(zs, t, labels)
     if field.prediction_kind == SCORE:
         return pred
     return convert_value(pred, field.prediction_kind, SCORE, zs, t)
 
 
-def score_error_quantity(field, reference):
-    """quantity(zs, t) = ||score(field) - score(reference)||^2 rowwise."""
+def score_error_quantity(field, references):
+    """quantity(zs, t) = ||score(field) - score(reference)||^2 rowwise, one
+    row per reference (m, n); the field is evaluated once per batch."""
 
     def q(zs, t):
-        diff = _as_score_batch(field, zs, t) - _as_score_batch(reference, zs, t)
-        return np.einsum("bj,bj->b", diff, diff)
+        own = _as_score_batch(field, zs, t)
+        out = np.empty((len(references), zs.shape[0]))
+        for row, ref in zip(out, references):
+            diff = own - _as_score_batch(ref, zs, t)
+            row[:] = np.einsum("bj,bj->b", diff, diff)
+        return out
 
     return q
 
@@ -147,17 +162,21 @@ def score_error_quantity(field, reference):
 def score_error(field, reference, region: str, ds: Dataset,
                 traj_field=None, n: int = 1000, timesteps: int = 100,
                 seed: int = 0, t_min: float = 1e-3,
-                solver: SolverConfig | None = None) -> RegionEstimate:
+                solver: SolverConfig | None = None):
     """Velocity-weighted squared score error of `field` against `reference`.
 
-    Extrapolation-region trajectories come from traj_field (default: the field
-    under test itself)."""
-    return estimate_region(
-        score_error_quantity(field, reference), region, ds,
-        field=traj_field if traj_field is not None else field,
+    reference may be a list of fields: the errors against all of them then
+    come from one pass over the region inputs, and a list of estimates is
+    returned. Extrapolation-region trajectories come from traj_field
+    (default: the field under test itself)."""
+    many = isinstance(reference, (list, tuple))
+    est = estimate_region(
+        score_error_quantity(field, reference if many else [reference]),
+        region, ds, field=traj_field if traj_field is not None else field,
         n=n, timesteps=timesteps, weighting="velocity", seed=seed,
         t_min=t_min, solver=solver,
     )
+    return est if many else est[0]
 
 
 def supervision_loss(field, reference, ds: Dataset, n: int = 1000,
@@ -196,13 +215,8 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
         if traj_field is None:
             raise InvalidArgumentError("extrapolation region needs traj_field")
         labels = rng.integers(0, ds.num_classes, n)
-        inputs = np.empty((len(t_grid), n, ds.dim))
-        for i in range(n):
-            z0 = RngStream(seed, stream=1000 + i).normal(ds.dim)
-            _, traj = integrate(traj_field, z0, solver, record=True,
-                                label=int(labels[i]))
-            for j, t in enumerate(t_grid):
-                inputs[j, i] = traj.state_at(float(t))
+        inputs = _trajectory_states(traj_field, n, ds.dim, t_grid, seed,
+                                    solver, labels)
     else:
         raise InvalidArgumentError(f"unknown region {region!r}")
     rows = []

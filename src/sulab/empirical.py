@@ -9,8 +9,6 @@ points stay finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
@@ -20,13 +18,42 @@ from .schedule import LinearSchedule
 EXACT = "exact"
 
 
-@dataclass(frozen=True)
-class SoftmaxWeights:
-    """Mixture responsibilities at a query point, with the point indices they
-    refer to (a subset of the dataset under kNN truncation)."""
+def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b, or a[i] @ b[i] for a stack b, as one product per row: a
+    row's bits then do not depend on the rows it is batched with, as they
+    can in one matrix product."""
+    return np.matmul(a[:, None, :], b)[:, 0]
 
-    weights: np.ndarray
-    indices: np.ndarray
+
+def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas, sigmas,
+                    k: int | None = None):
+    """Responsibilities proportional to exp(-|z - alpha x_i|^2 / (2 sigma^2)),
+    normalized over each row of zs (B, d).
+
+    alphas and sigmas are scalars or per-row (B,) arrays. The squared
+    distances use the expanded form |z|^2 - 2 alpha z.x + alpha^2 |x|^2, with
+    no (B, N, d) tensor, and the softmax subtracts each row's largest logit.
+    A scalar alpha takes one matrix product for the batch; per-row alphas
+    take one product per row, so each row's result is independent of the
+    other rows in its batch. With k < N only each row's k nearest points
+    keep weight: returns (weights (B, k), their point indices (B, k));
+    otherwise (weights (B, N), None).
+    """
+    a = np.reshape(alphas, (-1, 1))
+    s = np.reshape(sigmas, (-1, 1))
+    sq = zs @ points.T if np.ndim(alphas) == 0 else _rowwise_matmul(zs, points.T)
+    sq *= -2.0 * a
+    sq += np.einsum("ij,ij->i", zs, zs)[:, None]
+    sq += (a * a) * np.einsum("ij,ij->i", points, points)[None, :]
+    idx = None
+    if k is not None and k < points.shape[0]:
+        idx = np.argpartition(sq, k - 1, axis=1)[:, :k]
+        sq = np.take_along_axis(sq, idx, axis=1)
+    sq /= -(2.0 * s * s)
+    sq -= sq.max(axis=1, keepdims=True)
+    np.exp(sq, out=sq)
+    sq /= sq.sum(axis=1, keepdims=True)
+    return sq, idx
 
 
 class EmpiricalScoreOracle:
@@ -66,72 +93,26 @@ class EmpiricalScoreOracle:
     def dim(self) -> int:
         return self.dataset.dim
 
-    def _scaled_sqdist(self, z: np.ndarray, t: float) -> np.ndarray:
-        a = float(self.schedule.alpha(t))
-        diff = z[None, :] - a * self._points
-        return np.einsum("ij,ij->i", diff, diff)
-
-    def _active(self, sq: np.ndarray) -> np.ndarray:
-        if self.k >= sq.shape[0]:
-            return np.arange(sq.shape[0])
-        part = np.argpartition(sq, self.k - 1)[: self.k]
-        return part[np.argsort(sq[part], kind="stable")]
-
-    def softmax_weights(self, z, t: float) -> SoftmaxWeights:
-        """Responsibilities proportional to exp(-|z - alpha_t x_i|^2 / (2 sigma_t^2))."""
-        z = np.asarray(z, dtype=float)
-        s = float(self.schedule.sigma(t))
-        if s <= 0.0:
-            raise SingularTimeError(f"softmax weights undefined at t={t} (sigma=0)")
-        sq = self._scaled_sqdist(z, t)
-        active = self._active(sq)
-        logits = -sq[active] / (2.0 * s * s)
-        e = np.exp(logits - np.max(logits))
-        return SoftmaxWeights(e / e.sum(), self._indices[active])
-
-    def score(self, z, t: float) -> np.ndarray:
-        """(1/sigma^2) * (-z + alpha * sum_i w_i x_i)."""
-        z = np.asarray(z, dtype=float)
-        s = float(self.schedule.sigma(t))
-        if s <= 0.0:
-            raise SingularTimeError(f"empirical score undefined at t={t} (sigma=0)")
-        a = float(self.schedule.alpha(t))
-        w = self.softmax_weights(z, t)
-        mean = w.weights @ self.dataset.points[w.indices]
-        return (-z + a * mean) / (s * s)
-
     def score_batch(self, zs: np.ndarray, t) -> np.ndarray:
-        """Vectorized score over a batch of queries; t scalar or per-row array."""
+        """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries;
+        t scalar or per-row array."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        ts = np.broadcast_to(np.asarray(t, dtype=float), (zs.shape[0],))
-        if np.any(ts <= 0.0):
+        if np.any(np.asarray(t) <= 0.0):
             raise SingularTimeError("empirical score undefined at t=0")
-        out = np.empty_like(zs)
-        # Group rows by unique timestep so each group is one matrix product.
-        for tv in np.unique(ts):
-            rows = np.flatnonzero(ts == tv)
-            a = float(self.schedule.alpha(tv))
-            s = float(self.schedule.sigma(tv))
-            zb = zs[rows]
-            scaled = a * self._points
-            sq = (
-                np.einsum("ij,ij->i", zb, zb)[:, None]
-                - 2.0 * zb @ scaled.T
-                + np.einsum("ij,ij->i", scaled, scaled)[None, :]
-            )
-            if self.k < scaled.shape[0]:
-                keep = np.argpartition(sq, self.k - 1, axis=1)[:, : self.k]
-                logits = -np.take_along_axis(sq, keep, axis=1) / (2.0 * s * s)
-                w = np.exp(logits - logits.max(axis=1, keepdims=True))
-                w /= w.sum(axis=1, keepdims=True)
-                means = np.einsum("bk,bkj->bj", w, scaled[keep])
-            else:
-                logits = -sq / (2.0 * s * s)
-                w = np.exp(logits - logits.max(axis=1, keepdims=True))
-                w /= w.sum(axis=1, keepdims=True)
-                means = w @ scaled
-            out[rows] = (-zb + means) / (s * s)
-        return out
+        a, s = self.schedule.alpha(t), self.schedule.sigma(t)
+        points = self._points
+        if np.ndim(t) == 0:
+            # one t for the batch: scale the points once and take single
+            # matrix products (only per-row t needs rows computed apart)
+            points, a = a * points, 1.0
+        w, idx = mixture_weights(zs, points, a, s, self.k)
+        if idx is not None:
+            means = _rowwise_matmul(w, points[idx])
+        elif np.ndim(t) == 0:
+            means = w @ points
+        else:
+            means = _rowwise_matmul(w, points)
+        return (-zs + np.reshape(a, (-1, 1)) * means) / np.reshape(s * s, (-1, 1))
 
     def collapsed_score(self, z, t: float) -> tuple[np.ndarray, int]:
         """Single-nearest-component approximation: (-z + alpha * x_i) / sigma^2
@@ -141,7 +122,8 @@ class EmpiricalScoreOracle:
         if s <= 0.0:
             raise SingularTimeError(f"collapsed score undefined at t={t} (sigma=0)")
         a = float(self.schedule.alpha(t))
-        sq = self._scaled_sqdist(z, t)
+        diff = z[None, :] - a * self._points
+        sq = np.einsum("ij,ij->i", diff, diff)
         local = int(np.argmin(sq))  # np.argmin returns the first minimum
         i = int(self._indices[local])
         return (-z + a * self.dataset.points[i]) / (s * s), i
@@ -179,6 +161,7 @@ def cfg_scores(cond_oracle: EmpiricalScoreOracle, uncond_oracle: EmpiricalScoreO
         raise InvalidArgumentError("conditional oracle needs a class_filter")
     if uncond_oracle.class_filter is not None:
         raise InvalidArgumentError("unconditional oracle must not have a class_filter")
-    s_c = cond_oracle.score(z, t)
-    s_u = uncond_oracle.score(z, t)
+    zs = np.asarray(z, dtype=float)[None, :]
+    s_c = cond_oracle.score_batch(zs, t)[0]
+    s_u = uncond_oracle.score_batch(zs, t)[0]
     return s_c, s_u, float(np.linalg.norm(s_c - s_u))

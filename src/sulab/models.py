@@ -193,6 +193,7 @@ class MlpScoreNetwork:
         return out
 
     def evaluate(self, z, t, label=None) -> np.ndarray:
+        """One row of evaluate_batch (the single-query probe of bench/probes.py)."""
         return self.evaluate_batch(np.asarray(z)[None, :], float(t),
                                    None if label is None else [label])[0]
 
@@ -365,9 +366,6 @@ class OracleField:
         self.oracle = oracle
         self.dim = oracle.dim
 
-    def evaluate(self, z, t, label=None):
-        return self.oracle.score(z, float(t))
-
     def evaluate_batch(self, zs, ts, labels=None):
         return self.oracle.score_batch(zs, ts)
 
@@ -381,15 +379,11 @@ class GaussianGroundTruthField:
         self.dim = dim
         self.schedule = schedule
 
-    def evaluate(self, z, t, label=None):
-        return marginal_gaussian_score(z, float(t), self.schedule)
-
     def evaluate_batch(self, zs, ts, labels=None):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
-        a = self.schedule.alpha(ts)
-        s = self.schedule.sigma(ts)
-        return -zs / (a * a + s * s)[:, None]
+        return marginal_gaussian_score(
+            zs, np.broadcast_to(np.asarray(ts, dtype=float), zs.shape[:1]),
+            self.schedule)
 
 
 class KrrScoreField:
@@ -414,9 +408,6 @@ class KrrScoreField:
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
         zf = zs if self.input_map == IDENTITY else _polar_features_batch(zs)
         return np.concatenate([zf, (self.time_scale * ts)[:, None]], axis=1)
-
-    def evaluate(self, z, t, label=None):
-        return self.evaluate_batch(np.asarray(z)[None, :], float(t))[0]
 
     def evaluate_batch(self, zs, ts, labels=None):
         return self.denoiser.predict_batch(self.features(zs, ts))

@@ -9,7 +9,7 @@ conversions are singular at t in {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -106,61 +106,79 @@ class Trajectory:
 
 
 def velocity_fn(score_field, label=None):
-    """Wrap a ScoreField into z, t -> velocity."""
+    """Wrap a ScoreField into (zs (B, d), ts (B,)) -> velocities (B, d).
+
+    label is None, one label for every row, or an array with one label per
+    row of the full batch; `rows` then names the batch rows zs holds.
+    """
     kind = score_field.prediction_kind
 
-    def v(z, t):
-        pred = score_field.evaluate(z, t, label)
-        if kind == VELOCITY:
-            return pred
-        return convert_value(pred, kind, VELOCITY, z, t)
+    def v(zs, ts, rows=slice(None)):
+        labels = label if np.ndim(label) == 0 else np.asarray(label)[rows]
+        pred = score_field.evaluate_batch(zs, ts, labels)
+        return pred if kind == VELOCITY else convert_value(pred, kind, VELOCITY, zs, ts)
 
     return v
 
 
+def _check_finite(z: np.ndarray, rows: np.ndarray, iterations: np.ndarray) -> None:
+    """Raise NumericFailureError naming the first non-finite row (rows[i] for z[i])."""
+    bad = np.flatnonzero(~np.all(np.isfinite(z), axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise NumericFailureError(
+            f"sample {rows[i]}: non-finite state during integration",
+            iteration=int(iterations[i]), state=z[i])
+
+
 def _error_ratio(err: np.ndarray, z: np.ndarray, z_new: np.ndarray,
-                 atol: float, rtol: float) -> float:
+                 atol: float, rtol: float) -> np.ndarray:
     scale = atol + rtol * np.maximum(np.abs(z), np.abs(z_new))
-    return float(np.max(np.abs(err) / scale))
+    return np.max(np.abs(err) / scale, axis=1)
 
 
-def _initial_step(v, z0: np.ndarray, t0: float, span: float,
-                  atol: float, rtol: float) -> float:
-    # Hairer-style heuristic, adapted for decreasing t.
+def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
+                  atol: float, rtol: float) -> np.ndarray:
+    # Hairer-style heuristic, adapted for decreasing t; one step per row.
     sc = atol + rtol * np.abs(z0)
     f0 = v(z0, t0)
-    d0 = float(np.max(np.abs(z0) / sc))
-    d1 = float(np.max(np.abs(f0) / sc))
-    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    h0 = min(h0, 0.1 * span)
-    z1 = z0 - h0 * f0
+    d0 = np.max(np.abs(z0) / sc, axis=1)
+    d1 = np.max(np.abs(f0) / sc, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, 0.1 * span)
+    z1 = z0 - h0[:, None] * f0
     f1 = v(z1, t0 - h0)
-    d2 = float(np.max(np.abs(f1 - f0) / sc)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    d12 = np.maximum(d1, np.max(np.abs(f1 - f0) / sc, axis=1) / h0)
+    with np.errstate(divide="ignore"):
+        h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
+                      (0.01 / d12) ** 0.2)
+    return np.minimum(np.minimum(100 * h0, h1), span)
 
 
 def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
               record: bool = False, label=None):
-    """Integrate the probability-flow ODE down from t_start to t_end.
+    """Integrate the probability-flow ODE for a batch of states z_init (B, d)
+    down from t_start to t_end; label is None, shared, or one per row.
 
-    Returns (z_final, Trajectory or None).
+    Returns (z_final (B, d), one Trajectory per row or None). A non-finite
+    state raises NumericFailureError naming its row.
     """
-    v = velocity_fn(score_field, label)
     z = np.array(z_init, dtype=float)
+    if z.ndim != 2:
+        raise InvalidArgumentError("z_init must be a (B, d) batch of states")
+    v = velocity_fn(score_field, label)
     t_start, t_end = cfg.resolve_span()
-    traj = Trajectory() if record else None
-    if record:
-        traj.append(t_start, z)
+    n = z.shape[0]
+    every = np.arange(n)
+    t = np.full(n, t_start)
+    trajs = [Trajectory() for _ in range(n)] if record else None
+    _record(trajs, every, t, z)
 
     if cfg.kind == ADAPTIVE_RK45:
-        z = _integrate_dopri5(v, z, t_start, t_end, cfg, traj)
+        z = _integrate_dopri5(v, z, t, t_end, cfg, trajs)
     else:
         hs = (t_start - t_end) / cfg.fixed_steps
-        t = t_start
         for k in range(cfg.fixed_steps):
             f0 = v(z, t)
             if cfg.kind == FIXED_EULER:
@@ -169,93 +187,92 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
                 z_pred = z - hs * f0
                 f1 = v(z_pred, t - hs)
                 z = z - hs * 0.5 * (f0 + f1)
-            t = t_end if k == cfg.fixed_steps - 1 else t_start - (k + 1) * hs
-            if not np.all(np.isfinite(z)):
-                raise NumericFailureError("non-finite state during integration",
-                                          iteration=k, state=z)
-            if record:
-                traj.append(t, z)
-        if traj is not None:
+            t = np.full(n, t_end if k == cfg.fixed_steps - 1
+                        else t_start - (k + 1) * hs)
+            _check_finite(z, every, np.full(n, k))
+            _record(trajs, every, t, z)
+        for traj in trajs or ():
             traj.accepted = cfg.fixed_steps
-    return z, traj
+    return z, trajs
 
 
-def _integrate_dopri5(v, z, t_start, t_end, cfg, traj):
-    t = t_start
-    span = t_start - t_end
-    h = _initial_step(v, z, t, span, cfg.atol, cfg.rtol)
-    steps = 0
-    accepted = rejected = 0
-    while t > t_end:
-        if steps >= cfg.max_steps:
-            raise DivergenceError(f"max steps ({cfg.max_steps}) exceeded at t={t}",
-                                  iteration=steps, state=z)
-        steps += 1
-        h = min(h, t - t_end)
-        last = h == t - t_end
+def _record(trajs, rows, t: np.ndarray, z: np.ndarray) -> None:
+    if trajs is not None:
+        for r in rows:
+            trajs[r].append(t[r], z[r])
+
+
+def _integrate_dopri5(v, z, t, t_end, cfg, trajs):
+    """Dormand-Prince 5(4) with t, h and the step counts kept per row. Each
+    stage evaluates the field once, over the rows still short of t_end, so
+    every row takes the step sequence it would take on its own."""
+    n = z.shape[0]
+    h = _initial_step(v, z, t, t[0] - t_end, cfg.atol, cfg.rtol)
+    steps = np.zeros(n, dtype=np.int64)
+    accepted = np.zeros(n, dtype=np.int64)
+    rows = np.arange(n)
+    while rows.size:
+        over = rows[steps[rows] >= cfg.max_steps]
+        if over.size:
+            r = int(over[0])
+            raise DivergenceError(
+                f"sample {r}: max steps ({cfg.max_steps}) exceeded at t={t[r]}",
+                iteration=int(steps[r]), state=z[r])
+        steps[rows] += 1
+        tr, zr = t[rows], z[rows]
+        hr = np.minimum(h[rows], tr - t_end)
+        last = hr == tr - t_end
         ks = []
         for i in range(7):
-            zi = z.copy()
+            zi = zr
             for j, a in enumerate(_DP_A[i]):
-                zi = zi - h * a * ks[j]
-            ks.append(v(zi, t - _DP_C[i] * h))
-        ks = np.asarray(ks)
-        z5 = z - h * (_DP_B5 @ ks)
-        z4 = z - h * (_DP_B4 @ ks)
-        if not np.all(np.isfinite(z5)):
-            raise NumericFailureError("non-finite state during integration",
-                                      iteration=steps, state=z5)
-        ratio = _error_ratio(z5 - z4, z, z5, cfg.atol, cfg.rtol)
-        if ratio <= 1.0:
-            t = t_end if last else t - h
-            z = z5
-            accepted += 1
-            if traj is not None:
-                traj.append(t, z)
-        else:
-            rejected += 1
-        factor = _SAFETY * (1.0 / ratio) ** 0.2 if ratio > 0 else _GROW
-        h = h * min(_GROW, max(_SHRINK, factor))
-    if traj is not None:
-        traj.accepted = accepted
-        traj.rejected = rejected
+                zi = zi - (hr * a)[:, None] * ks[j]
+            ks.append(v(zi, tr - _DP_C[i] * hr, rows))
+        # elementwise stage sums, so each row's bits are its own
+        z5 = zr - hr[:, None] * sum(b * k for b, k in zip(_DP_B5, ks))
+        z4 = zr - hr[:, None] * sum(b * k for b, k in zip(_DP_B4, ks))
+        _check_finite(z5, rows, steps[rows])
+        ratio = _error_ratio(z5 - z4, zr, z5, cfg.atol, cfg.rtol)
+        ok = ratio <= 1.0
+        done = rows[ok]
+        t[done] = np.where(last[ok], t_end, tr[ok] - hr[ok])
+        z[done] = z5[ok]
+        accepted[done] += 1
+        _record(trajs, done, t, z)
+        with np.errstate(divide="ignore"):
+            factor = np.where(ratio > 0, _SAFETY * (1.0 / ratio) ** 0.2, _GROW)
+        h[rows] = hr * np.minimum(_GROW, np.maximum(_SHRINK, factor))
+        rows = rows[t[rows] > t_end]
+    for r, traj in enumerate(trajs or ()):
+        traj.accepted = int(accepted[r])
+        traj.rejected = int(steps[r] - accepted[r])
     return z
 
 
 def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 0,
            record: bool = False, label=None, dim: int | None = None):
-    """Draw n probability-flow samples: z_init ~ N(0, I), integrate t_start -> t_end.
+    """Draw n probability-flow samples: z_init ~ N(0, I), integrated
+    t_start -> t_end as one batch.
 
-    Per-sample RNG streams derive from (seed, sample index), so any prefix of
-    samples is reproducible independently of n.
+    Each sample's initial state comes from its own RNG stream (seed, sample
+    index), so any prefix of samples starts from the same states whatever n
+    is. It also ends on the same bits when the field computes each row on its
+    own (the oracle and the Gaussian field); a network's batched matrix
+    products round a row differently at different n, so there a prefix
+    agrees only to within the solver tolerance.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
     d = dim if dim is not None else score_field.dim
-    out = np.empty((n, d))
-    trajectories = [] if record else None
-    for i in range(n):
-        rng = RngStream(seed, stream=i)
-        z0 = rng.normal(d)
-        try:
-            z, traj = integrate(score_field, z0, cfg, record=record, label=label)
-        except NumericFailureError as exc:
-            raise NumericFailureError(f"sample {i} failed: {exc}",
-                                      iteration=exc.iteration, state=exc.state) from exc
-        out[i] = z
-        if record:
-            trajectories.append(traj)
-    return out, trajectories
+    z0 = np.stack([RngStream(seed, stream=i).normal(d) for i in range(n)])
+    return integrate(score_field, z0, cfg, record=record, label=label)
 
 
 def denoise_from(score_field, z_t, t_from: float,
                  cfg: SolverConfig = SolverConfig(), label=None) -> np.ndarray:
-    """Partial denoising: integrate from (z_t, t_from) down to t_min."""
+    """Partial denoising: integrate states z_t (B, d) from t_from down to t_min."""
     if t_from <= cfg.t_min:
         return np.array(z_t, dtype=float)
-    sub = SolverConfig(kind=cfg.kind, atol=cfg.atol, rtol=cfg.rtol,
-                       max_steps=cfg.max_steps, t_min=cfg.t_min,
-                       t_start=min(t_from, 1.0 - cfg.t_min), t_end=cfg.t_min,
-                       fixed_steps=cfg.fixed_steps)
+    sub = replace(cfg, t_start=min(t_from, 1.0 - cfg.t_min), t_end=cfg.t_min)
     z, _ = integrate(score_field, z_t, sub, record=False, label=label)
     return z

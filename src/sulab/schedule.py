@@ -71,18 +71,14 @@ def forward_process(x, eps, t, schedule=LinearSchedule) -> np.ndarray:
     return a * x + s * eps
 
 
-def _check_interior(t: float) -> None:
-    if not (0.0 < t < 1.0):
-        raise SingularTimeError(f"conversion undefined at t={t}")
-
-
-def convert_value(value, kind: str, target: str, z, t: float) -> np.ndarray:
+def convert_value(value, kind: str, target: str, z, t) -> np.ndarray:
     """Reparameterize a prediction through its linear relations at (z, t).
 
     Under the linear schedule:
         v = -t/(1-t) * s - z/(1-t)
         x = t^2/(1-t) * s + z/(1-t)
-    Defined for t in (0, 1); uses score as the common intermediate.
+    Defined for t in (0, 1); t is a scalar or one value per row of a (B, d)
+    batch. Uses score as the common intermediate.
     """
     if kind not in PREDICTION_KINDS or target not in PREDICTION_KINDS:
         raise InvalidArgumentError("unknown prediction kind")
@@ -90,7 +86,11 @@ def convert_value(value, kind: str, target: str, z, t: float) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if kind == target:
         return value
-    _check_interior(float(t))
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 < t) & (t < 1.0)):
+        raise SingularTimeError(f"conversion undefined at t={t}")
+    if t.ndim:
+        t = t[:, None]
     # to score
     if kind == SCORE:
         s = value
@@ -111,13 +111,13 @@ def convert(p: Prediction, z, t: float, target: str) -> Prediction:
     return Prediction(target, convert_value(p.value, p.kind, target, z, t))
 
 
-def marginal_gaussian_score(z, t: float, schedule=LinearSchedule) -> np.ndarray:
+def marginal_gaussian_score(z, t, schedule=LinearSchedule) -> np.ndarray:
     """Exact marginal score of the forward process when p_data = N(0, I):
     the marginal at time t is N(0, (alpha_t^2 + sigma_t^2) I), so the score is
-    -z / (alpha_t^2 + sigma_t^2)."""
-    if not (0.0 <= t <= 1.0):
+    -z / (alpha_t^2 + sigma_t^2). t is a scalar or one value per row of z."""
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise InvalidArgumentError("t must lie in [0, 1]")
-    a = float(schedule.alpha(t))
-    s = float(schedule.sigma(t))
+    a, s = schedule.alpha(t), schedule.sigma(t)
     var = a * a + s * s
-    return -np.asarray(z, dtype=float) / var
+    return -np.asarray(z, dtype=float) / (var[:, None] if t.ndim else var)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .data import Dataset, SubsetPair
-from .empirical import EmpiricalScoreOracle
+from .empirical import EmpiricalScoreOracle, mixture_weights
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
@@ -199,12 +199,7 @@ def _score_to_kind(kind: str, scores: np.ndarray, zs: np.ndarray,
 def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
                           ts: np.ndarray, rng: RngStream) -> np.ndarray:
     """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2))."""
-    a = (1.0 - ts)[:, None, None]
-    diff = zs[:, None, :] - a * score_points[None, :, :]
-    logits = -np.einsum("bnj,bnj->bn", diff, diff) / (2.0 * (ts * ts))[:, None]
-    logits -= logits.max(axis=1, keepdims=True)
-    w = np.exp(logits)
-    w /= w.sum(axis=1, keepdims=True)
+    w, _ = mixture_weights(zs, score_points, 1.0 - ts, ts)
     cdf = np.cumsum(w, axis=1)
     u = rng.uniform(size=zs.shape[0])
     picks = (cdf < u[:, None]).sum(axis=1)

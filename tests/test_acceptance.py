@@ -85,7 +85,7 @@ class TestOracleExactness:
             if (-sq / (2.0 * t * t)).max() < -600.0:
                 continue
             reference = naive_empirical_score(ds, z, t)
-            stable = EmpiricalScoreOracle(ds).score(z, t)
+            stable = EmpiricalScoreOracle(ds).score_batch(z[None, :], t)[0]
             rel = np.linalg.norm(stable - reference) / \
                 max(np.linalg.norm(reference), 1e-300)
             assert rel < 1e-10
@@ -99,7 +99,7 @@ class TestOracleExactness:
             ds = Dataset(rng.normal(size=(n, d)))
             t = float(rng.uniform(0.1, 0.9))
             z = rng.normal(size=d)
-            score = EmpiricalScoreOracle(ds).score(z, t)
+            score = EmpiricalScoreOracle(ds).score_batch(z[None, :], t)[0]
             h = 1e-5
             fd = np.array([
                 (_log_density(ds, z + h * e, t) - _log_density(ds, z - h * e, t))
@@ -143,7 +143,7 @@ class TestScoreCollapse:
             zs = (1.0 - t) * ds.points[idx] + t * rng.normal(size=(500, d))
             ok = 0
             for z in zs:
-                exact = oracle.score(z, t)
+                exact = oracle.score_batch(z[None, :], t)[0]
                 collapsed, _ = oracle.collapsed_score(z, t)
                 rel = np.linalg.norm(exact - collapsed) / np.linalg.norm(exact)
                 ok += rel < 1e-3
@@ -200,7 +200,8 @@ class TestSolverAccuracy:
         for _ in range(100):
             d = int(rng.integers(2, 9))
             z0 = rng.normal(size=d) * rng.uniform(0.5, 2.0)
-            terminal, _ = integrate(GaussianGroundTruthField(d), z0, cfg)
+            terminal = integrate(GaussianGroundTruthField(d), z0[None, :],
+                                 cfg)[0][0]
             exact = _gaussian_closed_form(z0, 0.999, cfg.t_min)
             err = np.linalg.norm(terminal - exact)
             assert err <= 10.0 * (cfg.atol + cfg.rtol * np.linalg.norm(exact))
@@ -211,13 +212,13 @@ class TestSolverAccuracy:
         rng = np.random.default_rng(5)
         starts = [rng.normal(size=4) for _ in range(10)]
         ref_cfg = SolverConfig(atol=1e-12, rtol=1e-12, t_start=0.9, t_min=0.2)
-        refs = [integrate(field, z, ref_cfg)[0] for z in starts]
+        refs = [integrate(field, z[None, :], ref_cfg)[0][0] for z in starts]
         errors = {}
         for steps in (80, 160, 320):
             cfg = SolverConfig(kind="fixed-heun", fixed_steps=steps,
                                t_start=0.9, t_min=0.2)
             errors[steps] = np.mean([
-                np.linalg.norm(integrate(field, z, cfg)[0] - ref)
+                np.linalg.norm(integrate(field, z[None, :], cfg)[0][0] - ref)
                 for z, ref in zip(starts, refs)])
         assert 3.5 <= errors[80] / errors[160] <= 4.5
         assert 3.5 <= errors[160] / errors[320] <= 4.5

@@ -210,8 +210,8 @@ class TestKrr:
                                        seed=0, input_map=POLAR)
         assert isinstance(field, KrrScoreField)
         assert field.prediction_kind == XPRED
-        out = field.evaluate(np.array([0.5, 0.5]), 0.3)
-        assert out.shape == (2,) and np.all(np.isfinite(out))
+        out = field.evaluate_batch(np.array([[0.5, 0.5]]), 0.3)
+        assert out.shape == (1, 2) and np.all(np.isfinite(out))
 
 
 class TestScoreFields:
@@ -220,15 +220,16 @@ class TestScoreFields:
         oracle = EmpiricalScoreOracle(ds)
         field = OracleField(oracle)
         assert field.prediction_kind == SCORE
-        z = np.array([0.1, -0.3, 0.2])
-        np.testing.assert_array_equal(field.evaluate(z, 0.4),
-                                      oracle.score(z, 0.4))
+        zs = np.array([[0.1, -0.3, 0.2], [1.0, 0.5, -2.0]])
+        ts = np.array([0.4, 0.7])
+        np.testing.assert_array_equal(field.evaluate_batch(zs, ts),
+                                      oracle.score_batch(zs, ts))
 
     def test_gaussian_field_formula(self):
         field = GaussianGroundTruthField(2)
-        z = np.array([1.0, -2.0])
+        z = np.array([[1.0, -2.0]])
         var = 0.5**2 + 0.5**2
-        np.testing.assert_allclose(field.evaluate(z, 0.5), -z / var)
+        np.testing.assert_allclose(field.evaluate_batch(z, 0.5), -z / var)
 
     def test_fields_expose_dim(self):
         assert GaussianGroundTruthField(7).dim == 7

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from sulab.data import Dataset
+from sulab.data import Dataset, make_gaussian_dataset
 from sulab.empirical import EmpiricalScoreOracle
 from sulab.errors import (DivergenceError, InvalidArgumentError,
                           NumericFailureError)
-from sulab.models import GaussianGroundTruthField, OracleField
+from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.sampling import (ADAPTIVE_RK45, FIXED_EULER, FIXED_HEUN,
                             SolverConfig, denoise_from, integrate, sample,
                             velocity_fn)
@@ -25,17 +25,17 @@ class ConstantVelocityField:
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.size
 
-    def evaluate(self, z, t, label=None):
-        return self.c
+    def evaluate_batch(self, zs, ts, labels=None):
+        return np.broadcast_to(self.c, np.shape(zs))
 
 
 class ExplodingField:
     prediction_kind = VELOCITY
     dim = 1
 
-    def evaluate(self, z, t, label=None):
+    def evaluate_batch(self, zs, ts, labels=None):
         with np.errstate(over="ignore"):
-            return 1e200 * z
+            return 1e200 * zs
 
 
 class TestSolverConfig:
@@ -62,21 +62,22 @@ class TestVelocityFn:
     def test_velocity_kind_passes_through(self):
         field = ConstantVelocityField([2.0, -1.0])
         v = velocity_fn(field)
-        np.testing.assert_array_equal(v(np.zeros(2), 0.5), [2.0, -1.0])
+        np.testing.assert_array_equal(v(np.zeros((1, 2)), np.array([0.5])),
+                                      [[2.0, -1.0]])
 
     def test_score_kind_converted(self):
         field = GaussianGroundTruthField(2)
         v = velocity_fn(field)
-        z = np.array([1.0, -0.5])
-        t = 0.3
-        expected = -z * (1.0 - 2.0 * t) / _variance(t)
+        z = np.array([[1.0, -0.5], [2.0, 0.25]])
+        t = np.array([0.3, 0.8])
+        expected = -z * ((1.0 - 2.0 * t) / _variance(t))[:, None]
         np.testing.assert_allclose(v(z, t), expected, rtol=1e-12)
 
 
 class TestExactSolutions:
     def test_constant_velocity_exact(self):
         cfg = SolverConfig(t_start=0.9, t_end=0.1)
-        z0 = np.array([0.0, 1.0])
+        z0 = np.array([[0.0, 1.0]])
         for kind in (ADAPTIVE_RK45, FIXED_HEUN, FIXED_EULER):
             c = SolverConfig(kind=kind, t_start=0.9, t_end=0.1)
             z, _ = integrate(ConstantVelocityField([1.0, -2.0]), z0, c)
@@ -88,7 +89,7 @@ class TestExactSolutions:
         # dz/dt = (V'/2V) z with V(t) = (1-t)^2 + t^2, hence
         # z(t_end) = z(t_start) * sqrt(V(t_end) / V(t_start)).
         field = GaussianGroundTruthField(3)
-        z0 = np.array([1.0, -2.0, 0.5])
+        z0 = np.array([[1.0, -2.0, 0.5]])
         cfg = SolverConfig(t_start=0.9, t_end=0.2, atol=1e-10, rtol=1e-8)
         z, _ = integrate(field, z0, cfg)
         expected = z0 * np.sqrt(_variance(0.2) / _variance(0.9))
@@ -97,13 +98,13 @@ class TestExactSolutions:
     def test_gaussian_full_span_is_identity(self):
         # V is symmetric about 1/2, so V(t_min) = V(1 - t_min).
         field = GaussianGroundTruthField(2)
-        z0 = np.array([0.7, -1.3])
+        z0 = np.array([[0.7, -1.3]])
         z, _ = integrate(field, z0, SolverConfig(atol=1e-10, rtol=1e-8))
         np.testing.assert_allclose(z, z0, rtol=1e-6)
 
     def test_heun_beats_euler(self):
         field = GaussianGroundTruthField(2)
-        z0 = np.array([1.0, 1.0])
+        z0 = np.array([[1.0, 1.0]])
         expected = z0 * np.sqrt(_variance(0.1) / _variance(0.9))
         errs = {}
         for kind in (FIXED_HEUN, FIXED_EULER):
@@ -117,8 +118,8 @@ class TestExactSolutions:
 class TestTrajectory:
     def test_times_strictly_decreasing_and_counts(self):
         field = GaussianGroundTruthField(2)
-        z0 = np.array([1.0, 0.0])
-        _, traj = integrate(field, z0, SolverConfig(), record=True)
+        z0 = np.array([[1.0, 0.0]])
+        _, (traj,) = integrate(field, z0, SolverConfig(), record=True)
         ts = np.array(traj.times)
         assert ts[0] == 0.999 and ts[-1] == pytest.approx(1e-3)
         assert np.all(np.diff(ts) < 0)
@@ -126,18 +127,19 @@ class TestTrajectory:
 
     def test_state_at_interpolates_closed_form(self):
         field = GaussianGroundTruthField(2)
-        z0 = np.array([1.0, -1.0])
-        _, traj = integrate(field, z0,
-                            SolverConfig(kind=FIXED_HEUN, fixed_steps=400),
-                            record=True)
+        z0 = np.array([[1.0, -1.0]])
+        _, (traj,) = integrate(field, z0,
+                               SolverConfig(kind=FIXED_HEUN, fixed_steps=400),
+                               record=True)
         for t in (0.7, 0.5, 0.25):
-            expected = z0 * np.sqrt(_variance(t) / _variance(0.999))
+            expected = z0[0] * np.sqrt(_variance(t) / _variance(0.999))
             np.testing.assert_allclose(traj.state_at(t), expected, rtol=1e-3)
 
     def test_state_at_clamps_to_span(self):
         field = ConstantVelocityField([1.0])
-        _, traj = integrate(field, np.zeros(1),
-                            SolverConfig(t_start=0.8, t_end=0.2), record=True)
+        _, (traj,) = integrate(field, np.zeros((1, 1)),
+                               SolverConfig(t_start=0.8, t_end=0.2),
+                               record=True)
         np.testing.assert_array_equal(traj.state_at(0.95), traj.states[0])
         np.testing.assert_array_equal(traj.state_at(0.05), traj.states[-1])
 
@@ -145,23 +147,72 @@ class TestTrajectory:
 class TestFailures:
     def test_non_finite_state_raises(self):
         with pytest.raises(NumericFailureError):
-            integrate(ExplodingField(), np.ones(1),
+            integrate(ExplodingField(), np.ones((1, 1)),
                       SolverConfig(kind=FIXED_EULER, fixed_steps=3))
 
     def test_max_steps_divergence(self):
         field = GaussianGroundTruthField(2)
         with pytest.raises(DivergenceError):
-            integrate(field, np.ones(2),
+            integrate(field, np.ones((1, 2)),
                       SolverConfig(max_steps=2, atol=1e-14, rtol=1e-13))
+
+
+class TestBatchedIntegration:
+    """Each row of a batch takes the step sequence it takes on its own."""
+
+    @staticmethod
+    def _starts():
+        # rows of very different scale, so the adaptive step sequences differ
+        scales = 10.0 ** np.linspace(-3.0, 3.0, 7)
+        return np.random.default_rng(0).normal(size=(7, 3)) * scales[:, None]
+
+    @pytest.mark.parametrize("kind", [ADAPTIVE_RK45, FIXED_HEUN, FIXED_EULER])
+    def test_elementwise_field_rows_match_single_runs_bitwise(self, kind):
+        field = GaussianGroundTruthField(3)
+        cfg = SolverConfig(kind=kind, atol=1e-9, rtol=1e-7, fixed_steps=20)
+        z0 = self._starts()
+        zs, trajs = integrate(field, z0, cfg, record=True)
+        assert len({t.accepted + t.rejected for t in trajs}) > (kind == ADAPTIVE_RK45)
+        for i in range(7):
+            z, (traj,) = integrate(field, z0[i:i + 1], cfg, record=True)
+            np.testing.assert_array_equal(zs[i], z[0])
+            assert trajs[i].times == traj.times
+            assert (trajs[i].accepted, trajs[i].rejected) == (traj.accepted, traj.rejected)
+
+    def test_oracle_and_mlp_rows_match_single_runs(self):
+        ds = make_gaussian_dataset(3, 16, seed=2)
+        net = MlpScoreNetwork(3, width=16, hidden_layers=2, time_freqs=2, seed=0)
+        net.params[-2] = 0.1 * np.random.default_rng(1).normal(size=net.params[-2].shape)
+        z0 = np.random.default_rng(3).normal(size=(7, 3))
+        for field in (OracleField(EmpiricalScoreOracle(ds)), net):
+            zs, _ = integrate(field, z0, SolverConfig())
+            singles = np.concatenate([integrate(field, z0[i:i + 1], SolverConfig())[0]
+                                      for i in range(7)])
+            np.testing.assert_allclose(zs, singles, rtol=0, atol=1e-10)
+
+    def test_failures_name_the_row(self):
+        z0 = np.array([[0.0], [0.0], [1.0]])
+        with pytest.raises(NumericFailureError, match="sample 2"):
+            integrate(ExplodingField(), z0, SolverConfig(kind=FIXED_EULER, fixed_steps=3))
+        with pytest.raises(NumericFailureError, match="sample 2"):
+            integrate(ExplodingField(), z0, SolverConfig())
+        with pytest.raises(DivergenceError, match="sample 1"):
+            integrate(GaussianGroundTruthField(2), np.array([[0.0, 0.0], [1.0, 1.0]]),
+                      SolverConfig(max_steps=50, atol=1e-14, rtol=1e-13))
+
+    def test_rejects_unbatched_state(self):
+        with pytest.raises(InvalidArgumentError):
+            integrate(GaussianGroundTruthField(2), np.ones(2))
 
 
 class TestSample:
     def test_prefix_reproducibility(self):
-        field = GaussianGroundTruthField(2)
+        oracle = OracleField(EmpiricalScoreOracle(make_gaussian_dataset(2, 16, seed=1)))
         cfg = SolverConfig()
-        a, _ = sample(field, 5, cfg, seed=3)
-        b, _ = sample(field, 2, cfg, seed=3)
-        np.testing.assert_array_equal(a[:2], b)
+        for field in (GaussianGroundTruthField(2), oracle):
+            a, _ = sample(field, 5, cfg, seed=3)
+            b, _ = sample(field, 2, cfg, seed=3)
+            np.testing.assert_array_equal(a[:2], b)
 
     def test_seed_changes_samples(self):
         field = GaussianGroundTruthField(2)
@@ -188,13 +239,13 @@ class TestSample:
 class TestDenoiseFrom:
     def test_below_t_min_returns_input(self):
         field = GaussianGroundTruthField(2)
-        z = np.array([1.0, 2.0])
+        z = np.array([[1.0, 2.0]])
         np.testing.assert_array_equal(
             denoise_from(field, z, 5e-4, SolverConfig(t_min=1e-3)), z)
 
     def test_matches_closed_form(self):
         field = GaussianGroundTruthField(2)
-        z = np.array([0.5, -0.5])
+        z = np.array([[0.5, -0.5], [2.0, 1.0]])
         out = denoise_from(field, z, 0.6,
                            SolverConfig(atol=1e-10, rtol=1e-8, t_min=1e-3))
         expected = z * np.sqrt(_variance(1e-3) / _variance(0.6))
