@@ -2,8 +2,9 @@
 
 Subcommands: run, diagnose, sample, train, print-defaults. Configs are JSON
 with per-experiment defaults (see `print-defaults`); unknown keys are
-rejected with their field path. Exit codes: 0 success, 2 configuration or
-validation error, 3 numeric failure during a run.
+rejected with their field path, as are values whose type does not fit the
+default's. Exit codes: 0 success, 3 numeric failure during a run, 2 any
+other library error (configuration, validation, malformed files).
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .data import load_points
 from .diagnostics import SUPERVISION, calibrated_l2_values, memorization_ratio, \
     supervision_loss
 from .empirical import EmpiricalScoreOracle
-from .errors import SulabError, InvalidArgumentError, NumericFailureError, \
-    DivergenceError, FormatError
+from .errors import SulabError, NumericFailureError
 from .experiments import RUNNERS, ExperimentResult, samples_table
 from .geometry import bhattacharyya_overlap, r_star
 from .models import MlpScoreNetwork, OracleField
@@ -81,8 +81,9 @@ DEFAULTS: dict[str, dict] = {
     },
     "foe": {
         "experiment": "foe", "seed": 0, "out": "runs/foe",
-        # 16-D: at low dimension calibrated_l2 puts most novel draws below
-        # the 1/3 threshold (see its docstring), hiding any memorization gap.
+        # 16-D: at low dimension calibrated_l2_values puts most novel draws
+        # below the 1/3 threshold (see its docstring), hiding any
+        # memorization gap.
         "dataset": {"kind": "class-mixture", "dim": 16, "n_per_class": 128,
                     "separation": 8.0, "cluster_std": 1.0, "num_classes": 2},
         "model": _FOE_MODEL, "train": _TOY_TRAIN, "solver": dict(_SOLVER),
@@ -139,8 +140,22 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
+def _same_type(default, value) -> bool:
+    """value may stand where default stands: an int for a float, never a bool
+    for a number, a list whose elements fit the default list's first one."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(
+            _same_type(default[0], v) for v in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return type(default) is type(value)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return type(default) is type(value)
+
+
 def merge_config(defaults: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge override into defaults, rejecting unknown keys by path."""
+    """Deep-merge override into defaults, rejecting unknown keys and leaves
+    whose type does not fit the default's, by path."""
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -150,6 +165,9 @@ def merge_config(defaults: dict, override: dict, path: str = "") -> dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{where}: expected an object")
             out[key] = merge_config(defaults[key], value, where)
+        elif not _same_type(defaults[key], value):
+            raise ConfigError(f"{where}: expected {type(defaults[key]).__name__}"
+                              f", got {json.dumps(value)}")
         else:
             out[key] = value
     return out
@@ -162,10 +180,7 @@ def resolve_config(raw: dict) -> dict:
     if experiment not in DEFAULTS:
         raise ConfigError(
             f"experiment: must be one of {', '.join(sorted(DEFAULTS))}")
-    cfg = merge_config(DEFAULTS[experiment], raw)
-    if not isinstance(cfg["seed"], int):
-        raise ConfigError("seed: must be an integer")
-    return cfg
+    return merge_config(DEFAULTS[experiment], raw)
 
 
 def load_config(path: str) -> dict:
@@ -294,13 +309,18 @@ def _threads(args) -> int:
     return value
 
 
-def cmd_run(args) -> int:
-    started = time.time()
+def _run_config(args):
+    """(threads, config with the --seed override, output directory)."""
     threads = _threads(args)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    out_dir = Path(args.out if args.out is not None else cfg["out"])
+    return threads, cfg, Path(args.out if args.out is not None else cfg["out"])
+
+
+def cmd_run(args) -> int:
+    started = time.time()
+    threads, cfg, out_dir = _run_config(args)
     result = RUNNERS[cfg["experiment"]](cfg)
     emit_result(result, out_dir, cfg, threads, args.format, started)
     print(f"{cfg['experiment']}: wrote {len(result.tables)} tables to {out_dir}")
@@ -309,10 +329,7 @@ def cmd_run(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.time()
-    threads = _threads(args)
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    threads, cfg, out_dir = _run_config(args)
     from .experiments import build_dataset, build_model, build_train_config, \
         loss_curve_table
     ds = build_dataset(cfg["dataset"], cfg["seed"])
@@ -322,7 +339,6 @@ def cmd_train(args) -> int:
     result = ExperimentResult(
         tables={"loss_curve": loss_curve_table(report)},
         checkpoints={"model": (net, report.ema_params)})
-    out_dir = Path(args.out if args.out is not None else cfg["out"])
     emit_result(result, out_dir, cfg, threads, args.format, started)
     print(f"trained {cfg['train']['iterations']} iterations; "
           f"artifacts in {out_dir}")
@@ -359,16 +375,15 @@ def cmd_diagnose(args) -> int:
     if ema is not None:
         net.set_params(ema)
     solver = SolverConfig()
+    table = [["metric", "region", "t", "value", "n", "seed"]]
     if args.metric == "supervision-loss":
         oracle = OracleField(EmpiricalScoreOracle(ds))
         value = supervision_loss(net, oracle, ds, n=args.n,
                                  timesteps=args.grid, seed=args.seed)
-        table = [["metric", "region", "t", "value", "n", "seed"],
-                 ["supervision-loss", SUPERVISION, "all", value, args.n,
-                  args.seed]]
+        table.append(["supervision-loss", SUPERVISION, "all", value, args.n,
+                      args.seed])
     elif args.metric == "overlap":
         ts = np.linspace(0.05, 0.95, args.grid)
-        table = [["metric", "region", "t", "value", "n", "seed"]]
         for t in ts:
             value = bhattacharyya_overlap(ds, float(t),
                                           class_filter=args.class_id)
@@ -378,7 +393,6 @@ def cmd_diagnose(args) -> int:
         _, trajectories = sample(net, args.n, solver, seed=args.seed,
                                  record=True)
         ts = np.linspace(0.05, 0.95, args.grid)
-        table = [["metric", "region", "t", "value", "n", "seed"]]
         for t in ts:
             vals = [r_star(ds, traj.state_at(float(t)), float(t)).r_star
                     for traj in trajectories]
@@ -391,10 +405,9 @@ def cmd_diagnose(args) -> int:
         ratio = memorization_ratio(samples, ds.points,
                                    n=min(args.calibration_n, ds.size),
                                    threshold=args.threshold)
-        table = [["metric", "region", "t", "value", "n", "seed"],
-                 ["memorization-ratio", "all", "all", ratio, args.n, args.seed],
-                 ["mean-calibrated-l2", "all", "all", float(np.mean(cal)),
-                  args.n, args.seed]]
+        table += [["memorization-ratio", "all", "all", ratio, args.n, args.seed],
+                  ["mean-calibrated-l2", "all", "all", float(np.mean(cal)),
+                   args.n, args.seed]]
     payload = csv_bytes(table).decode()
     if args.out:
         Path(args.out).write_text(payload)
@@ -404,13 +417,9 @@ def cmd_diagnose(args) -> int:
 
 
 def cmd_print_defaults(args) -> int:
-    if args.experiment:
-        if args.experiment not in DEFAULTS:
-            raise ConfigError(
-                f"experiment: must be one of {', '.join(sorted(DEFAULTS))}")
-        print(json.dumps(DEFAULTS[args.experiment], indent=2))
-    else:
-        print(json.dumps(DEFAULTS, indent=2))
+    cfg = resolve_config({"experiment": args.experiment}) \
+        if args.experiment else DEFAULTS
+    print(json.dumps(cfg, indent=2))
     return EXIT_OK
 
 
@@ -480,12 +489,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, InvalidArgumentError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (NumericFailureError, DivergenceError) as exc:
+    except NumericFailureError as exc:  # DivergenceError too
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except SulabError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

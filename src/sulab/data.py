@@ -152,7 +152,8 @@ def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> S
         score = perm[:n_score]
         region = perm[:n_region]
     else:
-        score = _stratified_draw(ds, n_score, rng)
+        score = _stratified_from_pools(
+            [ds.class_indices(c) for c in range(ds.num_classes)], n_score, rng)
         extra_quota = n_region - n_score
         if extra_quota > 0:
             taken = set(score.tolist())
@@ -165,11 +166,6 @@ def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> S
         else:
             region = score
     return SubsetPair(score, region)
-
-
-def _stratified_draw(ds: Dataset, quota: int, rng: RngStream) -> np.ndarray:
-    pools = [ds.class_indices(c) for c in range(ds.num_classes)]
-    return _stratified_from_pools(pools, quota, rng)
 
 
 def _stratified_from_pools(pools, quota: int, rng: RngStream) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from .data import Dataset
 from .errors import InvalidArgumentError, RankDeficiencyError
 from .numerics import RngStream
-from .schedule import SCORE, convert_value
+from .schedule import SCORE, convert_value, forward_process
 from .sampling import SolverConfig, integrate
 
 SUPERVISION = "supervision"
@@ -69,11 +69,8 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
         idx = rng.integers(0, ds.size, n)
         x = ds.points[idx]
         eps = rng.normal((n, d))
-        out = np.empty((len(ts), n, d))
-        for j, t in enumerate(ts):
-            out[j] = (1.0 - t) * x + t * eps
         labels = None if ds.labels is None else ds.labels[idx]
-        return out, labels
+        return forward_process(x[None], eps[None], ts), labels
     if region != EXTRAPOLATION:
         raise InvalidArgumentError(f"unknown region {region!r}")
     if field is None:
@@ -104,6 +101,8 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     values, or an (m, n) array of m quantities over the same inputs, which
     gives a list of m RegionEstimates. T timesteps are drawn uniformly on the
     clamped range; each estimate is the weighted mean over all n*T terms.
+    Sample i is the same (x, eps) pair, or the same trajectory, at every
+    timestep, so the standard error comes from the n per-sample means.
     """
     if n < 1 or timesteps < 1:
         raise InvalidArgumentError("n and timesteps must be >= 1")
@@ -122,26 +121,15 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     count = n * timesteps
 
     def summary(per_t):
-        total = sq_total = 0.0
+        total = 0.0
         for v in per_t:
             total += float(np.sum(v))
-            sq_total += float(np.sum(v * v))
         mean = total / count
-        var = max(sq_total / count - mean * mean, 0.0)
         curve = [(float(t), float(np.mean(v))) for t, v in zip(ts, per_t)]
         return RegionEstimate(region, mean, curve, n, timesteps, weighting,
-                              stderr=float(np.sqrt(var / count)))
+                              stderr=float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
 
     return summary(vals) if vals.ndim == 2 else [summary(v) for v in vals]
-
-
-def _as_score_batch(field, zs: np.ndarray, t: float, labels=None) -> np.ndarray:
-    """The field's prediction at (zs, t) as a score; labels is None, one
-    label for every row, or one label per row."""
-    pred = field.evaluate_batch(zs, t, labels)
-    if field.prediction_kind == SCORE:
-        return pred
-    return convert_value(pred, field.prediction_kind, SCORE, zs, t)
 
 
 def score_error_quantity(field, references):
@@ -149,10 +137,12 @@ def score_error_quantity(field, references):
     row per reference (m, n); the field is evaluated once per batch."""
 
     def q(zs, t):
-        own = _as_score_batch(field, zs, t)
+        own = convert_value(field.evaluate_batch(zs, t), field.prediction_kind,
+                            SCORE, zs, t)
         out = np.empty((len(references), zs.shape[0]))
         for row, ref in zip(out, references):
-            diff = own - _as_score_batch(ref, zs, t)
+            diff = own - convert_value(ref.evaluate_batch(zs, t),
+                                       ref.prediction_kind, SCORE, zs, t)
             row[:] = np.einsum("bj,bj->b", diff, diff)
         return out
 
@@ -210,7 +200,7 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
         x = ds.points[idx]
         eps = rng.normal(x.shape)
         labels = ds.labels[idx]
-        inputs = np.stack([(1.0 - t) * x + t * eps for t in t_grid])
+        inputs = forward_process(x[None], eps[None], t_grid)
     elif region == EXTRAPOLATION:
         if traj_field is None:
             raise InvalidArgumentError("extrapolation region needs traj_field")
@@ -230,9 +220,10 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
     return rows
 
 
-def calibrated_l2(sample, subset_points, n: int) -> float:
-    """Nearest squared distance over the mean of the n nearest squared
-    distances; near 0 flags an unusually close (memorized) sample.
+def calibrated_l2_values(samples, subset_points, n: int) -> np.ndarray:
+    """Per sample: the nearest squared distance over the mean of the n
+    nearest squared distances (0 where that mean is 0); near 0 flags an
+    unusually close (memorized) sample.
 
     Squared distances concentrate only in high dimension, so the metric has a
     floor: against a 32-point subset of the two-class mixture (separation 8,
@@ -240,21 +231,15 @@ def calibrated_l2(sample, subset_points, n: int) -> float:
     75-85% at d=2, 8% at d=8 and 0.5% at d=16. A memorization ratio
     only means something well above that floor.
     """
-    sample = np.asarray(sample, dtype=float)
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
     pts = np.atleast_2d(np.asarray(subset_points, dtype=float))
     if n < 1 or n > pts.shape[0]:
         raise InvalidArgumentError(f"n={n} outside [1, {pts.shape[0]}]")
-    sq = np.sum((pts - sample[None, :]) ** 2, axis=1)
-    nearest = np.sort(sq)[:n]
-    denom = float(np.mean(nearest))
-    if denom == 0.0:
-        return 0.0
-    return float(nearest[0] / denom)
-
-
-def calibrated_l2_values(samples, subset_points, n: int) -> np.ndarray:
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    return np.array([calibrated_l2(s, subset_points, n) for s in samples])
+    sq = np.sum((pts[None, :, :] - samples[:, None, :]) ** 2, axis=2)
+    nearest = np.sort(sq, axis=1)[:, :n]
+    denom = np.mean(nearest, axis=1)
+    return np.divide(nearest[:, 0], denom, out=np.zeros_like(denom),
+                     where=denom != 0.0)
 
 
 def memorization_ratio(samples, subset_points, n: int, threshold: float = 1 / 3) -> float:
@@ -275,12 +260,10 @@ def regress_to_origin_ratio(pairs, dataset_points) -> float:
     if not pairs:
         raise InvalidArgumentError("empty pairs")
     pts = np.atleast_2d(np.asarray(dataset_points, dtype=float))
-    hits = 0
-    for origin_idx, out in pairs:
-        sq = np.sum((pts - np.asarray(out, dtype=float)[None, :]) ** 2, axis=1)
-        if int(np.argmin(sq)) == int(origin_idx):
-            hits += 1
-    return hits / len(pairs)
+    origins = np.array([int(i) for i, _ in pairs])
+    outs = np.array([np.asarray(out, dtype=float) for _, out in pairs])
+    sq = np.sum((pts[None, :, :] - outs[:, None, :]) ** 2, axis=2)
+    return float(np.mean(np.argmin(sq, axis=1) == origins))
 
 
 @dataclass(frozen=True)
@@ -309,7 +292,6 @@ def pat_quality(samples, rule: PatRule = PatRule()) -> tuple[float, float, float
     bad = (np.abs(y) < rule.bridge_half_height) & (np.abs(x) < rule.bridge_half_width)
     in_band = (r >= rule.band_inner - rule.radial_tol) & (r <= rule.band_outer + rule.radial_tol)
     good = in_band & ~bad
-    n = samples.shape[0]
     bad_f = float(np.mean(bad))
     good_f = float(np.mean(good))
     return bad_f, good_f, 1.0 - bad_f - good_f

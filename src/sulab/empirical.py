@@ -13,7 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyClassError, InvalidArgumentError, SingularTimeError
-from .schedule import LinearSchedule
+from .schedule import alpha_sigma
 
 EXACT = "exact"
 
@@ -66,10 +66,8 @@ class EmpiricalScoreOracle:
     uniformly within the class.
     """
 
-    def __init__(self, dataset: Dataset, schedule=LinearSchedule,
-                 truncation=EXACT, class_filter: int | None = None):
-        self.schedule = schedule
-        self.class_filter = class_filter
+    def __init__(self, dataset: Dataset, truncation=EXACT,
+                 class_filter: int | None = None):
         if class_filter is not None:
             idx = dataset.class_indices(class_filter)
             if idx.size == 0:
@@ -78,6 +76,7 @@ class EmpiricalScoreOracle:
         else:
             self._indices = np.arange(dataset.size)
         self.dataset = dataset
+        self.dim = dataset.dim
         self._points = dataset.points[self._indices]
         n = self._points.shape[0]
         if truncation == EXACT:
@@ -87,11 +86,6 @@ class EmpiricalScoreOracle:
             if not (1 <= k <= n):
                 raise InvalidArgumentError(f"knn truncation k={k} outside [1, {n}]")
             self.k = k
-        self.truncation = truncation
-
-    @property
-    def dim(self) -> int:
-        return self.dataset.dim
 
     def score_batch(self, zs: np.ndarray, t) -> np.ndarray:
         """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries;
@@ -99,7 +93,7 @@ class EmpiricalScoreOracle:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if np.any(np.asarray(t) <= 0.0):
             raise SingularTimeError("empirical score undefined at t=0")
-        a, s = self.schedule.alpha(t), self.schedule.sigma(t)
+        a, s = alpha_sigma(t)
         points = self._points
         if np.ndim(t) == 0:
             # one t for the batch: scale the points once and take single
@@ -118,10 +112,9 @@ class EmpiricalScoreOracle:
         """Single-nearest-component approximation: (-z + alpha * x_i) / sigma^2
         at the argmin of |z - alpha x_i|, ties broken by lowest index."""
         z = np.asarray(z, dtype=float)
-        s = float(self.schedule.sigma(t))
+        a, s = map(float, alpha_sigma(t))
         if s <= 0.0:
             raise SingularTimeError(f"collapsed score undefined at t={t} (sigma=0)")
-        a = float(self.schedule.alpha(t))
         diff = z[None, :] - a * self._points
         sq = np.einsum("ij,ij->i", diff, diff)
         local = int(np.argmin(sq))  # np.argmin returns the first minimum
@@ -129,15 +122,14 @@ class EmpiricalScoreOracle:
         return (-z + a * self.dataset.points[i]) / (s * s), i
 
 
-def naive_empirical_score(dataset: Dataset, z, t: float, schedule=LinearSchedule) -> np.ndarray:
+def naive_empirical_score(dataset: Dataset, z, t: float) -> np.ndarray:
     """Direct-summation reference: unstabilized mixture-score formula.
 
     Independent of the oracle's log-space path; used as a correctness check on
     small, benign instances only.
     """
     z = np.asarray(z, dtype=float)
-    a = float(schedule.alpha(t))
-    s = float(schedule.sigma(t))
+    a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError("t=0")
     w = np.array(
@@ -148,20 +140,3 @@ def naive_empirical_score(dataset: Dataset, z, t: float, schedule=LinearSchedule
         raise FloatingPointError("naive formula underflowed")
     mean = (w / total) @ dataset.points
     return (-z + a * mean) / (s * s)
-
-
-def cfg_scores(cond_oracle: EmpiricalScoreOracle, uncond_oracle: EmpiricalScoreOracle,
-               z, t: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Conditional and unconditional empirical scores plus their gap norm."""
-    if cond_oracle.dataset is not uncond_oracle.dataset and not np.array_equal(
-        cond_oracle.dataset.points, uncond_oracle.dataset.points
-    ):
-        raise InvalidArgumentError("oracles must share a dataset")
-    if cond_oracle.class_filter is None:
-        raise InvalidArgumentError("conditional oracle needs a class_filter")
-    if uncond_oracle.class_filter is not None:
-        raise InvalidArgumentError("unconditional oracle must not have a class_filter")
-    zs = np.asarray(z, dtype=float)[None, :]
-    s_c = cond_oracle.score_batch(zs, t)[0]
-    s_u = uncond_oracle.score_batch(zs, t)[0]
-    return s_c, s_u, float(np.linalg.norm(s_c - s_u))

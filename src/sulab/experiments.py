@@ -24,7 +24,7 @@ from .models import GaussianGroundTruthField, IDENTITY, MlpScoreNetwork, \
     OracleField, POLAR, RADIAL_EQUIVARIANT, fit_krr_denoiser_field
 from .numerics import RngStream, sliced_wasserstein
 from .sampling import SolverConfig, denoise_from, sample
-from .schedule import VELOCITY
+from .schedule import SCORE, convert_value, forward_process
 from .training import TrainConfig, TrainReport, ema_network, train
 
 Table = list  # header row followed by value rows
@@ -194,8 +194,7 @@ def run_pat(cfg: dict) -> ExperimentResult:
         if variant not in PAT_VARIANTS:
             raise InvalidArgumentError(f"unknown pat variant {variant!r}")
         field, ckpt = _pat_field(cfg, variant, ds, seed)
-        samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2,
-                            dim=2)
+        samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2)
         bad, good, other = pat_quality(samples)
         quality_rows.append([variant, bad, good, other])
         result.tables[f"samples_{variant}"] = samples_table(samples)
@@ -224,13 +223,12 @@ def run_cfg_gap(cfg: dict) -> ExperimentResult:
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     diag = cfg["diagnostics"]
 
-    from .diagnostics import _as_score_batch  # score-space views of the model
-
     def model_cond(zs, t, labels):
-        return _as_score_batch(model, zs, t, labels)
+        return convert_value(model.evaluate_batch(zs, t, labels),
+                             model.prediction_kind, SCORE, zs, t)
 
     def model_uncond(zs, t):
-        return _as_score_batch(model, zs, t, None)
+        return model_cond(zs, t, None)
 
     cond_oracle = {c: EmpiricalScoreOracle(ds, class_filter=c)
                    for c in range(ds.num_classes)}
@@ -244,13 +242,10 @@ def run_cfg_gap(cfg: dict) -> ExperimentResult:
                 out[rows] = oracle.score_batch(zs[rows], t)
         return out
 
-    def oracle_uncond(zs, t):
-        return uncond_oracle.score_batch(zs, t)
-
     rows = []
     for source, cond, uncond, regions in (
             ("model", model_cond, model_uncond, (SUPERVISION, EXTRAPOLATION)),
-            ("oracle", oracle_cond, oracle_uncond, (SUPERVISION,))):
+            ("oracle", oracle_cond, uncond_oracle.score_batch, (SUPERVISION,))):
         for region in regions:
             for t, med, p10, p90 in cfg_gap_curve(
                     cond, uncond, ds, region, t_grid, n=diag["n"], seed=seed,
@@ -263,7 +258,7 @@ def run_cfg_gap(cfg: dict) -> ExperimentResult:
     x = ds.points[idx]
     eps = rng.normal(x.shape)
     for t in t_grid:
-        zs = (1.0 - t) * x + t * eps
+        zs = forward_process(x, eps, t)
         norms = np.linalg.norm(uncond_oracle.score_batch(zs, float(t)), axis=1)
         norm_rows.append([float(t), float(np.mean(norms))])
     return ExperimentResult(
@@ -289,7 +284,7 @@ def run_memorize_from_t(cfg: dict) -> ExperimentResult:
     eps = rng.normal((idx.size, ds.dim))
     rows = []
     for t_from in cfg["t_from_grid"]:
-        zs = (1.0 - t_from) * ds.points[idx] + t_from * eps
+        zs = forward_process(ds.points[idx], eps, t_from)
         outs = denoise_from(model, zs, float(t_from), solver)
         cals = calibrated_l2_values(outs, ds.points, n=cfg["calibration_n"])
         rows.append([float(t_from),

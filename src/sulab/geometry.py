@@ -9,15 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidArgumentError, SingularTimeError
-from .schedule import LinearSchedule
-
-
-@dataclass(frozen=True)
-class ShellMembership:
-    inside: bool
-    nearest_index: int
-    band_halfwidth: float
-    radial_residual: float
+from .schedule import alpha_sigma
 
 
 @dataclass(frozen=True)
@@ -26,30 +18,10 @@ class RStar:
     i_star: int
 
 
-def _radial_residuals(ds: Dataset, z: np.ndarray, t: float, schedule) -> np.ndarray:
-    a = float(schedule.alpha(t))
-    s = float(schedule.sigma(t))
-    if s <= 0.0:
-        raise SingularTimeError(f"shell geometry undefined at t={t} (sigma=0)")
-    d = ds.dim
-    dist = np.linalg.norm(z[None, :] - a * ds.points, axis=1)
-    return np.abs(dist - s * np.sqrt(d)), dist, s
-
-
-def in_supervision_region(ds: Dataset, z, t: float, delta: float) -> ShellMembership:
-    """Membership in the union of shells |dist_i - sigma sqrt(d)| <= sigma sqrt(d log(1/delta))."""
-    if not (0.0 < delta < 1.0):
-        raise InvalidArgumentError("delta must lie in (0, 1)")
-    z = np.asarray(z, dtype=float)
-    residuals, _, s = _radial_residuals(ds, z, t, LinearSchedule)
-    band = s * np.sqrt(ds.dim * np.log(1.0 / delta))
-    i = int(np.argmin(residuals))
-    res = float(residuals[i])
-    return ShellMembership(res <= band, i, float(band), res)
-
-
 def in_supervision_region_batch(ds: Dataset, zs: np.ndarray, t, delta: float) -> np.ndarray:
-    """Vectorized membership flags for a batch of queries at scalar or per-row t."""
+    """Membership flags in the union of shells, with dist_i = |z - alpha x_i|,
+    |dist_i - sigma sqrt(d)| <= sigma sqrt(d log(1/delta)),
+    for a batch of queries at scalar or per-row t."""
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError("delta must lie in (0, 1)")
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -59,8 +31,7 @@ def in_supervision_region_batch(ds: Dataset, zs: np.ndarray, t, delta: float) ->
     log_term = np.sqrt(d * np.log(1.0 / delta))
     for tv in np.unique(ts):
         rows = np.flatnonzero(ts == tv)
-        a = float(LinearSchedule.alpha(tv))
-        s = float(LinearSchedule.sigma(tv))
+        a, s = map(float, alpha_sigma(tv))
         if s <= 0.0:
             raise SingularTimeError("t=0")
         dist = np.linalg.norm(zs[rows][:, None, :] - a * ds.points[None, :, :], axis=2)
@@ -73,21 +44,12 @@ def r_star(ds: Dataset, z, t: float) -> RStar:
     """Nearest-shell-normalized deviation: r_i = |z - alpha x_i| / (sigma sqrt(d)),
     r_star = r at the index whose r is closest to 1 (ties to lowest index)."""
     z = np.asarray(z, dtype=float)
-    a = float(LinearSchedule.alpha(t))
-    s = float(LinearSchedule.sigma(t))
+    a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError(f"r_star undefined at t={t} (sigma=0)")
     r = np.linalg.norm(z[None, :] - a * ds.points, axis=1) / (s * np.sqrt(ds.dim))
     i = int(np.argmin(np.abs(r - 1.0)))
     return RStar(float(r[i]), i)
-
-
-def trajectory_rstar_profile(ds: Dataset, trajectory) -> list[tuple[float, float]]:
-    """Per-step r_star along an ordered list of (t, z) states."""
-    states = list(trajectory)
-    if not states:
-        raise InvalidArgumentError("empty trajectory")
-    return [(float(t), r_star(ds, z, float(t)).r_star) for t, z in states]
 
 
 def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None) -> float:
@@ -97,8 +59,7 @@ def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None
     n = pts.shape[0]
     if n < 2:
         raise InvalidArgumentError("overlap needs at least two points")
-    a = float(LinearSchedule.alpha(t))
-    s = float(LinearSchedule.sigma(t))
+    a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError(f"overlap undefined at t={t} (sigma=0)")
     sq = (

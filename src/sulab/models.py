@@ -12,16 +12,18 @@ interface: evaluate_batch(zs, ts, labels) -> predictions in prediction_kind.
 from __future__ import annotations
 
 import json
+import math
 import struct
+from pathlib import Path
 
 import numpy as np
 from scipy.special import erf
 
 from .data import Dataset
-from .errors import FormatError, InvalidArgumentError, RankDeficiencyError
+from .errors import FormatError, InvalidArgumentError
 from .numerics import RngStream, cholesky_solve
 from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
-                       LinearSchedule, marginal_gaussian_score)
+                       forward_process, marginal_gaussian_score)
 
 IDENTITY = "identity"
 POLAR = "polar"
@@ -30,32 +32,27 @@ INPUT_MAPS = (IDENTITY, POLAR, RADIAL_EQUIVARIANT)
 
 _CKPT_MAGIC = b"SUCK"
 _CKPT_VERSION = 1
+# header keys and their JSON types: the descriptor plus has_ema
+_CKPT_KEYS = {"dim": int, "width": int, "hidden_layers": int,
+              "prediction_kind": str, "input_map": str, "time_freqs": int,
+              "num_classes": int, "class_emb_dim": int, "has_ema": bool}
 
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_grad(x):
-    phi = 0.5 * (1.0 + erf(x / _SQRT2))
-    return phi + x * _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-
-
-def polar_features(z) -> np.ndarray:
-    """(r, cos theta, sin theta) for a 2D point; (0, 1, 0) at the origin."""
-    z = np.asarray(z, dtype=float)
-    if z.shape != (2,):
-        raise InvalidArgumentError("polar features require a 2-vector")
-    r = float(np.linalg.norm(z))
-    if r == 0.0:
-        return np.array([0.0, 1.0, 0.0])
-    return np.array([r, z[0] / r, z[1] / r])
+def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive C-order views of the flat vector, one per shape."""
+    out, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[start:start + size].reshape(shape))
+        start += size
+    return out
 
 
 def _polar_features_batch(zs: np.ndarray) -> np.ndarray:
+    """(r, cos theta, sin theta) per row of a 2D batch; (0, 1, 0) at the origin."""
     r = np.linalg.norm(zs, axis=1)
     out = np.zeros((zs.shape[0], 3))
     out[:, 0] = r
@@ -80,6 +77,10 @@ class MlpScoreNetwork:
     zero-initialized linear head (so the initial output is identically zero).
     Class-conditional nets reserve embedding row `num_classes` as the null
     token; evaluating with label None uses that row.
+
+    All parameters live in one contiguous float64 vector, `flat`; `params`
+    is the list of per-tensor views into it (weights and bias per layer,
+    then the class embedding), so parameters are changed in place.
     """
 
     def __init__(self, dim: int, width: int = 256, hidden_layers: int = 4,
@@ -109,30 +110,27 @@ class MlpScoreNetwork:
 
         rng = RngStream(seed, stream=0)
         sizes = [self.in_dim] + [width] * hidden_layers + [self.out_dim]
-        self.params: list[np.ndarray] = []
+        shapes = []
         for li in range(len(sizes) - 1):
-            fan_in = sizes[li]
-            if li == len(sizes) - 2:
-                w = np.zeros((sizes[li + 1], fan_in))
-            else:
-                bound = 1.0 / np.sqrt(fan_in)
-                w = rng.uniform(-bound, bound, (sizes[li + 1], fan_in))
-            self.params.append(w)
-            self.params.append(np.zeros(sizes[li + 1]))
+            shapes += [(sizes[li + 1], sizes[li]), (sizes[li + 1],)]
         if self.class_emb_dim > 0:
-            self.params.append(0.1 * rng.normal((num_classes + 1, self.class_emb_dim)))
+            shapes.append((num_classes + 1, self.class_emb_dim))
+        self.flat = np.zeros(sum(math.prod(s) for s in shapes))
+        self.params = _views(self.flat, shapes)
+        for li in range(len(sizes) - 2):  # the head and the biases stay zero
+            bound = 1.0 / np.sqrt(sizes[li])
+            self.params[2 * li][...] = rng.uniform(-bound, bound, shapes[2 * li])
+        if self.class_emb_dim > 0:
+            self.params[-1][...] = 0.1 * rng.normal(shapes[-1])
         self._n_layers = len(sizes) - 1
 
     # -- feature assembly ---------------------------------------------------
 
-    def _null_labels(self, n: int) -> np.ndarray:
-        return np.full(n, self.num_classes, dtype=np.int64)
-
     def _resolve_labels(self, labels, n: int) -> np.ndarray | None:
         if self.class_emb_dim == 0:
             return None
-        if labels is None:
-            return self._null_labels(n)
+        if labels is None:  # the null token
+            return np.full(n, self.num_classes, dtype=np.int64)
         lab = np.broadcast_to(np.asarray(labels, dtype=np.int64), (n,)).copy()
         if np.any((lab < 0) | (lab > self.num_classes)):
             raise InvalidArgumentError("label outside [0, num_classes]")
@@ -153,16 +151,8 @@ class MlpScoreNetwork:
 
     def _frame(self, zs: np.ndarray) -> np.ndarray:
         """Local polar frame (e_r, e_perp) per sample; canonical axes at the origin."""
-        r = np.linalg.norm(zs, axis=1)
-        frame = np.zeros((zs.shape[0], 2, 2))
-        safe = r > 0.0
-        er = np.zeros_like(zs)
-        er[safe] = zs[safe] / r[safe, None]
-        er[~safe, 0] = 1.0
-        frame[:, 0, :] = er
-        frame[:, 1, 0] = -er[:, 1]
-        frame[:, 1, 1] = er[:, 0]
-        return frame
+        er = _polar_features_batch(zs)[:, 1:]
+        return np.stack([er, np.stack([-er[:, 1], er[:, 0]], axis=1)], axis=1)
 
     # -- forward / backward -------------------------------------------------
 
@@ -182,15 +172,20 @@ class MlpScoreNetwork:
                 h = a
         return h, pre, post, phis
 
-    def evaluate_batch(self, zs, ts, labels=None) -> np.ndarray:
-        """Batched prediction in self.prediction_kind."""
+    def _predict(self, zs, ts, labels):
+        """(prediction, resolved labels, frame or None, forward caches)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
         lab = self._resolve_labels(labels, zs.shape[0])
-        out = self._forward(self._features(zs, ts, lab))[0]
-        if self.input_map == RADIAL_EQUIVARIANT:
-            out = np.einsum("bk,bkj->bj", out, self._frame(zs))
-        return out
+        out, *caches = self._forward(self._features(zs, ts, lab))
+        frame = self._frame(zs) if self.input_map == RADIAL_EQUIVARIANT else None
+        if frame is not None:
+            out = np.einsum("bk,bkj->bj", out, frame)
+        return out, lab, frame, caches
+
+    def evaluate_batch(self, zs, ts, labels=None) -> np.ndarray:
+        """Batched prediction in self.prediction_kind."""
+        return self._predict(zs, ts, labels)[0]
 
     def evaluate(self, z, t, label=None) -> np.ndarray:
         """One row of evaluate_batch (the single-query probe of bench/probes.py)."""
@@ -201,7 +196,7 @@ class MlpScoreNetwork:
         """Mean squared-error loss over the batch and exact parameter gradients.
 
         loss = mean_b || prediction_b - target_b ||^2.
-        Returns (loss, grads) with grads aligned to self.params.
+        Returns (loss, grads) with grads one vector aligned to self.flat.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -210,29 +205,19 @@ class MlpScoreNetwork:
         n = zs.shape[0]
         if n == 0:
             raise InvalidArgumentError("empty batch")
-        ts = np.broadcast_to(np.asarray(ts, dtype=float), (n,))
-        lab = self._resolve_labels(labels, n)
-        feats = self._features(zs, ts, lab)
-        out, pre, post, phis = self._forward(feats)
-        if self.input_map == RADIAL_EQUIVARIANT:
-            frame = self._frame(zs)
-            pred = np.einsum("bk,bkj->bj", out, frame)
-        else:
-            pred = out
+        pred, lab, frame, (pre, post, phis) = self._predict(zs, ts, labels)
         diff = pred - targets
         loss = float(np.mean(np.sum(diff * diff, axis=1)))
         dpred = 2.0 * diff / n
-        if self.input_map == RADIAL_EQUIVARIANT:
-            dout = np.einsum("bj,bkj->bk", dpred, frame)
-        else:
-            dout = dpred
+        dout = dpred if frame is None else np.einsum("bj,bkj->bk", dpred, frame)
 
-        grads: list[np.ndarray] = [None] * len(self.params)  # type: ignore[list-item]
+        flat_grads = np.empty_like(self.flat)
+        grads = _views(flat_grads, [p.shape for p in self.params])
         delta = dout
         for li in range(self._n_layers - 1, -1, -1):
             w = self.params[2 * li]
-            grads[2 * li] = delta.T @ post[li]
-            grads[2 * li + 1] = delta.sum(axis=0)
+            np.matmul(delta.T, post[li], out=grads[2 * li])
+            np.sum(delta, axis=0, out=grads[2 * li + 1])
             if li > 0:
                 a = pre[li - 1]
                 # d gelu(a)/da = phi(a) + a * N(a; 0, 1), reusing phi from forward.
@@ -241,18 +226,25 @@ class MlpScoreNetwork:
             else:
                 dfeats = delta @ w
         if self.class_emb_dim > 0:
-            grads[-1] = np.zeros_like(self.params[-1])
-            demb = dfeats[:, -self.class_emb_dim:]
-            np.add.at(grads[-1], lab, demb)
-        return loss, grads
+            grads[-1][...] = 0.0
+            np.add.at(grads[-1], lab, dfeats[:, -self.class_emb_dim:])
+        return loss, flat_grads
 
-    def clone_params(self) -> list[np.ndarray]:
-        return [p.copy() for p in self.params]
+    def clone_params(self) -> np.ndarray:
+        return self.flat.copy()
 
-    def set_params(self, params: list[np.ndarray]) -> None:
-        if len(params) != len(self.params):
-            raise InvalidArgumentError("parameter list length mismatch")
-        self.params = [np.asarray(p, dtype=float).copy() for p in params]
+    def _vector(self, params) -> np.ndarray:
+        """A parameter set as one vector. It comes flat (as clone_params gives
+        it) or as per-tensor arrays in params order (as load gives the EMA)."""
+        if isinstance(params, (list, tuple)):
+            params = np.concatenate([np.ravel(p) for p in params])
+        params = np.asarray(params, dtype=float)
+        if params.shape != self.flat.shape:
+            raise InvalidArgumentError("parameter vector length mismatch")
+        return params
+
+    def set_params(self, params) -> None:
+        self.flat[...] = self._vector(params)
 
     # -- checkpoint format --------------------------------------------------
 
@@ -265,7 +257,10 @@ class MlpScoreNetwork:
             "num_classes": self.num_classes, "class_emb_dim": self.class_emb_dim,
         }
 
-    def save(self, path, ema_params: list[np.ndarray] | None = None) -> None:
+    def save(self, path, ema_params=None) -> None:
+        """Magic, u32 version, u32 header length, the JSON descriptor with
+        has_ema, then the flat parameters and the optional EMA vector as
+        little-endian f64."""
         desc = self.descriptor()
         desc["has_ema"] = ema_params is not None
         blob = json.dumps(desc, sort_keys=True).encode()
@@ -273,68 +268,65 @@ class MlpScoreNetwork:
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
             fh.write(blob)
-            for p in self.params:
-                fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+            fh.write(np.asarray(self.flat, dtype="<f8").data)
             if ema_params is not None:
-                for p in ema_params:
-                    fh.write(np.ascontiguousarray(p, dtype="<f8").tobytes())
+                fh.write(np.asarray(self._vector(ema_params), dtype="<f8").data)
 
     @classmethod
     def load(cls, path):
-        """Returns (network, ema_params-or-None)."""
-        with open(path, "rb") as fh:
-            if fh.read(4) != _CKPT_MAGIC:
-                raise FormatError(f"bad checkpoint magic in {path}")
-            version, blob_len = struct.unpack("<II", fh.read(8))
-            if version != _CKPT_VERSION:
-                raise FormatError(f"unsupported checkpoint version {version}")
-            desc = json.loads(fh.read(blob_len).decode())
-            has_ema = desc.pop("has_ema", False)
-            net = cls(**{k: v for k, v in desc.items()})
-            for i, p in enumerate(net.params):
-                raw = fh.read(8 * p.size)
-                net.params[i] = np.frombuffer(raw, dtype="<f8").reshape(p.shape).copy()
-            ema = None
-            if has_ema:
-                ema = []
-                for p in net.params:
-                    raw = fh.read(8 * p.size)
-                    ema.append(np.frombuffer(raw, dtype="<f8").reshape(p.shape).copy())
-        return net, ema
+        """Returns (network, EMA per-tensor arrays or None), the EMA arrays
+        views of one vector. Anything but a checkpoint with a known header
+        and exactly its parameter bytes raises FormatError naming the file."""
+        try:
+            blob = Path(path).read_bytes()
+        except OSError as exc:
+            raise FormatError(f"cannot read checkpoint {path}: {exc}") from exc
+        if len(blob) < 12 or blob[:4] != _CKPT_MAGIC:
+            raise FormatError(f"bad checkpoint magic in {path}")
+        version, blob_len = struct.unpack("<II", blob[4:12])
+        if version != _CKPT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version} in {path}")
+        try:
+            desc = json.loads(blob[12:12 + blob_len].decode())
+            if (set(desc) != set(_CKPT_KEYS)
+                    or any(type(desc[k]) is not t for k, t in _CKPT_KEYS.items())):
+                raise ValueError("unknown keys or value types")
+            has_ema = desc.pop("has_ema")
+            net = cls(**desc)
+        except (ValueError, TypeError) as exc:
+            raise FormatError(f"bad checkpoint header in {path}: {exc}") from None
+        n_bytes, want = len(blob) - 12 - blob_len, 8 * net.flat.size * (1 + has_ema)
+        if n_bytes != want:
+            raise FormatError(f"checkpoint {path} holds {n_bytes} parameter "
+                              f"bytes, expected {want}")
+        body = np.frombuffer(blob, dtype="<f8", offset=12 + blob_len)
+        net.flat[...] = body[:net.flat.size]
+        ema = body[net.flat.size:].copy() if has_ema else None
+        return net, ema if ema is None else _views(ema, [p.shape for p in net.params])
+
+
+def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
+    sq = (
+        np.einsum("ij,ij->i", a, a)[:, None]
+        - 2.0 * a @ b.T
+        + np.einsum("ij,ij->i", b, b)[None, :]
+    )
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 class KrrDenoiser:
     """Gaussian-kernel ridge regression from noisy features to clean targets."""
 
-    def __init__(self, inputs, targets, gamma: float, ridge: float, coeffs):
+    def __init__(self, inputs, gamma: float, coeffs):
         self.inputs = np.asarray(inputs, dtype=float)
-        self.targets = np.asarray(targets, dtype=float)
         self.gamma = float(gamma)
-        self.ridge = float(ridge)
         self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (
-            np.einsum("ij,ij->i", a, a)[:, None]
-            - 2.0 * a @ b.T
-            + np.einsum("ij,ij->i", b, b)[None, :]
-        )
-        return np.exp(-self.gamma * np.maximum(sq, 0.0))
-
-    def predict(self, query) -> np.ndarray:
-        return self.predict_batch(np.asarray(query, dtype=float)[None, :])[0]
 
     def predict_batch(self, queries) -> np.ndarray:
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         if queries.shape[1] != self.inputs.shape[1]:
             raise InvalidArgumentError("query dimension mismatch")
-        return self._kernel(queries, self.inputs) @ self.coeffs
-
-    def residual(self) -> float:
-        """Relative residual of the solved dual system."""
-        k = self._kernel(self.inputs, self.inputs) + self.ridge * np.eye(len(self.inputs))
-        num = np.linalg.norm(k @ self.coeffs - self.targets)
-        return float(num / np.linalg.norm(self.targets))
+        return _gaussian_kernel(queries, self.inputs, self.gamma) @ self.coeffs
 
 
 def krr_fit(features, targets, gamma: float, ridge: float) -> KrrDenoiser:
@@ -345,13 +337,9 @@ def krr_fit(features, targets, gamma: float, ridge: float) -> KrrDenoiser:
         raise InvalidArgumentError("need matching, nonempty features and targets")
     if gamma <= 0 or ridge < 0:
         raise InvalidArgumentError("gamma must be > 0 and ridge >= 0")
-    stub = KrrDenoiser(features, targets, gamma, ridge, np.zeros_like(targets))
-    k = stub._kernel(features, features) + ridge * np.eye(features.shape[0])
-    try:
-        coeffs = cholesky_solve(k, targets)
-    except RankDeficiencyError:
-        raise
-    return KrrDenoiser(features, targets, gamma, ridge, coeffs)
+    k = (_gaussian_kernel(features, features, float(gamma))
+         + ridge * np.eye(features.shape[0]))
+    return KrrDenoiser(features, gamma, cholesky_solve(k, targets))
 
 
 # -- ScoreField wrappers ----------------------------------------------------
@@ -375,15 +363,13 @@ class GaussianGroundTruthField:
 
     prediction_kind = SCORE
 
-    def __init__(self, dim: int, schedule=LinearSchedule):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.schedule = schedule
 
     def evaluate_batch(self, zs, ts, labels=None):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         return marginal_gaussian_score(
-            zs, np.broadcast_to(np.asarray(ts, dtype=float), zs.shape[:1]),
-            self.schedule)
+            zs, np.broadcast_to(np.asarray(ts, dtype=float), zs.shape[:1]))
 
 
 class KrrScoreField:
@@ -431,11 +417,9 @@ def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float
     bins = (np.arange(n_draws) + rng.uniform(size=n_draws)) / n_draws
     ts = t_min + (1.0 - 2.0 * t_min) * bins
     x = ds.points[idx]
-    zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
-    field = KrrScoreField(
-        KrrDenoiser(np.zeros((1, 1)), np.zeros((1, 1)), gamma, ridge, np.zeros((1, 1))),
-        input_map=input_map, time_scale=time_scale, dim=ds.dim,
-    )
-    feats = field.features(zs, ts)
-    field.denoiser = krr_fit(feats, x, gamma, ridge)
+    zs = forward_process(x, eps, ts)
+    # the features do not depend on the denoiser, which is fitted on them
+    field = KrrScoreField(None, input_map=input_map, time_scale=time_scale,
+                          dim=ds.dim)
+    field.denoiser = krr_fit(field.features(zs, ts), x, gamma, ridge)
     return field

@@ -35,10 +35,6 @@ class RngStream:
             np.random.Philox(key=np.array([self.seed, self.stream], dtype=np.uint64))
         )
 
-    def spawn(self, stream: int) -> "RngStream":
-        """Derive an independent substream under the same master seed."""
-        return RngStream(self.seed, stream)
-
     def normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 
@@ -64,15 +60,6 @@ def log_sum_exp(values) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.sum(np.exp(v - m))))
-
-
-def stable_softmax(values) -> np.ndarray:
-    """Softmax with max subtraction. Weights sum to 1 for any finite input."""
-    v = np.asarray(values, dtype=float)
-    if v.size == 0:
-        raise InvalidArgumentError("softmax of an empty list")
-    e = np.exp(v - np.max(v))
-    return e / np.sum(e)
 
 
 def cholesky_solve(matrix, rhs) -> np.ndarray:

@@ -115,8 +115,8 @@ def velocity_fn(score_field, label=None):
 
     def v(zs, ts, rows=slice(None)):
         labels = label if np.ndim(label) == 0 else np.asarray(label)[rows]
-        pred = score_field.evaluate_batch(zs, ts, labels)
-        return pred if kind == VELOCITY else convert_value(pred, kind, VELOCITY, zs, ts)
+        return convert_value(score_field.evaluate_batch(zs, ts, labels), kind,
+                             VELOCITY, zs, ts)
 
     return v
 
@@ -250,7 +250,7 @@ def _integrate_dopri5(v, z, t, t_end, cfg, trajs):
 
 
 def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 0,
-           record: bool = False, label=None, dim: int | None = None):
+           record: bool = False, label=None):
     """Draw n probability-flow samples: z_init ~ N(0, I), integrated
     t_start -> t_end as one batch.
 
@@ -263,8 +263,8 @@ def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")
-    d = dim if dim is not None else score_field.dim
-    z0 = np.stack([RngStream(seed, stream=i).normal(d) for i in range(n)])
+    z0 = np.stack([RngStream(seed, stream=i).normal(score_field.dim)
+                   for i in range(n)])
     return integrate(score_field, z0, cfg, record=record, label=label)
 
 

@@ -1,13 +1,15 @@
 """Training losses and the optimizer loop.
 
-Three losses over one Adam/EMA loop:
+One optimizer step, dsm_step, serves three losses; the loss kind only
+chooses the input points and the regression target:
   dsm        - standard denoising regression on forward-process draws,
   oracle-dsm - regression onto the exact empirical score of an oracle,
   foe        - region-decoupled importance-sampled loss: inputs come from the
                region subset's forward process, targets from a single point y
                drawn with softmax responsibilities over the score subset.
 Targets are always expressed in the network's prediction kind. Timesteps are
-clamped to [t_min, 1 - t_min] to keep every conversion finite.
+clamped to [t_min, 1 - t_min] to keep every conversion finite. Parameters,
+gradients, the Adam moments and the EMA are each one flat float64 vector.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from .empirical import EmpiricalScoreOracle, mixture_weights
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
-from .schedule import SCORE, VELOCITY, XPRED
+from .schedule import (SCORE, XPRED, alpha_sigma, convert_value, dsm_target,
+                       forward_process)
 
 DSM = "dsm"
 ORACLE_DSM = "oracle-dsm"
@@ -43,7 +46,6 @@ class TrainConfig:
     eval_interval: int = 100
     seed: int = 0
     t_min: float = 1e-3
-    foe_target_draws: int = 1  # >1 averages multiple y draws per example
 
     def __post_init__(self):
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
@@ -61,72 +63,45 @@ class TrainConfig:
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators plus a step counter."""
+    """First/second moment vectors over the flat parameters, plus a step counter."""
 
     def __init__(self, params: list[np.ndarray]):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        size = sum(np.size(p) for p in params)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.step = 0
 
 
-def adam_step(state: AdamState, params: list[np.ndarray],
-              grads: list[np.ndarray], cfg: TrainConfig) -> list[np.ndarray]:
-    """In-place bias-corrected Adam update (no weight decay)."""
-    if len(params) != len(grads):
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
+              cfg: TrainConfig) -> np.ndarray:
+    """In-place bias-corrected Adam update of the flat params (no weight decay)."""
+    if params.shape != grads.shape:
         raise InvalidArgumentError("params/grads length mismatch")
+    if not np.all(np.isfinite(grads)):
+        raise NumericFailureError("non-finite gradient", iteration=state.step + 1)
     state.step += 1
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if not np.all(np.isfinite(g)):
-            raise NumericFailureError("non-finite gradient", iteration=state.step)
-        m, v = state.m[i], state.v[i]
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        denom = np.sqrt(v * (1.0 / c2))
-        denom += cfg.adam_eps
-        np.divide(m, denom, out=denom)
-        denom *= cfg.lr / c1
-        p -= denom
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * (grads * grads)
+    denom = np.sqrt(v * (1.0 / c2))
+    denom += cfg.adam_eps
+    np.divide(m, denom, out=denom)
+    denom *= cfg.lr / c1
+    params -= denom
     return params
 
 
-def ema_update(ema_params: list[np.ndarray], params: list[np.ndarray],
-               decay: float) -> list[np.ndarray]:
+def ema_update(ema_params: np.ndarray, params: np.ndarray,
+               decay: float) -> np.ndarray:
     """ema <- decay * ema + (1 - decay) * params, in place."""
-    for e, p in zip(ema_params, params):
-        e *= decay
-        e += (1.0 - decay) * p
+    ema_params *= decay
+    ema_params += (1.0 - decay) * params
     return ema_params
-
-
-def _draw_times(rng: RngStream, n: int, t_min: float) -> np.ndarray:
-    return rng.uniform(t_min, 1.0 - t_min, n)
-
-
-def _dsm_targets(kind: str, x: np.ndarray, eps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    if kind == SCORE:
-        return -eps / ts[:, None]
-    if kind == VELOCITY:
-        return eps - x
-    return x  # XPRED
-
-
-def _point_targets(kind: str, y: np.ndarray, zs: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Single-point regression target built from a clean point y at (z, t).
-
-    Closed forms under the linear schedule (avoid the generic conversion's
-    cancellation at small t): score (alpha y - z)/sigma^2, velocity (z - y)/t,
-    x-pred y.
-    """
-    if kind == SCORE:
-        return ((1.0 - ts)[:, None] * y - zs) / (ts * ts)[:, None]
-    if kind == VELOCITY:
-        return (zs - y) / ts[:, None]
-    return y
 
 
 def _batch_labels(ds: Dataset, idx: np.ndarray, cfg: TrainConfig, rng: RngStream):
@@ -139,116 +114,55 @@ def _batch_labels(ds: Dataset, idx: np.ndarray, cfg: TrainConfig, rng: RngStream
     return lab
 
 
+def _denoising_target(kind: str, x, eps, zs, ts, rng) -> np.ndarray:
+    """The dsm target: the closed form for the noise that made zs."""
+    return dsm_target(kind, x, eps, ts)
+
+
 def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream,
-             adam: AdamState, ema: list[np.ndarray] | None = None) -> float:
-    """One optimizer step on the Monte Carlo denoising loss."""
+             adam: AdamState, ema: np.ndarray | None = None,
+             target=_denoising_target) -> float:
+    """One optimizer step of every loss kind.
+
+    Draws x from ds, noise and time (then class dropout), forms z_t, and
+    regresses the net onto target(kind, x, eps, zs, ts, rng), which may draw
+    last. Adam then updates the flat parameters, and the EMA follows.
+    """
     idx = rng.integers(0, ds.size, cfg.batch_size)
     x = ds.points[idx]
     eps = rng.normal(x.shape)
-    ts = _draw_times(rng, cfg.batch_size, cfg.t_min)
-    zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
-    targets = _dsm_targets(net.prediction_kind, x, eps, ts)
+    ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
+    zs = forward_process(x, eps, ts)
     lab = _batch_labels(ds, idx, cfg, rng)
+    targets = target(net.prediction_kind, x, eps, zs, ts, rng)
     loss, grads = net.loss_and_grads(zs, ts, targets, lab)
     if not np.isfinite(loss):
         raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
-    adam_step(adam, net.params, grads, cfg)
+    adam_step(adam, net.flat, grads, cfg)
     if ema is not None:
-        ema_update(ema, net.params, cfg.ema_decay)
+        ema_update(ema, net.flat, cfg.ema_decay)
     return loss
-
-
-def oracle_dsm_step(net: MlpScoreNetwork, oracle: EmpiricalScoreOracle,
-                    cfg: TrainConfig, rng: RngStream, adam: AdamState,
-                    ema: list[np.ndarray] | None = None,
-                    region_ds: Dataset | None = None) -> float:
-    """One step regressing the network onto the exact empirical score.
-
-    Inputs z_t come from the forward process over region_ds (default: the
-    oracle's own dataset); the target is the oracle score converted to the
-    network's prediction kind.
-    """
-    source = region_ds if region_ds is not None else oracle.dataset
-    idx = rng.integers(0, source.size, cfg.batch_size)
-    x = source.points[idx]
-    eps = rng.normal(x.shape)
-    ts = _draw_times(rng, cfg.batch_size, cfg.t_min)
-    zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
-    scores = oracle.score_batch(zs, ts)
-    targets = _score_to_kind(net.prediction_kind, scores, zs, ts)
-    loss, grads = net.loss_and_grads(zs, ts, targets, None)
-    if not np.isfinite(loss):
-        raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
-    adam_step(adam, net.params, grads, cfg)
-    if ema is not None:
-        ema_update(ema, net.params, cfg.ema_decay)
-    return loss
-
-
-def _score_to_kind(kind: str, scores: np.ndarray, zs: np.ndarray,
-                   ts: np.ndarray) -> np.ndarray:
-    if kind == SCORE:
-        return scores
-    a = (1.0 - ts)[:, None]
-    s_col = ts[:, None]
-    if kind == VELOCITY:
-        return -(s_col / a) * scores - zs / a
-    return (s_col * s_col / a) * scores + zs / a  # XPRED
 
 
 def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
                           ts: np.ndarray, rng: RngStream) -> np.ndarray:
     """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2))."""
-    w, _ = mixture_weights(zs, score_points, 1.0 - ts, ts)
+    w, _ = mixture_weights(zs, score_points, *alpha_sigma(ts))
     cdf = np.cumsum(w, axis=1)
     u = rng.uniform(size=zs.shape[0])
     picks = (cdf < u[:, None]).sum(axis=1)
     return np.minimum(picks, score_points.shape[0] - 1)
 
 
-def foe_step(net: MlpScoreNetwork, pair: SubsetPair, ds: Dataset, cfg: TrainConfig,
-             rng: RngStream, adam: AdamState,
-             ema: list[np.ndarray] | None = None) -> float:
-    """One step on the region-decoupled importance-sampled loss.
-
-    x ~ Unif(region subset), z_t from the forward process, then y drawn from
-    the softmax responsibilities over the score subset; the regression target
-    is the single-point target built from y.
-    """
-    region_pts = ds.points[pair.region_idx]
-    score_pts = ds.points[pair.score_idx]
-    idx = rng.integers(0, region_pts.shape[0], cfg.batch_size)
-    x = region_pts[idx]
-    eps = rng.normal(x.shape)
-    ts = _draw_times(rng, cfg.batch_size, cfg.t_min)
-    zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
-    if cfg.foe_target_draws == 1:
-        picks = sample_softmax_points(score_pts, zs, ts, rng)
-        targets = _point_targets(net.prediction_kind, score_pts[picks], zs, ts)
-    else:
-        acc = np.zeros_like(zs)
-        for _ in range(cfg.foe_target_draws):
-            picks = sample_softmax_points(score_pts, zs, ts, rng)
-            acc += _point_targets(net.prediction_kind, score_pts[picks], zs, ts)
-        targets = acc / cfg.foe_target_draws
-    loss, grads = net.loss_and_grads(zs, ts, targets, None)
-    if not np.isfinite(loss):
-        raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
-    adam_step(adam, net.params, grads, cfg)
-    if ema is not None:
-        ema_update(ema, net.params, cfg.ema_decay)
-    return loss
-
-
 @dataclass
 class TrainReport:
     loss_curve: list = dc_field(default_factory=list)   # (iteration, loss)
     eval_records: list = dc_field(default_factory=list)  # (iteration, name, value)
-    final_params: list = dc_field(default_factory=list)
-    ema_params: list = dc_field(default_factory=list)
+    final_params: np.ndarray | None = None  # flat vectors, as clone_params gives
+    ema_params: np.ndarray | None = None
 
 
-def ema_network(net: MlpScoreNetwork, ema_params: list[np.ndarray]) -> MlpScoreNetwork:
+def ema_network(net: MlpScoreNetwork, ema_params: np.ndarray) -> MlpScoreNetwork:
     """Clone of the network carrying the EMA parameter snapshot."""
     clone = MlpScoreNetwork(**net.descriptor())
     clone.set_params(ema_params)
@@ -257,12 +171,14 @@ def ema_network(net: MlpScoreNetwork, ema_params: list[np.ndarray]) -> MlpScoreN
 
 def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None,
           oracle: EmpiricalScoreOracle | None = None,
-          subset_pair: SubsetPair | None = None,
-          region_ds: Dataset | None = None, eval_hooks=()) -> TrainReport:
+          subset_pair: SubsetPair | None = None, eval_hooks=()) -> TrainReport:
     """Run cfg.iterations optimizer steps and invoke hooks at eval_interval.
 
-    Hooks are callables (iteration, net, ema_net) -> dict of metric values;
-    they run on frozen snapshots and their records land in the report.
+    The loss kind picks the input points and the target of dsm_step once:
+    dsm draws from dataset, oracle-dsm from the oracle's dataset, foe from
+    the region subset of dataset. Hooks are callables
+    (iteration, net, ema_net) -> dict of metric values; they run on frozen
+    snapshots and their records land in the report.
     Deterministic for a fixed cfg.seed.
     """
     if cfg.loss_kind == DSM and dataset is None:
@@ -271,6 +187,19 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
         raise InvalidArgumentError("oracle-dsm loss needs an oracle")
     if cfg.loss_kind == FOE and (subset_pair is None or dataset is None):
         raise InvalidArgumentError("foe loss needs a dataset and a subset pair")
+    target = _denoising_target
+    if cfg.loss_kind == ORACLE_DSM:
+        dataset = oracle.dataset
+
+        def target(kind, x, eps, zs, ts, rng):
+            return convert_value(oracle.score_batch(zs, ts), SCORE, kind, zs, ts)
+    elif cfg.loss_kind == FOE:
+        score_pts = dataset.points[subset_pair.score_idx]
+        dataset = dataset.subset(subset_pair.region_idx)
+
+        def target(kind, x, eps, zs, ts, rng):
+            y = score_pts[sample_softmax_points(score_pts, zs, ts, rng)]
+            return convert_value(y, XPRED, kind, zs, ts)
     rng = RngStream(cfg.seed, stream=0)
     adam = AdamState(net.params)
     ema = net.clone_params()
@@ -287,18 +216,12 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
     run_hooks(0)
     for it in range(1, cfg.iterations + 1):
         try:
-            if cfg.loss_kind == DSM:
-                loss = dsm_step(net, dataset, cfg, rng, adam, ema)
-            elif cfg.loss_kind == ORACLE_DSM:
-                loss = oracle_dsm_step(net, oracle, cfg, rng, adam, ema,
-                                       region_ds=region_ds)
-            else:
-                loss = foe_step(net, subset_pair, dataset, cfg, rng, adam, ema)
+            loss = dsm_step(net, dataset, cfg, rng, adam, ema, target)
         except NumericFailureError as exc:
             raise NumericFailureError(str(exc), iteration=it) from exc
         report.loss_curve.append((it, loss))
         if cfg.eval_interval > 0 and it % cfg.eval_interval == 0:
             run_hooks(it)
     report.final_params = net.clone_params()
-    report.ema_params = [e.copy() for e in ema]
+    report.ema_params = ema
     return report

@@ -25,8 +25,8 @@ from sulab.geometry import bhattacharyya_overlap, in_supervision_region_batch
 from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.numerics import RngStream, log_sum_exp
 from sulab.sampling import SolverConfig, integrate, sample
-from sulab.training import _point_targets, _score_to_kind, \
-    sample_softmax_points
+from sulab.schedule import SCORE, VELOCITY, XPRED, convert_value
+from sulab.training import sample_softmax_points
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +255,19 @@ class TestGradientExactness:
             zs = rng.normal(size=(4, 2))
             ts = rng.uniform(0.1, 0.9, 4)
             targets = rng.normal(size=(4, 2))
-            _, grads = net.loss_and_grads(zs, ts, targets)
-            for p, g in zip(net.params, grads):
-                flat_p = p.ravel()
-                flat_g = np.asarray(g).ravel()
-                for j in range(flat_p.size):
-                    h = 1e-5 * max(1.0, abs(flat_p[j]))
-                    orig = flat_p[j]
-                    flat_p[j] = orig + h
-                    lp, _ = net.loss_and_grads(zs, ts, targets)
-                    flat_p[j] = orig - h
-                    lm, _ = net.loss_and_grads(zs, ts, targets)
-                    flat_p[j] = orig
-                    fd = (lp - lm) / (2.0 * h)
-                    denom = max(abs(fd), abs(flat_g[j]), 1e-8)
-                    assert abs(fd - flat_g[j]) / denom < 1e-4
+            _, flat_g = net.loss_and_grads(zs, ts, targets)
+            flat_p = net.flat  # every parameter tensor is a view into it
+            for j in range(flat_p.size):
+                h = 1e-5 * max(1.0, abs(flat_p[j]))
+                orig = flat_p[j]
+                flat_p[j] = orig + h
+                lp, _ = net.loss_and_grads(zs, ts, targets)
+                flat_p[j] = orig - h
+                lm, _ = net.loss_and_grads(zs, ts, targets)
+                flat_p[j] = orig
+                fd = (lp - lm) / (2.0 * h)
+                denom = max(abs(fd), abs(flat_g[j]), 1e-8)
+                assert abs(fd - flat_g[j]) / denom < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -296,10 +294,11 @@ class TestRegionDecoupledEquivalence:
             w = np.exp(logits - logits.max())
             w /= w.sum()
             expected = sum(
-                w[j] * _point_targets("velocity", score_pts[j][None, :], zs, ts)[0]
+                w[j] * convert_value(score_pts[j][None, :], XPRED, VELOCITY,
+                                     zs, ts)[0]
                 for j in range(score_pts.shape[0]))
-            exact = _score_to_kind(
-                "velocity", oracle.score_batch(zs, ts), zs, ts)[0]
+            exact = convert_value(
+                oracle.score_batch(zs, ts), SCORE, VELOCITY, zs, ts)[0]
             assert np.abs(expected - exact).max() < 1e-10
 
     def test_averaged_gradients_match_within_monte_carlo_error(self):
@@ -320,13 +319,13 @@ class TestRegionDecoupledEquivalence:
             ts = 0.05 + (1.0 - 0.05 - 1e-3) * rng.uniform(size=batch)
             zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
             picks = sample_softmax_points(score_pts, zs, ts, rng)
-            single_draw = _point_targets("velocity", score_pts[picks], zs, ts)
-            exact = _score_to_kind(
-                "velocity", oracle.score_batch(zs, ts), zs, ts)
+            single_draw = convert_value(score_pts[picks], XPRED, VELOCITY,
+                                        zs, ts)
+            exact = convert_value(
+                oracle.score_batch(zs, ts), SCORE, VELOCITY, zs, ts)
             _, g_single = net.loss_and_grads(zs, ts, single_draw)
             _, g_exact = net.loss_and_grads(zs, ts, exact)
-            diffs.append(np.concatenate(
-                [(a - b).ravel() for a, b in zip(g_single, g_exact)]))
+            diffs.append(g_single - g_exact)
         diffs = np.array(diffs)
         mean = diffs.mean(axis=0)
         stderr = diffs.std(axis=0, ddof=1) / np.sqrt(n_batches)
@@ -502,5 +501,5 @@ class TestDeterministicReruns:
                          "--threads", "1"]) == 0
             digests.append({
                 f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                for f in sorted(out.glob("*.csv"))})
+                for f in sorted([*out.glob("*.csv"), *out.glob("*.ckpt")])})
         assert digests[0] and digests[0] == digests[1]

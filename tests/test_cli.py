@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from sulab import cli
 from sulab.cli import (ConfigError, DEFAULTS, csv_bytes, format_cell, main,
                        merge_config, resolve_config)
 from sulab.data import Dataset, save_points
+from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
+                          InvalidArgumentError, NumericFailureError,
+                          RankDeficiencyError, SingularTimeError)
 
 
 def run_cli(args):
@@ -56,6 +60,63 @@ class TestConfigMerging:
     def test_seed_must_be_int(self):
         with pytest.raises(ConfigError, match="seed"):
             resolve_config({"experiment": "overlap-curve", "seed": 1.5})
+
+    def test_int_accepted_where_float_expected(self):
+        cfg = resolve_config({"experiment": "overlap-curve",
+                              "dataset": {"separation": 8},
+                              "t_grid": [0.5, 1]})
+        assert cfg["dataset"]["separation"] == 8 and cfg["t_grid"] == [0.5, 1]
+
+    @pytest.mark.parametrize("experiment, override, field", [
+        ("overlap-curve", {"t_grid": "abc"}, "t_grid"),
+        ("overlap-curve", {"t_grid": [0.5, "x"]}, "t_grid"),
+        ("overlap-curve", {"t_grid": [0.5, True]}, "t_grid"),
+        ("overlap-curve", {"seed": True}, "seed"),
+        ("overlap-curve", {"dataset": {"dim": 2.5}}, "dataset.dim"),
+        ("overlap-curve", {"dataset": {"separation": "8"}},
+         "dataset.separation"),
+        ("overlap-curve", {"out": 3}, "out"),
+        ("scaling-line", {"n_samples": "5"}, "n_samples"),
+        ("scaling-line", {"widths": [8, 16.0]}, "widths"),
+        ("foe", {"model": {"prediction_kind": None}}, "model.prediction_kind"),
+    ])
+    def test_leaf_type_mismatch_exits_2(self, tmp_path, capsys, experiment,
+                                        override, field):
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"experiment": experiment, **override})
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"error: {field}: expected" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (ConfigError("x"), 2), (InvalidArgumentError("x"), 2),
+        (FormatError("x"), 2), (RankDeficiencyError("x"), 2),
+        (SingularTimeError("x"), 2), (EmptyClassError("x"), 2),
+        (NumericFailureError("x"), 3), (DivergenceError("x"), 3)])
+    def test_library_errors_map_to_exit_codes(self, monkeypatch, capsys,
+                                              error, code):
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_print_defaults", fail)
+        assert run_cli(["print-defaults"]) == code
+        assert "x" in capsys.readouterr().err
+
+    def test_degenerate_scaling_line_exits_2(self, tmp_path, capsys):
+        # equal widths give equal losses: the line fit has no abscissa spread
+        small = {"width": 8, "hidden_layers": 1, "time_freqs": 2}
+        cfg_path = write_config(tmp_path / "c.json", {
+            "experiment": "scaling-line", "dataset": {"n_per_class": 8},
+            "widths": [4, 4], "n_samples": 4, "n_reference": 8,
+            "model": small, "train": {"iterations": 5, "eval_interval": 5},
+            "solver": {"kind": "fixed-euler", "fixed_steps": 4},
+            "diagnostics": {"n": 4, "timesteps": 2}})
+        assert run_cli(["run", "--config", cfg_path,
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "degenerate abscissa" in capsys.readouterr().err
 
 
 class TestCsvFormatting:
@@ -247,6 +308,21 @@ class TestTrainSampleDiagnose:
     def test_diagnose_unknown_metric_exits_2(self, trained, capsys):
         ckpt, ds_path, _ = trained
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "bogus"]) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "header"])
+    def test_sample_corrupt_checkpoint_exits_2(self, trained, capsys, damage):
+        ckpt, _, tmp_path = trained
+        blob = ckpt.read_bytes()
+        ckpt.write_bytes({
+            "truncated": blob[:-9],
+            "extended": blob + b"\0" * 8,
+            "header": blob.replace(b'"class_emb_dim"', b'"!lass_emb_dim"'),
+        }[damage])
+        out = tmp_path / "samples"
+        assert run_cli(["sample", "--checkpoint", str(ckpt),
+                        "--out", str(out)]) == 2
+        assert ckpt.name in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnose_bad_checkpoint_exits_2(self, trained, tmp_path, capsys):
         _, ds_path, _ = trained

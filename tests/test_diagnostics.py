@@ -3,8 +3,8 @@ import pytest
 
 from sulab.data import Dataset, make_gaussian_dataset
 from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, PatRule,
-                               QualityPoint, calibrated_l2,
-                               calibrated_l2_values, cfg_gap_curve,
+                               QualityPoint, calibrated_l2_values,
+                               cfg_gap_curve,
                                estimate_region, fit_quality_line,
                                memorization_ratio, pat_quality,
                                regress_to_origin_ratio, score_error,
@@ -58,6 +58,17 @@ class TestEstimateRegion:
         assert est.value == pytest.approx(3.0)
         assert est.stderr == pytest.approx(0.0)
         assert len(est.curve) == 5 and est.n_samples == 10
+
+    def test_stderr_from_per_sample_means(self):
+        # Sample i is the same (x, eps) pair at every timestep, so a quantity
+        # that is constant per sample has the spread of n values, not n*T.
+        ds = make_gaussian_dataset(2, 8, seed=0)
+        n = 10
+        est = estimate_region(lambda zs, t: np.arange(zs.shape[0], dtype=float),
+                              SUPERVISION, ds, n=n, timesteps=25,
+                              weighting="uniform", seed=0)
+        assert est.value == pytest.approx(4.5)
+        assert est.stderr == pytest.approx(np.std(np.arange(n)) / np.sqrt(n))
 
     def test_constant_quantity_velocity_weight_matches_mean(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
@@ -165,24 +176,26 @@ class TestCfgGap:
 class TestMemorization:
     def test_calibrated_l2_exact_hit(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-        assert calibrated_l2([0.0, 0.0], pts, 2) == 0.0
+        assert calibrated_l2_values([0.0, 0.0], pts, 2)[0] == 0.0
+        # a zero denominator (n points all hit exactly) reads 0, not nan
+        assert calibrated_l2_values([[0.0, 0.0]], np.zeros((3, 2)), 2)[0] == 0.0
 
     def test_calibrated_l2_formula(self):
         pts = np.array([[0.0], [3.0]])
         # sample at 1: nearest sq dists are 1 and 4, ratio 1 / mean(1, 4)
-        assert calibrated_l2([1.0], pts, 2) == pytest.approx(1.0 / 2.5)
+        assert calibrated_l2_values([1.0], pts, 2)[0] == pytest.approx(1.0 / 2.5)
 
     def test_equidistant_is_one_over_mean(self):
         # sample equidistant from its n nearest points gives ratio 1.
         pts = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert calibrated_l2([0.0, 0.0], pts, 2) == pytest.approx(1.0)
+        assert calibrated_l2_values([0.0, 0.0], pts, 2)[0] == pytest.approx(1.0)
 
     def test_n_validation(self):
         pts = np.zeros((3, 2))
         with pytest.raises(InvalidArgumentError):
-            calibrated_l2([0.0, 0.0], pts, 4)
+            calibrated_l2_values([0.0, 0.0], pts, 4)
         with pytest.raises(InvalidArgumentError):
-            calibrated_l2([0.0, 0.0], pts, 0)
+            calibrated_l2_values([0.0, 0.0], pts, 0)
 
     def test_memorization_ratio_counts_below_threshold(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
@@ -201,8 +214,11 @@ class TestMemorization:
         pts = np.random.default_rng(0).normal(size=(6, 2))
         samples = np.random.default_rng(1).normal(size=(4, 2))
         vals = calibrated_l2_values(samples, pts, 3)
-        expected = [calibrated_l2(s, pts, 3) for s in samples]
-        np.testing.assert_allclose(vals, expected)
+        expected = []
+        for s in samples:  # the definition, one sample at a time
+            sq = np.sort(np.sum((pts - s) ** 2, axis=1))[:3]
+            expected.append(sq[0] / np.mean(sq))
+        np.testing.assert_array_equal(vals, expected)
 
 
 class TestRegressToOrigin:

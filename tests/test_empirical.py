@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
-from sulab.empirical import (EmpiricalScoreOracle, cfg_scores,
-                             mixture_weights, naive_empirical_score)
+from sulab.empirical import (EmpiricalScoreOracle, mixture_weights,
+                             naive_empirical_score)
 from sulab.errors import (EmptyClassError, InvalidArgumentError,
                           SingularTimeError)
 from sulab.numerics import RngStream
@@ -189,22 +189,14 @@ class TestCfgScores:
         ds = make_class_mixture(2, 8, seed=1, num_classes=1)
         cond = EmpiricalScoreOracle(ds, class_filter=0)
         uncond = EmpiricalScoreOracle(ds)
-        _, _, gap = cfg_scores(cond, uncond, np.array([0.1, 0.2]), 0.5)
+        z = np.array([[0.1, 0.2]])
+        gap = np.linalg.norm(cond.score_batch(z, 0.5) - uncond.score_batch(z, 0.5))
         assert gap == pytest.approx(0.0, abs=1e-10)
 
     def test_two_class_gap_positive_on_one_side(self):
         ds = make_class_mixture(2, 16, seed=1, separation=8.0, num_classes=2)
         cond = EmpiricalScoreOracle(ds, class_filter=0)
         uncond = EmpiricalScoreOracle(ds)
-        z = np.array([-4.0, 0.0])  # deep inside class 0 territory
-        s_c, s_u, gap = cfg_scores(cond, uncond, z, 0.9)
+        z = np.array([[-4.0, 0.0]])  # deep inside class 0 territory
+        gap = np.linalg.norm(cond.score_batch(z, 0.9) - uncond.score_batch(z, 0.9))
         assert gap > 0.0
-
-    def test_validation(self):
-        ds = make_class_mixture(2, 4, seed=1, num_classes=2)
-        cond = EmpiricalScoreOracle(ds, class_filter=0)
-        uncond = EmpiricalScoreOracle(ds)
-        with pytest.raises(InvalidArgumentError):
-            cfg_scores(uncond, uncond, np.zeros(2), 0.5)
-        with pytest.raises(InvalidArgumentError):
-            cfg_scores(cond, cond, np.zeros(2), 0.5)

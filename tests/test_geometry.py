@@ -4,10 +4,10 @@ from scipy.integrate import quad
 
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.errors import InvalidArgumentError, SingularTimeError
-from sulab.geometry import (bhattacharyya_overlap, in_supervision_region,
-                            in_supervision_region_batch, r_star,
-                            trajectory_rstar_profile)
+from sulab.geometry import (bhattacharyya_overlap,
+                            in_supervision_region_batch, r_star)
 from sulab.numerics import RngStream
+from sulab.sampling import Trajectory
 
 
 class TestSupervisionRegion:
@@ -18,28 +18,36 @@ class TestSupervisionRegion:
         direction = np.zeros(16)
         direction[0] = 1.0
         z = (1 - t) * ds.points[0] + t * np.sqrt(16) * direction
-        m = in_supervision_region(ds, z, t, delta=0.1)
-        assert m.inside and m.nearest_index == 0
-        assert m.radial_residual == pytest.approx(0.0, abs=1e-9)
+        # delta near 1 shrinks the band to almost nothing: still inside
+        assert in_supervision_region_batch(ds, z[None], t, delta=1 - 1e-12)[0]
 
     def test_far_point_is_outside(self):
         ds = make_gaussian_dataset(8, 4, seed=0)
         z = 1e3 * np.ones(8)
-        assert not in_supervision_region(ds, z, 0.3, delta=0.1).inside
+        assert not in_supervision_region_batch(ds, z[None], 0.3, delta=0.1)[0]
 
     def test_band_halfwidth_formula(self):
-        ds = make_gaussian_dataset(4, 2, seed=0)
+        # one point; queries just inside and just outside the band edge
+        ds = Dataset(np.zeros((1, 4)))
         t, delta = 0.25, 0.05
-        m = in_supervision_region(ds, np.zeros(4), t, delta)
-        assert m.band_halfwidth == pytest.approx(
-            t * np.sqrt(4 * np.log(1 / delta)))
+        edge = t * np.sqrt(4) + t * np.sqrt(4 * np.log(1 / delta))
+        zs = np.zeros((2, 4))
+        zs[:, 0] = [edge * (1 - 1e-9), edge * (1 + 1e-9)]
+        np.testing.assert_array_equal(
+            in_supervision_region_batch(ds, zs, t, delta), [True, False])
 
     def test_batch_matches_single(self):
+        # per-row t against the definition, one query at a time
         ds = make_gaussian_dataset(6, 10, seed=1)
         rng = RngStream(2, 0)
         zs = rng.normal((30, 6)) * 2
-        flags = in_supervision_region_batch(ds, zs, 0.4, delta=0.05)
-        singles = [in_supervision_region(ds, z, 0.4, 0.05).inside for z in zs]
+        ts = rng.uniform(0.2, 0.8, 30)
+        flags = in_supervision_region_batch(ds, zs, ts, delta=0.05)
+        band = np.sqrt(6 * np.log(1 / 0.05))
+        singles = [
+            np.min(np.abs(np.linalg.norm(z - (1 - t) * ds.points, axis=1)
+                          - t * np.sqrt(6))) <= t * band
+            for z, t in zip(zs, ts)]
         np.testing.assert_array_equal(flags, singles)
 
     def test_forward_draws_concentrate(self):
@@ -57,12 +65,12 @@ class TestSupervisionRegion:
         ds = make_gaussian_dataset(2, 2, seed=0)
         for bad in (0.0, 1.0, -1.0, 2.0):
             with pytest.raises(InvalidArgumentError):
-                in_supervision_region(ds, np.zeros(2), 0.5, bad)
+                in_supervision_region_batch(ds, np.zeros((1, 2)), 0.5, bad)
 
     def test_t_zero_raises(self):
         ds = make_gaussian_dataset(2, 2, seed=0)
         with pytest.raises(SingularTimeError):
-            in_supervision_region(ds, np.zeros(2), 0.0, 0.1)
+            in_supervision_region_batch(ds, np.zeros((1, 2)), 0.0, 0.1)
 
 
 class TestRStar:
@@ -89,15 +97,14 @@ class TestRStar:
         assert r_star(ds, z, t).i_star == 1
 
     def test_profile_runs_over_trajectory(self):
+        # r* read along a recorded trajectory, as rstar-profile does
         ds = make_gaussian_dataset(3, 4, seed=1)
-        traj = [(0.9, np.zeros(3)), (0.5, np.ones(3))]
-        prof = trajectory_rstar_profile(ds, traj)
+        traj = Trajectory()
+        traj.append(0.9, np.zeros(3))
+        traj.append(0.5, np.ones(3))
+        prof = [(t, r_star(ds, z, t).r_star) for t, z in traj]
         assert len(prof) == 2 and prof[0][0] == 0.9
-
-    def test_empty_trajectory_rejected(self):
-        ds = make_gaussian_dataset(3, 4, seed=1)
-        with pytest.raises(InvalidArgumentError):
-            trajectory_rstar_profile(ds, [])
+        assert prof[1][1] == r_star(ds, traj.state_at(0.5), 0.5).r_star
 
 
 class TestBhattacharyyaOverlap:

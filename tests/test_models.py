@@ -5,8 +5,8 @@ from sulab.data import make_gaussian_dataset, make_pat_toy_dataset
 from sulab.errors import FormatError, InvalidArgumentError, RankDeficiencyError
 from sulab.models import (GaussianGroundTruthField, IDENTITY, KrrScoreField,
                           MlpScoreNetwork, OracleField, POLAR,
-                          RADIAL_EQUIVARIANT, fit_krr_denoiser_field, krr_fit,
-                          polar_features)
+                          RADIAL_EQUIVARIANT, _polar_features_batch,
+                          fit_krr_denoiser_field, krr_fit)
 from sulab.empirical import EmpiricalScoreOracle
 from sulab.numerics import RngStream
 from sulab.schedule import SCORE, VELOCITY, XPRED
@@ -24,41 +24,42 @@ def _grad_check(net, seed=0, n=5, tol=1e-4):
     labels = (rng.integers(0, net.num_classes, n)
               if net.num_classes > 0 else None)
     _, grads = net.loss_and_grads(zs, ts, targets, labels)
+    assert grads.shape == net.flat.shape
     worst = 0.0
     h = 1e-5
-    for pi, p in enumerate(net.params):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            lp = net.loss_and_grads(zs, ts, targets, labels)[0]
-            p[idx] = orig - h
-            lm = net.loss_and_grads(zs, ts, targets, labels)[0]
-            p[idx] = orig
-            fd = (lp - lm) / (2 * h)
-            g = grads[pi][idx]
-            if abs(fd) > 1e-7 or abs(g) > 1e-7:
-                worst = max(worst, abs(fd - g) / max(abs(fd), abs(g)))
+    p = net.flat  # every parameter tensor is a view into it
+    for idx in range(p.size):
+        orig = p[idx]
+        p[idx] = orig + h
+        lp = net.loss_and_grads(zs, ts, targets, labels)[0]
+        p[idx] = orig - h
+        lm = net.loss_and_grads(zs, ts, targets, labels)[0]
+        p[idx] = orig
+        fd = (lp - lm) / (2 * h)
+        g = grads[idx]
+        if abs(fd) > 1e-7 or abs(g) > 1e-7:
+            worst = max(worst, abs(fd - g) / max(abs(fd), abs(g)))
     return worst
 
 
 class TestPolarFeatures:
     def test_unit_x_axis(self):
-        np.testing.assert_allclose(polar_features([1.0, 0.0]), [1.0, 1.0, 0.0])
+        np.testing.assert_allclose(_polar_features_batch(np.array([[1.0, 0.0]])),
+                                   [[1.0, 1.0, 0.0]])
 
     def test_diagonal(self):
         r = np.sqrt(2.0)
-        np.testing.assert_allclose(polar_features([1.0, 1.0]),
-                                   [r, 1 / r, 1 / r])
+        np.testing.assert_allclose(_polar_features_batch(np.array([[1.0, 1.0]])),
+                                   [[r, 1 / r, 1 / r]])
 
     def test_origin_convention(self):
-        np.testing.assert_array_equal(polar_features([0.0, 0.0]),
-                                      [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(
+            _polar_features_batch(np.array([[0.0, 0.0], [0.0, 2.0]])),
+            [[0.0, 1.0, 0.0], [2.0, 0.0, 1.0]])
 
     def test_requires_2d(self):
         with pytest.raises(InvalidArgumentError):
-            polar_features([1.0, 2.0, 3.0])
+            MlpScoreNetwork(3, input_map=POLAR)
 
 
 class TestMlpBasics:
@@ -152,15 +153,30 @@ class TestCheckpoint:
         rng = np.random.default_rng(0)
         for p in net.params:
             p += rng.normal(size=p.shape)
-        ema = [p + 0.5 for p in net.params]
+        ema = net.clone_params() + 0.5
         path = tmp_path / "model.ckpt"
         net.save(path, ema_params=ema)
         loaded, loaded_ema = MlpScoreNetwork.load(path)
         assert loaded.descriptor() == net.descriptor()
         for p, q in zip(loaded.params, net.params):
             np.testing.assert_array_equal(p, q)
-        for p, q in zip(loaded_ema, ema):
-            np.testing.assert_array_equal(p, q)
+        for p, q in zip(loaded_ema, net.params):
+            np.testing.assert_array_equal(p, q + 0.5)
+        # save -> load -> save reproduces the file byte for byte
+        again = tmp_path / "again.ckpt"
+        loaded.save(again, ema_params=loaded_ema)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_layout_is_the_flat_vector(self, tmp_path):
+        # header, then the parameters in params order, then the EMA
+        net = MlpScoreNetwork(2, width=4, seed=1)
+        path = tmp_path / "model.ckpt"
+        net.save(path, ema_params=net.clone_params() * 2.0)
+        blob = path.read_bytes()
+        tail = np.frombuffer(blob[len(blob) - 16 * net.flat.size:], "<f8")
+        np.testing.assert_array_equal(
+            tail[:net.flat.size], np.concatenate([p.ravel() for p in net.params]))
+        np.testing.assert_array_equal(tail[net.flat.size:], 2.0 * net.flat)
 
     def test_no_ema(self, tmp_path):
         net = MlpScoreNetwork(2, width=4, seed=0)
@@ -179,6 +195,31 @@ class TestCheckpoint:
         net = MlpScoreNetwork(2, width=4, seed=0)
         with pytest.raises(InvalidArgumentError):
             net.set_params(net.params[:-1])
+        with pytest.raises(InvalidArgumentError):
+            net.set_params(net.clone_params()[:-1])
+
+    @pytest.mark.parametrize("damage", ["truncated", "extended", "header",
+                                        "unknown-key", "bool-for-int",
+                                        "missing"])
+    def test_malformed_files_raise_format_error(self, tmp_path, damage):
+        net = MlpScoreNetwork(2, width=4, num_classes=2, seed=0)
+        path = tmp_path / "model.ckpt"
+        net.save(path, ema_params=net.clone_params())
+        blob = path.read_bytes()
+        edits = {
+            "truncated": blob[:-9],
+            "extended": blob + b"\0" * 8,
+            "header": blob.replace(b'"class_emb_dim"', b'"!lass_emb_dim"'),
+            "unknown-key": blob.replace(b'"class_emb_dim"', b'"class_emb_dix"'),
+            "bool-for-int": blob.replace(b'"width": 4', b'"width": true'),
+        }
+        if damage == "missing":
+            path = tmp_path / "absent.ckpt"
+        else:
+            assert edits[damage] != blob
+            path.write_bytes(edits[damage])
+        with pytest.raises(FormatError, match=path.name):
+            MlpScoreNetwork.load(path)
 
 
 class TestKrr:
@@ -190,11 +231,14 @@ class TestKrr:
         np.testing.assert_allclose(den.predict_batch(x), y, atol=1e-6)
 
     def test_residual_small_on_fit(self):
+        # the coefficients solve (K + ridge I) C = Y
         rng = np.random.default_rng(1)
         x = rng.normal(size=(15, 3))
         y = rng.normal(size=(15, 1))
         den = krr_fit(x, y, gamma=0.5, ridge=1e-10)
-        assert den.residual() < 1e-6
+        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        k = np.exp(-0.5 * sq) + 1e-10 * np.eye(15)
+        assert np.linalg.norm(k @ den.coeffs - y) / np.linalg.norm(y) < 1e-6
 
     def test_duplicate_inputs_need_ridge(self):
         x = np.zeros((3, 2))

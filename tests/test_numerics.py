@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
+from sulab.empirical import mixture_weights
 from sulab.numerics import (RngStream, cholesky_solve, log_sum_exp,
-                            sliced_wasserstein, stable_softmax)
+                            sliced_wasserstein)
 
 
 class TestRngStream:
@@ -21,10 +22,6 @@ class TestRngStream:
 
     def test_seeds_differ(self):
         assert RngStream(1, 0).normal(5)[0] != RngStream(2, 0).normal(5)[0]
-
-    def test_spawn_matches_direct_construction(self):
-        np.testing.assert_array_equal(RngStream(5, 0).spawn(9).normal(4),
-                                      RngStream(5, 9).normal(4))
 
     def test_prefix_stability(self):
         # draws are a stream: the first k of a longer request match a shorter one
@@ -68,19 +65,26 @@ class TestLogSumExp:
 
 
 class TestStableSoftmax:
+    """The package's one softmax: the mixture responsibilities."""
+
     def test_uniform(self):
-        np.testing.assert_allclose(stable_softmax([2.0, 2.0, 2.0]),
-                                   np.full(3, 1 / 3), atol=1e-15)
+        pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
+        w, _ = mixture_weights(np.zeros((1, 2)), pts, 0.5, 0.5)
+        np.testing.assert_allclose(w, np.full((1, 3), 1 / 3), atol=1e-15)
 
     def test_huge_logits(self):
-        w = stable_softmax([1e6, 0.0])
-        assert w[0] == pytest.approx(1.0)
+        # logits -|z - x_i|^2 / (2 sigma^2) of 0 and about -5e11
+        pts = np.array([[0.0], [1e6]])
+        w, _ = mixture_weights(np.zeros((1, 1)), pts, 1.0, 1.0)
+        assert w[0, 0] == pytest.approx(1.0)
         assert np.all(np.isfinite(w))
 
     @settings(max_examples=50)
-    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30))
-    def test_simplex(self, vals):
-        w = stable_softmax(vals)
+    @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30),
+           st.floats(-100, 100))
+    def test_simplex(self, vals, z):
+        pts = np.asarray(vals)[:, None]
+        w, _ = mixture_weights(np.array([[z]]), pts, 1.0, 0.1)
         assert np.all(w >= 0)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 

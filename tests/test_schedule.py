@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, SingularTimeError
-from sulab.schedule import (LinearSchedule, Prediction, SCORE, VELOCITY, XPRED,
-                            convert, convert_value, forward_process,
+from sulab.schedule import (SCORE, VELOCITY, XPRED, alpha_sigma,
+                            convert_value, dsm_target, forward_process,
                             marginal_gaussian_score)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
@@ -13,24 +13,26 @@ interior_t = st.floats(0.05, 0.95)
 
 class TestLinearSchedule:
     def test_endpoint_values(self):
-        assert LinearSchedule.alpha(0.0) == 1.0
-        assert LinearSchedule.alpha(1.0) == 0.0
-        assert LinearSchedule.sigma(0.0) == 0.0
-        assert LinearSchedule.sigma(1.0) == 1.0
+        assert alpha_sigma(0.0) == (1.0, 0.0)
+        assert alpha_sigma(1.0) == (0.0, 1.0)
 
     def test_midpoint(self):
-        assert LinearSchedule.alpha(0.5) == 0.5
-        assert LinearSchedule.sigma(0.5) == 0.5
+        assert alpha_sigma(0.5) == (0.5, 0.5)
 
     def test_derivatives_constant(self):
-        ts = np.linspace(0, 1, 7)
-        np.testing.assert_array_equal(LinearSchedule.alpha_prime(ts), -np.ones(7))
-        np.testing.assert_array_equal(LinearSchedule.sigma_prime(ts), np.ones(7))
+        # dz_t/dt = -x + eps at every t, which is the velocity DSM target
+        rng = np.random.default_rng(0)
+        x, eps = rng.normal(size=(7, 3)), rng.normal(size=(7, 3))
+        ts = np.linspace(0.1, 0.9, 7)
+        h = 1e-6
+        fd = (forward_process(x, eps, ts + h)
+              - forward_process(x, eps, ts - h)) / (2 * h)
+        np.testing.assert_allclose(fd, dsm_target(VELOCITY, x, eps, ts),
+                                   rtol=1e-6, atol=1e-8)
 
     def test_alpha_plus_sigma_is_one(self):
-        ts = np.linspace(0, 1, 11)
-        np.testing.assert_allclose(LinearSchedule.alpha(ts) + LinearSchedule.sigma(ts),
-                                   np.ones(11))
+        a, s = alpha_sigma(np.linspace(0, 1, 11))
+        np.testing.assert_allclose(a + s, np.ones(11))
 
 
 class TestForwardProcess:
@@ -116,18 +118,10 @@ class TestConversions:
 
 
 class TestPrediction:
-    def test_convert_wrapper_tags_kind(self):
-        p = Prediction(SCORE, np.array([1.0, 0.0]))
-        q = convert(p, np.array([0.5, 0.5]), 0.5, VELOCITY)
-        assert q.kind == VELOCITY
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            Prediction(SCORE, np.array([np.nan]))
-
     def test_unknown_kind_rejected(self):
+        # an unknown target kind, as an unknown source kind above
         with pytest.raises(InvalidArgumentError):
-            Prediction("huh", np.array([1.0]))
+            convert_value(np.ones(2), SCORE, "huh", np.ones(2), 0.5)
 
 
 class TestMarginalGaussianScore:

@@ -7,9 +7,9 @@ from sulab.empirical import EmpiricalScoreOracle
 from sulab.errors import InvalidArgumentError, NumericFailureError
 from sulab.models import MlpScoreNetwork
 from sulab.numerics import RngStream
-from sulab.schedule import SCORE, VELOCITY, XPRED
-from sulab.training import (AdamState, TrainConfig, _dsm_targets,
-                            _point_targets, _score_to_kind, adam_step,
+from sulab.schedule import (SCORE, VELOCITY, XPRED, convert_value, dsm_target,
+                            forward_process)
+from sulab.training import (AdamState, TrainConfig, adam_step, dsm_step,
                             ema_network, ema_update, sample_softmax_points,
                             train)
 
@@ -35,59 +35,67 @@ class TestAdam:
         # After one step the bias-corrected update is lr * g / (|g| + eps'),
         # i.e. approximately lr * sign(g).
         cfg = TrainConfig(lr=0.1)
-        p = [np.array([1.0, -2.0, 3.0])]
-        g = [np.array([0.5, -0.25, 1.0])]
-        st = AdamState(p)
+        p = np.array([1.0, -2.0, 3.0])
+        g = np.array([0.5, -0.25, 1.0])
+        st = AdamState([p])
         adam_step(st, p, g, cfg)
-        np.testing.assert_allclose(p[0], [0.9, -1.9, 2.9], atol=1e-6)
+        np.testing.assert_allclose(p, [0.9, -1.9, 2.9], atol=1e-6)
 
     def test_matches_reference_implementation(self):
         cfg = TrainConfig(lr=1e-2, beta1=0.9, beta2=0.999, adam_eps=1e-8)
         rng = np.random.default_rng(0)
-        p = [rng.normal(size=(3, 2)), rng.normal(size=4)]
-        p_ref = [q.copy() for q in p]
-        st = AdamState(p)
-        m = [np.zeros_like(q) for q in p_ref]
-        v = [np.zeros_like(q) for q in p_ref]
+        p = rng.normal(size=10)
+        p_ref = p.copy()
+        st = AdamState([p])
+        m = np.zeros_like(p_ref)
+        v = np.zeros_like(p_ref)
         for step in range(1, 6):
-            grads = [rng.normal(size=q.shape) for q in p]
-            adam_step(st, p, [g.copy() for g in grads], cfg)
-            for i, g in enumerate(grads):
-                m[i] = 0.9 * m[i] + 0.1 * g
-                v[i] = 0.999 * v[i] + 0.001 * g * g
-                mh = m[i] / (1 - 0.9**step)
-                vh = v[i] / (1 - 0.999**step)
-                p_ref[i] = p_ref[i] - cfg.lr * mh / (np.sqrt(vh) + cfg.adam_eps)
-        for a, b in zip(p, p_ref):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+            g = rng.normal(size=p.shape)
+            adam_step(st, p, g.copy(), cfg)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            mh = m / (1 - 0.9**step)
+            vh = v / (1 - 0.999**step)
+            p_ref = p_ref - cfg.lr * mh / (np.sqrt(vh) + cfg.adam_eps)
+        np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-12)
+
+    def test_state_spans_the_flat_parameters(self):
+        net = MlpScoreNetwork(3, width=8, hidden_layers=2, num_classes=2,
+                              seed=0)
+        st = AdamState(net.params)
+        assert st.m.shape == st.v.shape == net.flat.shape
+        assert sum(p.size for p in net.params) == net.flat.size
+        # the per-tensor list is a set of views: Adam on the vector moves them
+        adam_step(st, net.flat, np.ones_like(net.flat), TrainConfig(lr=0.1))
+        assert all(np.shares_memory(p, net.flat) for p in net.params)
+        np.testing.assert_allclose(net.params[1], -0.1, atol=1e-6)
 
     def test_non_finite_gradient_raises(self):
         cfg = TrainConfig()
-        p = [np.zeros(2)]
-        st = AdamState(p)
+        p = np.zeros(2)
+        st = AdamState([p])
         with pytest.raises(NumericFailureError):
-            adam_step(st, p, [np.array([np.nan, 0.0])], cfg)
+            adam_step(st, p, np.array([np.nan, 0.0]), cfg)
 
     def test_length_mismatch(self):
         cfg = TrainConfig()
-        p = [np.zeros(2)]
+        p = np.zeros(2)
         with pytest.raises(InvalidArgumentError):
-            adam_step(AdamState(p), p, [], cfg)
+            adam_step(AdamState([p]), p, np.zeros(1), cfg)
 
 
 class TestEma:
     def test_update_formula(self):
-        e = [np.array([1.0, 1.0])]
-        p = [np.array([3.0, -1.0])]
+        e = np.array([1.0, 1.0])
+        p = np.array([3.0, -1.0])
         ema_update(e, p, 0.9)
-        np.testing.assert_allclose(e[0], [1.2, 0.8])
+        np.testing.assert_allclose(e, [1.2, 0.8])
 
     def test_ema_network_carries_snapshot(self):
         net = MlpScoreNetwork(2, width=4, seed=0)
-        snap = [p + 1.0 for p in net.params]
+        snap = net.clone_params() + 1.0
         clone = ema_network(net, snap)
-        for a, b in zip(clone.params, snap):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(clone.flat, snap)
         # original network untouched
         assert not np.allclose(net.params[-1], clone.params[-1])
 
@@ -98,31 +106,56 @@ class TestTargets:
         x = rng.normal(size=(4, 3))
         eps = rng.normal(size=(4, 3))
         ts = rng.uniform(0.1, 0.9, 4)
-        np.testing.assert_allclose(_dsm_targets(SCORE, x, eps, ts),
+        np.testing.assert_allclose(dsm_target(SCORE, x, eps, ts),
                                    -eps / ts[:, None])
-        np.testing.assert_allclose(_dsm_targets(VELOCITY, x, eps, ts), eps - x)
-        np.testing.assert_allclose(_dsm_targets(XPRED, x, eps, ts), x)
+        np.testing.assert_allclose(dsm_target(VELOCITY, x, eps, ts), eps - x)
+        np.testing.assert_allclose(dsm_target(XPRED, x, eps, ts), x)
 
     def test_point_targets_consistent_kinds(self):
-        # The three single-point targets describe one regression problem:
-        # converting the score target must reproduce the other two.
+        # The foe target is a single point y, an x-prediction; converted, it
+        # gives the closed forms (alpha y - z)/sigma^2 and (z - y)/t.
         rng = np.random.default_rng(1)
         y = rng.normal(size=(5, 2))
         zs = rng.normal(size=(5, 2))
         ts = rng.uniform(0.2, 0.8, 5)
-        s = _point_targets(SCORE, y, zs, ts)
-        np.testing.assert_allclose(_score_to_kind(VELOCITY, s, zs, ts),
-                                   _point_targets(VELOCITY, y, zs, ts),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(_score_to_kind(XPRED, s, zs, ts),
-                                   _point_targets(XPRED, y, zs, ts),
-                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(
+            convert_value(y, XPRED, SCORE, zs, ts),
+            ((1 - ts)[:, None] * y - zs) / (ts * ts)[:, None], rtol=1e-10)
+        np.testing.assert_allclose(convert_value(y, XPRED, VELOCITY, zs, ts),
+                                   (zs - y) / ts[:, None], rtol=1e-10)
 
     def test_score_to_kind_identity(self):
         s = np.ones((2, 3))
         zs = np.zeros((2, 3))
         ts = np.array([0.3, 0.6])
-        np.testing.assert_array_equal(_score_to_kind(SCORE, s, zs, ts), s)
+        assert convert_value(s, SCORE, SCORE, zs, ts) is s
+
+
+class TestDsmStep:
+    def test_draw_order_and_target_inputs(self):
+        # index, noise, time, class dropout, then whatever the target draws
+        ds = make_class_mixture(2, 8, seed=0)
+        cfg = TrainConfig(batch_size=6, class_dropout=0.5, t_min=0.01)
+        net = MlpScoreNetwork(2, width=4, num_classes=2, seed=0)
+        seen = {}
+
+        def target(kind, x, eps, zs, ts, rng):
+            seen.update(kind=kind, x=x, eps=eps, zs=zs, ts=ts,
+                        u=rng.uniform(size=1))
+            return x
+
+        dsm_step(net, ds, cfg, RngStream(3), AdamState(net.params),
+                 target=target)
+        ref = RngStream(3)
+        assert seen["kind"] == net.prediction_kind
+        np.testing.assert_array_equal(
+            seen["x"], ds.points[ref.integers(0, ds.size, 6)])
+        np.testing.assert_array_equal(seen["eps"], ref.normal((6, 2)))
+        np.testing.assert_array_equal(seen["ts"], ref.uniform(0.01, 0.99, 6))
+        ref.uniform(size=6)  # class dropout
+        np.testing.assert_array_equal(seen["u"], ref.uniform(size=1))
+        np.testing.assert_array_equal(
+            seen["zs"], forward_process(seen["x"], seen["eps"], seen["ts"]))
 
 
 class TestSoftmaxSampling:
@@ -164,10 +197,10 @@ class TestTrainLoop:
             net = MlpScoreNetwork(3, width=8, hidden_layers=2, seed=1)
             reports.append(train(net, cfg, dataset=ds))
         assert reports[0].loss_curve == reports[1].loss_curve
-        for a, b in zip(reports[0].final_params, reports[1].final_params):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(reports[0].ema_params, reports[1].ema_params):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(reports[0].final_params,
+                                      reports[1].final_params)
+        np.testing.assert_array_equal(reports[0].ema_params,
+                                      reports[1].ema_params)
 
     def test_dsm_loss_decreases(self):
         # Point mass at the origin: z = t * eps, so the velocity target z/t is
@@ -192,7 +225,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(0)
         zs = 0.3 * rng.normal(size=(50, 2))
         ts = rng.uniform(0.3, 0.7, 50)
-        pred = np.array([net.evaluate(z, t) for z, t in zip(zs, ts)])
+        pred = net.evaluate_batch(zs, ts)
         target = zs / ts[:, None]
         err = np.mean(np.sum((pred - target) ** 2, axis=1))
         scale = np.mean(np.sum(target**2, axis=1))
@@ -216,7 +249,7 @@ class TestTrainLoop:
         x = region_pts[idx]
         zs = (1 - ts)[:, None] * x + ts[:, None] * rng.normal(size=x.shape)
         scores = oracle.score_batch(zs, ts)
-        target_v = _score_to_kind(VELOCITY, scores, zs, ts)
+        target_v = convert_value(scores, SCORE, VELOCITY, zs, ts)
         pred_v = net.evaluate_batch(zs, ts)
         err = np.mean(np.sum((pred_v - target_v) ** 2, axis=1))
         scale = np.mean(np.sum(target_v**2, axis=1))
@@ -261,7 +294,5 @@ class TestTrainLoop:
         report = train(net, TrainConfig(iterations=50, batch_size=8,
                                         ema_decay=0.0, seed=0), dataset=ds)
         # decay 0 means EMA equals the latest parameters exactly
-        for e, p in zip(report.ema_params, report.final_params):
-            np.testing.assert_array_equal(e, p)
-        assert any(not np.allclose(a, b)
-                   for a, b in zip(init, report.final_params))
+        np.testing.assert_array_equal(report.ema_params, report.final_params)
+        assert not np.allclose(init, report.final_params)
