@@ -27,7 +27,7 @@ from .diagnostics import SUPERVISION, calibrated_l2_values, memorization_ratio, 
 from .empirical import EmpiricalScoreOracle
 from .errors import SulabError, NumericFailureError
 from .experiments import RUNNERS, ExperimentResult, samples_table
-from .geometry import bhattacharyya_overlap, r_star
+from .geometry import bhattacharyya_overlap, rstar_by_t
 from .models import MlpScoreNetwork, OracleField
 from .sampling import SolverConfig, sample
 from .training import TrainConfig, train
@@ -375,6 +375,7 @@ def cmd_diagnose(args) -> int:
     if ema is not None:
         net.set_params(ema)
     solver = SolverConfig()
+    ts = np.linspace(0.05, 0.95, args.grid)
     table = [["metric", "region", "t", "value", "n", "seed"]]
     if args.metric == "supervision-loss":
         oracle = OracleField(EmpiricalScoreOracle(ds))
@@ -383,7 +384,6 @@ def cmd_diagnose(args) -> int:
         table.append(["supervision-loss", SUPERVISION, "all", value, args.n,
                       args.seed])
     elif args.metric == "overlap":
-        ts = np.linspace(0.05, 0.95, args.grid)
         for t in ts:
             value = bhattacharyya_overlap(ds, float(t),
                                           class_filter=args.class_id)
@@ -392,19 +392,14 @@ def cmd_diagnose(args) -> int:
     elif args.metric == "rstar":
         _, trajectories = sample(net, args.n, solver, seed=args.seed,
                                  record=True)
-        ts = np.linspace(0.05, 0.95, args.grid)
-        for t in ts:
-            vals = [r_star(ds, traj.state_at(float(t)), float(t)).r_star
-                    for traj in trajectories]
-            table.append(["rstar", "extrapolation", float(t),
-                          float(np.mean(vals)), args.n, args.seed])
+        for t, vals in rstar_by_t(ds, trajectories, ts):
+            table.append(["rstar", "extrapolation", t, float(np.mean(vals)),
+                          args.n, args.seed])
     else:  # memorization
         samples, _ = sample(net, args.n, solver, seed=args.seed)
         cal = calibrated_l2_values(samples, ds.points,
                                    n=min(args.calibration_n, ds.size))
-        ratio = memorization_ratio(samples, ds.points,
-                                   n=min(args.calibration_n, ds.size),
-                                   threshold=args.threshold)
+        ratio = memorization_ratio(cal, threshold=args.threshold)
         table += [["memorization-ratio", "all", "all", ratio, args.n, args.seed],
                   ["mean-calibrated-l2", "all", "all", float(np.mean(cal)),
                    args.n, args.seed]]

@@ -133,6 +133,17 @@ def make_class_mixture(
     return Dataset(np.vstack(blocks), np.concatenate(labels), name=name)
 
 
+def supervision_draws(ds: Dataset, n: int, rng: RngStream):
+    """(x, eps, labels) for n forward-process draws over ds, drawn from rng:
+    training points x (n, d) with replacement, then noise eps (n, d); labels
+    are a copy of the points' classes, or None. The states z_t = alpha x +
+    sigma eps are the supervision region: the inputs training regresses on.
+    """
+    idx = rng.integers(0, ds.size, n)
+    eps = rng.normal((n, ds.dim))
+    return ds.points[idx], eps, None if ds.labels is None else ds.labels[idx]
+
+
 def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> SubsetPair:
     """Draw nested score/region subsets.
 

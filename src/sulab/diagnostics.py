@@ -4,19 +4,18 @@ supervision loss, conditional/unconditional gap curves, memorization metrics,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, supervision_draws
 from .errors import InvalidArgumentError, RankDeficiencyError
 from .numerics import RngStream
 from .schedule import SCORE, convert_value, forward_process
-from .sampling import SolverConfig, integrate
+from .sampling import SolverConfig, integrate, states_at
 
 SUPERVISION = "supervision"
 EXTRAPOLATION = "extrapolation"
-REGIONS = (SUPERVISION, EXTRAPOLATION)
 
 
 def velocity_weight(t):
@@ -47,7 +46,6 @@ class RegionEstimate:
 class QualityPoint:
     supervision_loss: float
     quality: float
-    tag: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.supervision_loss) and np.isfinite(self.quality)):
@@ -55,38 +53,24 @@ class QualityPoint:
 
 
 def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
-                   seed: int, solver: SolverConfig, labels_for_traj=None):
-    """Per-timestep query batches for a region.
-
-    supervision: z_t = alpha x + sigma eps for n fixed (x, eps) pairs, varied
-    only in timestep. extrapolation: states read along n inference
-    trajectories at the same timesteps (linear interpolation of the recorded
-    states). Returns array of shape (T, n, d) plus per-sample labels or None.
-    """
-    rng = RngStream(seed, stream=1)
-    d = ds.dim
+                   rng: RngStream, solver: SolverConfig, labels_for_traj=None):
+    """Per-timestep query batches (T, n, d) for a region, plus per-sample
+    labels or None: supervision, the forward-process states of n fixed
+    supervision_draws from rng, varied only in timestep; extrapolation, the
+    states at the same timesteps along n inference trajectories of field,
+    integrated as one batch with labels_for_traj, trajectory i starting
+    from the RNG stream (rng.seed, 1000 + i)."""
     if region == SUPERVISION:
-        idx = rng.integers(0, ds.size, n)
-        x = ds.points[idx]
-        eps = rng.normal((n, d))
-        labels = None if ds.labels is None else ds.labels[idx]
+        x, eps, labels = supervision_draws(ds, n, rng)
         return forward_process(x[None], eps[None], ts), labels
     if region != EXTRAPOLATION:
         raise InvalidArgumentError(f"unknown region {region!r}")
     if field is None:
         raise InvalidArgumentError("extrapolation region needs a field for trajectories")
-    return _trajectory_states(field, n, d, ts, seed, solver,
-                              labels_for_traj), labels_for_traj
-
-
-def _trajectory_states(field, n: int, d: int, ts, seed: int,
-                       solver: SolverConfig, labels=None) -> np.ndarray:
-    """States (T, n, d) read at the timesteps ts along n inference
-    trajectories integrated as one batch; trajectory i starts from the RNG
-    stream (seed, 1000 + i)."""
-    z0 = np.stack([RngStream(seed, stream=1000 + i).normal(d) for i in range(n)])
-    _, trajs = integrate(field, z0, solver, record=True, label=labels)
-    return np.stack([[traj.state_at(float(t)) for traj in trajs] for t in ts])
+    z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
+                   for i in range(n)])
+    _, trajs = integrate(field, z0, solver, record=True, label=labels_for_traj)
+    return states_at(trajs, ts), labels_for_traj
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
@@ -112,7 +96,8 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     rng = RngStream(seed, stream=0)
     ts = rng.uniform(t_min, 1.0 - t_min, timesteps)
     solver = solver or SolverConfig()
-    inputs, _ = _region_inputs(region, ds, field, n, ts, seed, solver,
+    inputs, _ = _region_inputs(region, ds, field, n, ts,
+                               RngStream(seed, stream=1), solver,
                                labels_for_traj)
     vals = np.stack([wfun(t) * np.asarray(quantity(inputs[j], float(t)),
                                           dtype=float)
@@ -194,21 +179,10 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
     if np.any((t_grid <= 0.0) | (t_grid >= 1.0)):
         raise InvalidArgumentError("t grid must lie inside (0, 1)")
     rng = RngStream(seed, stream=0)
-    solver = solver or SolverConfig()
-    if region == SUPERVISION:
-        idx = rng.integers(0, ds.size, n)
-        x = ds.points[idx]
-        eps = rng.normal(x.shape)
-        labels = ds.labels[idx]
-        inputs = forward_process(x[None], eps[None], t_grid)
-    elif region == EXTRAPOLATION:
-        if traj_field is None:
-            raise InvalidArgumentError("extrapolation region needs traj_field")
-        labels = rng.integers(0, ds.num_classes, n)
-        inputs = _trajectory_states(traj_field, n, ds.dim, t_grid, seed,
-                                    solver, labels)
-    else:
-        raise InvalidArgumentError(f"unknown region {region!r}")
+    labels = (rng.integers(0, ds.num_classes, n) if region == EXTRAPOLATION
+              else None)
+    inputs, labels = _region_inputs(region, ds, traj_field, n, t_grid, rng,
+                                    solver or SolverConfig(), labels)
     rows = []
     for j, t in enumerate(t_grid):
         gaps = np.linalg.norm(
@@ -242,15 +216,14 @@ def calibrated_l2_values(samples, subset_points, n: int) -> np.ndarray:
                      where=denom != 0.0)
 
 
-def memorization_ratio(samples, subset_points, n: int, threshold: float = 1 / 3) -> float:
-    """Fraction of samples whose calibrated l2 falls below the threshold."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.shape[0] == 0:
+def memorization_ratio(values, threshold: float = 1 / 3) -> float:
+    """Fraction of calibrated_l2_values output below the threshold."""
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
         raise InvalidArgumentError("empty samples")
     if not (0.0 < threshold < 1.0):
         raise InvalidArgumentError("threshold must lie in (0, 1)")
-    vals = calibrated_l2_values(samples, subset_points, n)
-    return float(np.mean(vals < threshold))
+    return float(np.mean(values < threshold))
 
 
 def regress_to_origin_ratio(pairs, dataset_points) -> float:

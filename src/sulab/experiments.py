@@ -13,13 +13,13 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .data import Dataset, make_class_mixture, make_gaussian_dataset, \
-    make_pat_toy_dataset, split_score_region
+    make_pat_toy_dataset, split_score_region, supervision_draws
 from .diagnostics import EXTRAPOLATION, SUPERVISION, calibrated_l2_values, \
-    cfg_gap_curve, memorization_ratio, pat_quality, regress_to_origin_ratio, \
-    score_error, supervision_loss, fit_quality_line, QualityPoint
+    cfg_gap_curve, pat_quality, regress_to_origin_ratio, score_error, \
+    supervision_loss, fit_quality_line, QualityPoint
 from .empirical import EmpiricalScoreOracle
 from .errors import InvalidArgumentError
-from .geometry import bhattacharyya_overlap, r_star
+from .geometry import bhattacharyya_overlap, rstar_by_t
 from .models import GaussianGroundTruthField, IDENTITY, MlpScoreNetwork, \
     OracleField, POLAR, RADIAL_EQUIVARIANT, fit_krr_denoiser_field
 from .numerics import RngStream, sliced_wasserstein
@@ -253,10 +253,7 @@ def run_cfg_gap(cfg: dict) -> ExperimentResult:
                 rows.append([source, region, t, med, p10, p90])
     # reference scale: mean supervision-region oracle score norm per timestep
     norm_rows = []
-    rng = RngStream(seed, stream=5)
-    idx = rng.integers(0, ds.size, diag["n"])
-    x = ds.points[idx]
-    eps = rng.normal(x.shape)
+    x, eps, _ = supervision_draws(ds, diag["n"], RngStream(seed, stream=5))
     for t in t_grid:
         zs = forward_process(x, eps, t)
         norms = np.linalg.norm(uncond_oracle.score_batch(zs, float(t)), axis=1)
@@ -306,14 +303,9 @@ def run_rstar_profile(cfg: dict) -> ExperimentResult:
     solver = build_solver(cfg["solver"])
     _, trajectories = sample(field, cfg["n_samples"], solver, seed=seed,
                              record=True)
-    t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    rows = []
-    for t in t_grid:
-        vals = np.array([r_star(ds, traj.state_at(float(t)), float(t)).r_star
-                         for traj in trajectories])
-        rows.append([float(t), float(np.mean(vals)),
-                     float(np.percentile(vals, 10)),
-                     float(np.percentile(vals, 90))])
+    rows = [[t, float(np.mean(vals)), float(np.percentile(vals, 10)),
+             float(np.percentile(vals, 90))]
+            for t, vals in rstar_by_t(ds, trajectories, cfg["t_grid"])]
     return ExperimentResult(
         tables={"rstar_profile":
                 [["t", "mean_normalized_rstar", "p10", "p90"], *rows]})
@@ -362,7 +354,7 @@ def run_scaling_line(cfg: dict) -> ExperimentResult:
                                 timesteps=diag["timesteps"], seed=seed)
         samples, _ = sample(model, cfg["n_samples"], solver, seed=seed + 2)
         quality = sliced_wasserstein(samples, reference, seed=seed)
-        points.append(QualityPoint(loss, quality, tag=f"width{width}"))
+        points.append(QualityPoint(loss, quality))
         rows.append([width, loss, quality])
         result.checkpoints[f"model_width{width}"] = (net, report.ema_params)
     slope, intercept, rms = fit_quality_line(points)

@@ -9,47 +9,66 @@ import numpy as np
 
 from .data import Dataset
 from .errors import InvalidArgumentError, SingularTimeError
+from .sampling import states_at
 from .schedule import alpha_sigma
+
+
+# r_star and shell membership take rows in blocks whose (rows, N, d) difference
+# array holds at most this many elements (512 KB, so the passes over it stay
+# in cache), or one row's (N, d) when larger
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
 class RStar:
-    r_star: float
-    i_star: int
+    r_star: float | np.ndarray  # arrays of shape (B,) for a batch of states
+    i_star: int | np.ndarray
 
 
 def in_supervision_region_batch(ds: Dataset, zs: np.ndarray, t, delta: float) -> np.ndarray:
     """Membership flags in the union of shells, with dist_i = |z - alpha x_i|,
     |dist_i - sigma sqrt(d)| <= sigma sqrt(d log(1/delta)),
-    for a batch of queries at scalar or per-row t."""
+    for a batch of queries at scalar or per-row t. Divided by sigma sqrt(d),
+    that is |r_star - 1| <= sqrt(log(1/delta))."""
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError("delta must lie in (0, 1)")
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
     ts = np.broadcast_to(np.asarray(t, dtype=float), (zs.shape[0],))
     out = np.empty(zs.shape[0], dtype=bool)
-    d = ds.dim
-    log_term = np.sqrt(d * np.log(1.0 / delta))
     for tv in np.unique(ts):
         rows = np.flatnonzero(ts == tv)
-        a, s = map(float, alpha_sigma(tv))
-        if s <= 0.0:
-            raise SingularTimeError("t=0")
-        dist = np.linalg.norm(zs[rows][:, None, :] - a * ds.points[None, :, :], axis=2)
-        res = np.abs(dist - s * np.sqrt(d)).min(axis=1)
-        out[rows] = res <= s * log_term
+        out[rows] = (np.abs(r_star(ds, zs[rows], tv).r_star - 1.0)
+                     <= np.sqrt(np.log(1.0 / delta)))
     return out
 
 
 def r_star(ds: Dataset, z, t: float) -> RStar:
     """Nearest-shell-normalized deviation: r_i = |z - alpha x_i| / (sigma sqrt(d)),
-    r_star = r at the index whose r is closest to 1 (ties to lowest index)."""
+    r_star = r at the index whose r is closest to 1 (ties to lowest index).
+
+    z is one state (d,), giving a float and an int, or a batch (B, d), giving
+    arrays (B,)."""
     z = np.asarray(z, dtype=float)
     a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError(f"r_star undefined at t={t} (sigma=0)")
-    r = np.linalg.norm(z[None, :] - a * ds.points, axis=1) / (s * np.sqrt(ds.dim))
-    i = int(np.argmin(np.abs(r - 1.0)))
-    return RStar(float(r[i]), i)
+    zs = np.atleast_2d(z)
+    centers = a * ds.points
+    block = max(1, _BLOCK_ELEMENTS // centers.size)
+    # the Euclidean norm as np.linalg.norm sums it, without its copy of diff
+    r = np.concatenate([
+        np.sqrt(np.add.reduce(np.square(zs[k:k + block, None, :] - centers),
+                              axis=2)) for k in range(0, zs.shape[0], block)])
+    r /= s * np.sqrt(ds.dim)
+    i = np.argmin(np.abs(r - 1.0), axis=1)
+    r = r[np.arange(zs.shape[0]), i]
+    return RStar(float(r[0]), int(i[0])) if z.ndim == 1 else RStar(r, i)
+
+
+def rstar_by_t(ds: Dataset, trajs, t_grid) -> list:
+    """(t, r* (B,) of every recorded trajectory's state at t) for each t."""
+    return [(float(t), r_star(ds, zs, float(t)).r_star)
+            for t, zs in zip(t_grid, states_at(trajs, t_grid))]
 
 
 def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None) -> float:

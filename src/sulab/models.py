@@ -4,8 +4,8 @@ MlpScoreNetwork is a small fully-connected net with hand-written exact
 backpropagation (no autodiff dependency), smooth GELU activations, sinusoidal
 time features, an optional trainable class embedding with a null-class token,
 and three input maps: identity, polar, and radial-equivariant. The KRR
-denoiser fits a Gaussian-kernel ridge regression from noisy features to clean
-targets. Both (plus oracle and analytic wrappers) share the ScoreField
+score field fits a Gaussian-kernel ridge regression from noisy features to
+clean targets. Both (plus oracle and analytic wrappers) share the ScoreField
 interface: evaluate_batch(zs, ts, labels) -> predictions in prediction_kind.
 """
 
@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import erf
 
-from .data import Dataset
+from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
 from .numerics import RngStream, cholesky_solve
 from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
@@ -314,34 +314,6 @@ def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
     return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
-class KrrDenoiser:
-    """Gaussian-kernel ridge regression from noisy features to clean targets."""
-
-    def __init__(self, inputs, gamma: float, coeffs):
-        self.inputs = np.asarray(inputs, dtype=float)
-        self.gamma = float(gamma)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def predict_batch(self, queries) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        if queries.shape[1] != self.inputs.shape[1]:
-            raise InvalidArgumentError("query dimension mismatch")
-        return _gaussian_kernel(queries, self.inputs, self.gamma) @ self.coeffs
-
-
-def krr_fit(features, targets, gamma: float, ridge: float) -> KrrDenoiser:
-    """Solve (K + ridge I) C = targets with k(a, b) = exp(-gamma |a-b|^2)."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    targets = np.atleast_2d(np.asarray(targets, dtype=float))
-    if features.shape[0] != targets.shape[0] or features.shape[0] < 1:
-        raise InvalidArgumentError("need matching, nonempty features and targets")
-    if gamma <= 0 or ridge < 0:
-        raise InvalidArgumentError("gamma must be > 0 and ridge >= 0")
-    k = (_gaussian_kernel(features, features, float(gamma))
-         + ridge * np.eye(features.shape[0]))
-    return KrrDenoiser(features, gamma, cholesky_solve(k, targets))
-
-
 # -- ScoreField wrappers ----------------------------------------------------
 
 
@@ -373,21 +345,33 @@ class GaussianGroundTruthField:
 
 
 class KrrScoreField:
-    """ScoreField facade over a KRR denoiser (x-prediction parameterization).
+    """Gaussian-kernel ridge regression from noisy states to clean points, as
+    a ScoreField (x-prediction parameterization).
 
-    Features are input_map(z) with t appended, scaled by time_scale.
+    Features are input_map(z) with t appended, scaled by time_scale. The
+    coefficients C solve (K + ridge I) C = targets over the features of the
+    training states zs at ts, with k(a, b) = exp(-gamma |a - b|^2).
     """
 
     prediction_kind = XPRED
 
-    def __init__(self, denoiser: KrrDenoiser, input_map: str = IDENTITY,
-                 time_scale: float = 1.0, dim: int = 2):
+    def __init__(self, zs, ts, targets, gamma: float, ridge: float,
+                 input_map: str = IDENTITY, time_scale: float = 1.0):
         if input_map not in (IDENTITY, POLAR):
             raise InvalidArgumentError("KRR field supports identity or polar features")
-        self.denoiser = denoiser
         self.input_map = input_map
         self.time_scale = float(time_scale)
-        self.dim = dim
+        self.inputs = self.features(zs, ts)
+        self.dim = np.shape(zs)[-1]
+        targets = np.atleast_2d(np.asarray(targets, dtype=float))
+        if self.inputs.shape[0] != targets.shape[0] or targets.shape[0] < 1:
+            raise InvalidArgumentError("need matching, nonempty features and targets")
+        if gamma <= 0 or ridge < 0:
+            raise InvalidArgumentError("gamma must be > 0 and ridge >= 0")
+        self.gamma = float(gamma)
+        k = (_gaussian_kernel(self.inputs, self.inputs, self.gamma)
+             + ridge * np.eye(self.inputs.shape[0]))
+        self.coeffs = cholesky_solve(k, targets)
 
     def features(self, zs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
@@ -396,7 +380,10 @@ class KrrScoreField:
         return np.concatenate([zf, (self.time_scale * ts)[:, None]], axis=1)
 
     def evaluate_batch(self, zs, ts, labels=None):
-        return self.denoiser.predict_batch(self.features(zs, ts))
+        queries = self.features(zs, ts)
+        if queries.shape[1] != self.inputs.shape[1]:
+            raise InvalidArgumentError("query dimension mismatch")
+        return _gaussian_kernel(queries, self.inputs, self.gamma) @ self.coeffs
 
 
 def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float,
@@ -411,15 +398,9 @@ def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float
     if n_draws < 1:
         raise InvalidArgumentError("n_draws must be >= 1")
     rng = RngStream(seed, stream=0)
-    idx = rng.integers(0, ds.size, n_draws)
-    eps = rng.normal((n_draws, ds.dim))
+    x, eps, _ = supervision_draws(ds, n_draws, rng)
     # stratified t: one per draw, jittered within equal bins
     bins = (np.arange(n_draws) + rng.uniform(size=n_draws)) / n_draws
     ts = t_min + (1.0 - 2.0 * t_min) * bins
-    x = ds.points[idx]
-    zs = forward_process(x, eps, ts)
-    # the features do not depend on the denoiser, which is fitted on them
-    field = KrrScoreField(None, input_map=input_map, time_scale=time_scale,
-                          dim=ds.dim)
-    field.denoiser = krr_fit(field.features(zs, ts), x, gamma, ridge)
-    return field
+    return KrrScoreField(forward_process(x, eps, ts), ts, x, gamma, ridge,
+                         input_map=input_map, time_scale=time_scale)

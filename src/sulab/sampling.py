@@ -9,7 +9,7 @@ conversions are singular at t in {0, 1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,37 +72,63 @@ class SolverConfig:
         return float(start), float(end)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Accepted integration states in strictly decreasing t order."""
+    """One row's accepted states in strictly decreasing t order: views into
+    the TrajectoryRecord of its integrate call."""
 
-    times: list = dc_field(default_factory=list)
-    states: list = dc_field(default_factory=list)
+    times: np.ndarray   # (n,)
+    states: np.ndarray  # (n, d)
     accepted: int = 0
     rejected: int = 0
 
-    def append(self, t: float, z: np.ndarray) -> None:
-        self.times.append(float(t))
-        self.states.append(np.array(z, dtype=float))
-
-    def __iter__(self):
-        return iter(zip(self.times, self.states))
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.array([0, self.times.size])  # a record of this one row
 
     def __len__(self):
-        return len(self.times)
+        return self.times.size
 
     def state_at(self, t: float) -> np.ndarray:
-        """Linear interpolation between recorded states (t inside the span)."""
-        ts = np.asarray(self.times)
-        if t >= ts[0]:
-            return self.states[0]
-        if t <= ts[-1]:
-            return self.states[-1]
-        # times are strictly decreasing
-        j = int(np.searchsorted(-ts, -t, side="left"))
-        t_hi, t_lo = ts[j - 1], ts[j]
-        w = (t - t_lo) / (t_hi - t_lo)
-        return w * self.states[j - 1] + (1.0 - w) * self.states[j]
+        """The state at t, read as states_at reads it."""
+        return states_at(self, [t])[0, 0]
+
+
+class TrajectoryRecord(list):
+    """The Trajectory of each row of one integrate call, with the packed
+    arrays they are views into: row i holds times[offsets[i]:offsets[i + 1]],
+    strictly decreasing, and the matching rows of states."""
+
+    def __init__(self, chunks, accepted, rejected):
+        """Pack the (rows, t, z) chunks, one per accepted step, row by row."""
+        rows, times, states = map(np.concatenate, zip(*chunks))
+        order = np.argsort(rows, kind="stable")
+        self.times, self.states = times[order], states[order]
+        self.offsets = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=len(accepted)))])
+        cuts = self.offsets[1:-1]
+        super().__init__(map(Trajectory, np.split(self.times, cuts),
+                             np.split(self.states, cuts), accepted.tolist(),
+                             rejected.tolist()))
+
+
+def states_at(trajs, ts) -> np.ndarray:
+    """States (T, B, d) read at the times ts along every row of a
+    TrajectoryRecord (or along one Trajectory): linear interpolation between
+    the two recorded states around t, clamped to the first state for t at or
+    above a row's span and to the last for t at or below it. Every row holds
+    at least two states, as integrate records them."""
+    ts = np.asarray(ts, dtype=float)[:, None]
+    times, states = trajs.times, trajs.states
+    first, last = trajs.offsets[:-1], trajs.offsets[1:] - 1
+    # times strictly decrease along a row, so j - first counts those above t
+    above = np.add.reduceat(times > ts, first, axis=1, dtype=np.intp)
+    j = np.minimum(np.maximum(first + above, first + 1), last)
+    i = j - 1
+    w = ((ts - times[j]) / (times[i] - times[j]))[..., None]
+    out = w * states[i] + (1.0 - w) * states[j]
+    out = np.where((ts <= times[last])[..., None], states[last], out)
+    return np.where((ts >= times[first])[..., None], states[first], out)
 
 
 def velocity_fn(score_field, label=None):
@@ -127,7 +153,7 @@ def _check_finite(z: np.ndarray, rows: np.ndarray, iterations: np.ndarray) -> No
     if bad.size:
         i = int(bad[0])
         raise NumericFailureError(
-            f"sample {rows[i]}: non-finite state during integration",
+            f"sample {rows[i]}: non-finite value during integration",
             iteration=int(iterations[i]), state=z[i])
 
 
@@ -139,9 +165,13 @@ def _error_ratio(err: np.ndarray, z: np.ndarray, z_new: np.ndarray,
 
 def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
                   atol: float, rtol: float) -> np.ndarray:
-    # Hairer-style heuristic, adapted for decreasing t; one step per row.
+    # Hairer-style heuristic, adapted for decreasing t; one step per row. A
+    # row whose derivative difference overflows gets h = 0, which the solver
+    # reports as that row's failure.
+    every = np.arange(z0.shape[0])
     sc = atol + rtol * np.abs(z0)
     f0 = v(z0, t0)
+    _check_finite(f0, every, np.zeros_like(every))
     d0 = np.max(np.abs(z0) / sc, axis=1)
     d1 = np.max(np.abs(f0) / sc, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,8 +179,9 @@ def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
     h0 = np.minimum(h0, 0.1 * span)
     z1 = z0 - h0[:, None] * f0
     f1 = v(z1, t0 - h0)
-    d12 = np.maximum(d1, np.max(np.abs(f1 - f0) / sc, axis=1) / h0)
-    with np.errstate(divide="ignore"):
+    _check_finite(f1, every, np.zeros_like(every))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d12 = np.maximum(d1, np.max(np.abs(f1 - f0) / sc, axis=1) / h0)
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / d12) ** 0.2)
     return np.minimum(np.minimum(100 * h0, h1), span)
@@ -161,8 +192,8 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
     """Integrate the probability-flow ODE for a batch of states z_init (B, d)
     down from t_start to t_end; label is None, shared, or one per row.
 
-    Returns (z_final (B, d), one Trajectory per row or None). A non-finite
-    state raises NumericFailureError naming its row.
+    Returns (z_final (B, d), a TrajectoryRecord of the B rows or None). A
+    non-finite state raises NumericFailureError naming its row.
     """
     z = np.array(z_init, dtype=float)
     if z.ndim != 2:
@@ -172,11 +203,11 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
     n = z.shape[0]
     every = np.arange(n)
     t = np.full(n, t_start)
-    trajs = [Trajectory() for _ in range(n)] if record else None
-    _record(trajs, every, t, z)
+    # one (rows, t, z) chunk per accepted step, packed at the end
+    chunks = [(every, t.copy(), z.copy())] if record else None
 
     if cfg.kind == ADAPTIVE_RK45:
-        z = _integrate_dopri5(v, z, t, t_end, cfg, trajs)
+        z, accepted, rejected = _integrate_dopri5(v, z, t, t_end, cfg, chunks)
     else:
         hs = (t_start - t_end) / cfg.fixed_steps
         for k in range(cfg.fixed_steps):
@@ -190,22 +221,18 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
             t = np.full(n, t_end if k == cfg.fixed_steps - 1
                         else t_start - (k + 1) * hs)
             _check_finite(z, every, np.full(n, k))
-            _record(trajs, every, t, z)
-        for traj in trajs or ():
-            traj.accepted = cfg.fixed_steps
-    return z, trajs
+            if chunks is not None:
+                chunks.append((every, t, z))
+        accepted, rejected = np.full(n, cfg.fixed_steps), np.zeros(n, dtype=int)
+    return z, TrajectoryRecord(chunks, accepted, rejected) if record else None
 
 
-def _record(trajs, rows, t: np.ndarray, z: np.ndarray) -> None:
-    if trajs is not None:
-        for r in rows:
-            trajs[r].append(t[r], z[r])
-
-
-def _integrate_dopri5(v, z, t, t_end, cfg, trajs):
+def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
     """Dormand-Prince 5(4) with t, h and the step counts kept per row. Each
     stage evaluates the field once, over the rows still short of t_end, so
-    every row takes the step sequence it would take on its own."""
+    every row takes the step sequence it would take on its own. A row whose
+    step falls below 10x the float spacing at its t fails, as in scipy's RK45.
+    Returns (z, accepted, rejected) with the counts per row."""
     n = z.shape[0]
     h = _initial_step(v, z, t, t[0] - t_end, cfg.atol, cfg.rtol)
     steps = np.zeros(n, dtype=np.int64)
@@ -218,6 +245,13 @@ def _integrate_dopri5(v, z, t, t_end, cfg, trajs):
             raise DivergenceError(
                 f"sample {r}: max steps ({cfg.max_steps}) exceeded at t={t[r]}",
                 iteration=int(steps[r]), state=z[r])
+        min_step = 10 * np.abs(np.nextafter(t[rows], -np.inf) - t[rows])
+        tiny = rows[~(h[rows] >= min_step)]  # a nan step fails too
+        if tiny.size:
+            r = int(tiny[0])
+            raise NumericFailureError(
+                f"sample {r}: step size {h[r]} below 10x the float spacing "
+                f"at t={t[r]}", iteration=int(steps[r]), state=z[r])
         steps[rows] += 1
         tr, zr = t[rows], z[rows]
         hr = np.minimum(h[rows], tr - t_end)
@@ -238,15 +272,13 @@ def _integrate_dopri5(v, z, t, t_end, cfg, trajs):
         t[done] = np.where(last[ok], t_end, tr[ok] - hr[ok])
         z[done] = z5[ok]
         accepted[done] += 1
-        _record(trajs, done, t, z)
+        if chunks is not None:
+            chunks.append((done, t[done], z[done]))
         with np.errstate(divide="ignore"):
             factor = np.where(ratio > 0, _SAFETY * (1.0 / ratio) ** 0.2, _GROW)
         h[rows] = hr * np.minimum(_GROW, np.maximum(_SHRINK, factor))
         rows = rows[t[rows] > t_end]
-    for r, traj in enumerate(trajs or ()):
-        traj.accepted = int(accepted[r])
-        traj.rejected = int(steps[r] - accepted[r])
-    return z
+    return z, accepted, steps - accepted
 
 
 def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 0,

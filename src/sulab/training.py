@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .data import Dataset, SubsetPair
+from .data import Dataset, SubsetPair, supervision_draws
 from .empirical import EmpiricalScoreOracle, mixture_weights
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
@@ -104,12 +104,11 @@ def ema_update(ema_params: np.ndarray, params: np.ndarray,
     return ema_params
 
 
-def _batch_labels(ds: Dataset, idx: np.ndarray, cfg: TrainConfig, rng: RngStream):
-    if ds.labels is None:
+def _batch_labels(ds: Dataset, lab, cfg: TrainConfig, rng: RngStream):
+    if lab is None:
         return None
-    lab = ds.labels[idx].copy()
     if cfg.class_dropout > 0.0:
-        drop = rng.uniform(size=len(idx)) < cfg.class_dropout
+        drop = rng.uniform(size=len(lab)) < cfg.class_dropout
         lab[drop] = ds.num_classes  # null token
     return lab
 
@@ -128,12 +127,10 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
     regresses the net onto target(kind, x, eps, zs, ts, rng), which may draw
     last. Adam then updates the flat parameters, and the EMA follows.
     """
-    idx = rng.integers(0, ds.size, cfg.batch_size)
-    x = ds.points[idx]
-    eps = rng.normal(x.shape)
+    x, eps, lab = supervision_draws(ds, cfg.batch_size, rng)
     ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
     zs = forward_process(x, eps, ts)
-    lab = _batch_labels(ds, idx, cfg, rng)
+    lab = _batch_labels(ds, lab, cfg, rng)
     targets = target(net.prediction_kind, x, eps, zs, ts, rng)
     loss, grads = net.loss_and_grads(zs, ts, targets, lab)
     if not np.isfinite(loss):
@@ -158,8 +155,7 @@ def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
 class TrainReport:
     loss_curve: list = dc_field(default_factory=list)   # (iteration, loss)
     eval_records: list = dc_field(default_factory=list)  # (iteration, name, value)
-    final_params: np.ndarray | None = None  # flat vectors, as clone_params gives
-    ema_params: np.ndarray | None = None
+    ema_params: np.ndarray | None = None  # flat vector, as clone_params gives
 
 
 def ema_network(net: MlpScoreNetwork, ema_params: np.ndarray) -> MlpScoreNetwork:
@@ -222,6 +218,5 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
         report.loss_curve.append((it, loss))
         if cfg.eval_interval > 0 and it % cfg.eval_interval == 0:
             run_hooks(it)
-    report.final_params = net.clone_params()
     report.ema_params = ema
     return report

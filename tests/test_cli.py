@@ -297,6 +297,31 @@ class TestTrainSampleDiagnose:
             val = line.split(",")[3]
             assert np.isfinite(float(val))
 
+    def test_memorization_computes_distances_once(self, trained, capsys,
+                                                  monkeypatch):
+        from sulab import diagnostics
+        ckpt, ds_path, _ = trained
+        calls = []
+        real = diagnostics.calibrated_l2_values
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "calibrated_l2_values", counted)
+        monkeypatch.setattr(diagnostics, "calibrated_l2_values", counted)
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "memorization",
+                        "--n", "5", "--calibration-n", "4"]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "-0.2"])
+    def test_memorization_threshold_outside_unit_interval_exits_2(
+            self, trained, capsys, threshold):
+        ckpt, ds_path, _ = trained
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "memorization",
+                        "--n", "5", "--threshold", threshold]) == 2
+        assert "threshold" in capsys.readouterr().err
+
     def test_diagnose_to_file(self, trained, capsys):
         ckpt, ds_path, tmp_path = trained
         out = tmp_path / "diag.csv"

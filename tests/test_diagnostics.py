@@ -201,14 +201,14 @@ class TestMemorization:
         pts = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
         samples = np.array([[0.01, 0.0],   # essentially on a point -> below
                             [5.0, 5.0]])   # equidistant -> ratio 1 -> above
-        assert memorization_ratio(samples, pts, 4) == pytest.approx(0.5)
+        values = calibrated_l2_values(samples, pts, 4)
+        assert memorization_ratio(values) == pytest.approx(0.5)
 
     def test_memorization_ratio_validation(self):
-        pts = np.zeros((2, 1))
         with pytest.raises(InvalidArgumentError):
-            memorization_ratio(np.zeros((0, 1)), pts, 1)
+            memorization_ratio(np.zeros(0))
         with pytest.raises(InvalidArgumentError):
-            memorization_ratio(np.zeros((1, 1)), pts, 1, threshold=1.0)
+            memorization_ratio(np.zeros(1), threshold=1.0)
 
     def test_calibrated_values_vectorized(self):
         pts = np.random.default_rng(0).normal(size=(6, 2))

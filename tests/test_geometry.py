@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sulab import geometry
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.errors import InvalidArgumentError, SingularTimeError
 from sulab.geometry import (bhattacharyya_overlap,
                             in_supervision_region_batch, r_star)
 from sulab.numerics import RngStream
-from sulab.sampling import Trajectory
+from sulab.models import GaussianGroundTruthField
+from sulab.sampling import SolverConfig, integrate, states_at
 
 
 class TestSupervisionRegion:
@@ -97,14 +99,37 @@ class TestRStar:
         assert r_star(ds, z, t).i_star == 1
 
     def test_profile_runs_over_trajectory(self):
-        # r* read along a recorded trajectory, as rstar-profile does
+        # r* read along recorded trajectories, as rstar-profile does
         ds = make_gaussian_dataset(3, 4, seed=1)
-        traj = Trajectory()
-        traj.append(0.9, np.zeros(3))
-        traj.append(0.5, np.ones(3))
-        prof = [(t, r_star(ds, z, t).r_star) for t, z in traj]
-        assert len(prof) == 2 and prof[0][0] == 0.9
-        assert prof[1][1] == r_star(ds, traj.state_at(0.5), 0.5).r_star
+        _, trajs = integrate(GaussianGroundTruthField(3), np.eye(3),
+                             SolverConfig(), record=True)
+        ts = [0.9, 0.5]
+        for t, zs in zip(ts, states_at(trajs, ts)):
+            batch = r_star(ds, zs, t)
+            for b, traj in enumerate(trajs):
+                one = r_star(ds, traj.state_at(t), t)
+                assert (batch.r_star[b], batch.i_star[b]) == (one.r_star,
+                                                              one.i_star)
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_batch_matches_single_states_bitwise(self, monkeypatch, block):
+        ds = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0],
+                               [0.0, 3.0]]))
+        t = 0.5
+        zs = np.concatenate([
+            RngStream(2, 0).normal((7, 2)),
+            # equidistant from points 0, 1 and 2: the tie goes to index 0
+            [[0.0, 0.4], [0.0, -2.0]]])
+        if block is not None:  # rows per block
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", block * ds.points.size)
+        batch = r_star(ds, zs, t)
+        assert batch.r_star.shape == batch.i_star.shape == (9,)
+        for b, z in enumerate(zs):
+            one = r_star(ds, z, t)
+            assert type(one.r_star) is float and type(one.i_star) is int
+            assert batch.r_star[b] == one.r_star
+            assert batch.i_star[b] == one.i_star
+        assert batch.i_star[7] == 0 and batch.i_star[8] == 0
 
 
 class TestBhattacharyyaOverlap:

@@ -6,7 +6,7 @@ from sulab.errors import FormatError, InvalidArgumentError, RankDeficiencyError
 from sulab.models import (GaussianGroundTruthField, IDENTITY, KrrScoreField,
                           MlpScoreNetwork, OracleField, POLAR,
                           RADIAL_EQUIVARIANT, _polar_features_batch,
-                          fit_krr_denoiser_field, krr_fit)
+                          fit_krr_denoiser_field)
 from sulab.empirical import EmpiricalScoreOracle
 from sulab.numerics import RngStream
 from sulab.schedule import SCORE, VELOCITY, XPRED
@@ -227,26 +227,27 @@ class TestKrr:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 2))
         y = rng.normal(size=(20, 2))
-        den = krr_fit(x, y, gamma=1.0, ridge=1e-12)
-        np.testing.assert_allclose(den.predict_batch(x), y, atol=1e-6)
+        # t = 0 appends a zero feature, so the kernel is the one over x alone
+        field = KrrScoreField(x, 0.0, y, gamma=1.0, ridge=1e-12)
+        np.testing.assert_allclose(field.evaluate_batch(x, 0.0), y, atol=1e-6)
 
     def test_residual_small_on_fit(self):
         # the coefficients solve (K + ridge I) C = Y
         rng = np.random.default_rng(1)
         x = rng.normal(size=(15, 3))
         y = rng.normal(size=(15, 1))
-        den = krr_fit(x, y, gamma=0.5, ridge=1e-10)
+        field = KrrScoreField(x, 0.0, y, gamma=0.5, ridge=1e-10)
         sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
         k = np.exp(-0.5 * sq) + 1e-10 * np.eye(15)
-        assert np.linalg.norm(k @ den.coeffs - y) / np.linalg.norm(y) < 1e-6
+        assert np.linalg.norm(k @ field.coeffs - y) / np.linalg.norm(y) < 1e-6
 
     def test_duplicate_inputs_need_ridge(self):
         x = np.zeros((3, 2))
         y = np.ones((3, 1))
         with pytest.raises(RankDeficiencyError):
-            krr_fit(x, y, gamma=1.0, ridge=0.0)
-        den = krr_fit(x, y, gamma=1.0, ridge=1e-6)
-        assert np.all(np.isfinite(den.coeffs))
+            KrrScoreField(x, 0.0, y, gamma=1.0, ridge=0.0)
+        field = KrrScoreField(x, 0.0, y, gamma=1.0, ridge=1e-6)
+        assert np.all(np.isfinite(field.coeffs))
 
     def test_field_wraps_denoiser_as_xpred(self):
         ds = make_pat_toy_dataset()

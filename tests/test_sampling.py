@@ -8,7 +8,7 @@ from sulab.errors import (DivergenceError, InvalidArgumentError,
 from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.sampling import (ADAPTIVE_RK45, FIXED_EULER, FIXED_HEUN,
                             SolverConfig, denoise_from, integrate, sample,
-                            velocity_fn)
+                            states_at, velocity_fn)
 from sulab.schedule import VELOCITY
 
 
@@ -144,6 +144,55 @@ class TestTrajectory:
         np.testing.assert_array_equal(traj.state_at(0.05), traj.states[-1])
 
 
+    @staticmethod
+    def _record(kind=ADAPTIVE_RK45):
+        # rows of different scale take different step sequences
+        z0 = np.random.default_rng(4).normal(size=(5, 2)) * np.array(
+            [[1e-3], [0.1], [1.0], [10.0], [1e3]])
+        cfg = SolverConfig(kind=kind, atol=1e-9, rtol=1e-7, t_start=0.9,
+                           t_end=0.1, fixed_steps=7)
+        return integrate(GaussianGroundTruthField(2), z0, cfg, record=True)[1]
+
+    @pytest.mark.parametrize("kind", [ADAPTIVE_RK45, FIXED_HEUN])
+    def test_packed_record_layout(self, kind):
+        trajs = self._record(kind)
+        lengths = [len(traj) for traj in trajs]
+        assert len(trajs) == 5
+        np.testing.assert_array_equal(trajs.offsets,
+                                      np.concatenate([[0], np.cumsum(lengths)]))
+        assert trajs.times.shape == (trajs.offsets[-1],)
+        assert trajs.states.shape == (trajs.offsets[-1], 2)
+        for traj in trajs:
+            assert np.shares_memory(traj.times, trajs.times)
+            assert np.shares_memory(traj.states, trajs.states)
+            assert traj.times[0] == 0.9 and traj.times[-1] == 0.1
+            assert np.all(np.diff(traj.times) < 0)
+            assert len(traj) == traj.accepted + 1
+        if kind == ADAPTIVE_RK45:
+            assert len(set(lengths)) > 1
+
+    def test_states_at_matches_interpolation_definition(self):
+        trajs = self._record()
+        # outside the span at both ends, on its ends, on recorded times, between
+        ts = [0.95, 0.9, 0.1, 0.05, 0.5, 0.3, float(trajs[2].times[3]),
+              float(trajs[0].times[-2])]
+        got = states_at(trajs, ts)
+        assert got.shape == (len(ts), 5, 2)
+        for b, traj in enumerate(trajs):
+            times, states = list(traj.times), traj.states
+            for k, t in enumerate(ts):
+                if t >= times[0]:
+                    want = states[0]
+                elif t <= times[-1]:
+                    want = states[-1]
+                else:
+                    j = next(i for i, ti in enumerate(times) if ti <= t)
+                    w = (t - times[j]) / (times[j - 1] - times[j])
+                    want = w * states[j - 1] + (1.0 - w) * states[j]
+                np.testing.assert_array_equal(got[k, b], want)
+                np.testing.assert_array_equal(traj.state_at(t), want)
+
+
 class TestFailures:
     def test_non_finite_state_raises(self):
         with pytest.raises(NumericFailureError):
@@ -176,7 +225,7 @@ class TestBatchedIntegration:
         for i in range(7):
             z, (traj,) = integrate(field, z0[i:i + 1], cfg, record=True)
             np.testing.assert_array_equal(zs[i], z[0])
-            assert trajs[i].times == traj.times
+            np.testing.assert_array_equal(trajs[i].times, traj.times)
             assert (trajs[i].accepted, trajs[i].rejected) == (traj.accepted, traj.rejected)
 
     def test_oracle_and_mlp_rows_match_single_runs(self):

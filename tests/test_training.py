@@ -192,13 +192,12 @@ class TestTrainLoop:
     def test_deterministic_given_seed(self):
         ds = make_gaussian_dataset(3, 16, seed=0)
         cfg = TrainConfig(iterations=20, batch_size=8, seed=5)
-        reports = []
+        reports, nets = [], []
         for _ in range(2):
-            net = MlpScoreNetwork(3, width=8, hidden_layers=2, seed=1)
-            reports.append(train(net, cfg, dataset=ds))
+            nets.append(MlpScoreNetwork(3, width=8, hidden_layers=2, seed=1))
+            reports.append(train(nets[-1], cfg, dataset=ds))
         assert reports[0].loss_curve == reports[1].loss_curve
-        np.testing.assert_array_equal(reports[0].final_params,
-                                      reports[1].final_params)
+        np.testing.assert_array_equal(nets[0].flat, nets[1].flat)
         np.testing.assert_array_equal(reports[0].ema_params,
                                       reports[1].ema_params)
 
@@ -294,5 +293,5 @@ class TestTrainLoop:
         report = train(net, TrainConfig(iterations=50, batch_size=8,
                                         ema_decay=0.0, seed=0), dataset=ds)
         # decay 0 means EMA equals the latest parameters exactly
-        np.testing.assert_array_equal(report.ema_params, report.final_params)
-        assert not np.allclose(init, report.final_params)
+        np.testing.assert_array_equal(report.ema_params, net.flat)
+        assert not np.allclose(init, net.flat)
