@@ -26,7 +26,7 @@ from .diagnostics import SUPERVISION, calibrated_l2_values, memorization_ratio, 
     supervision_loss
 from .empirical import EmpiricalScoreOracle
 from .errors import SulabError, NumericFailureError
-from .experiments import RUNNERS, ExperimentResult, samples_table
+from .experiments import RUNNERS, ExperimentResult, RunContext, samples_table
 from .geometry import bhattacharyya_overlap, rstar_by_t
 from .models import MlpScoreNetwork, OracleField
 from .sampling import SolverConfig, sample
@@ -262,7 +262,7 @@ def write_line_svg(path: Path, table: list, title: str) -> None:
 
 
 def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
-                threads: int, fmt: str, started: float) -> None:
+                ctx: RunContext, fmt: str, started: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
@@ -289,7 +289,7 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
         "tool_version": __version__,
         "config_sha256": hashlib.sha256(config_blob).hexdigest(),
         "config": cfg,
-        "threads": threads,
+        "threads": ctx.threads,
         "wall_clock_seconds": round(time.time() - started, 3),
         "artifacts": artifacts,
     }
@@ -299,37 +299,36 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("SUL_THREADS")
-        value = int(env) if env else 1
-    if value < 1:
-        raise ConfigError("threads: must be >= 1")
-    return value
+def _run_context(args) -> RunContext:
+    """The run context of --threads, else of SUL_THREADS, else of 1."""
+    where, value = ("threads", str(args.threads)) if args.threads is not None \
+        else ("SUL_THREADS", os.environ.get("SUL_THREADS") or "1")
+    if not value.isdecimal() or int(value) < 1:
+        raise ConfigError(f"{where}: must be an integer >= 1, got {value!r}")
+    return RunContext(threads=int(value))
 
 
 def _run_config(args):
-    """(threads, config with the --seed override, output directory)."""
-    threads = _threads(args)
+    """(run context, config with the --seed override, output directory)."""
+    ctx = _run_context(args)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return threads, cfg, Path(args.out if args.out is not None else cfg["out"])
+    return ctx, cfg, Path(args.out if args.out is not None else cfg["out"])
 
 
 def cmd_run(args) -> int:
     started = time.time()
-    threads, cfg, out_dir = _run_config(args)
-    result = RUNNERS[cfg["experiment"]](cfg)
-    emit_result(result, out_dir, cfg, threads, args.format, started)
+    ctx, cfg, out_dir = _run_config(args)
+    result = RUNNERS[cfg["experiment"]](cfg, ctx)
+    emit_result(result, out_dir, cfg, ctx, args.format, started)
     print(f"{cfg['experiment']}: wrote {len(result.tables)} tables to {out_dir}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     started = time.time()
-    threads, cfg, out_dir = _run_config(args)
+    ctx, cfg, out_dir = _run_config(args)
     from .experiments import build_dataset, build_model, build_train_config, \
         loss_curve_table
     ds = build_dataset(cfg["dataset"], cfg["seed"])
@@ -339,7 +338,7 @@ def cmd_train(args) -> int:
     result = ExperimentResult(
         tables={"loss_curve": loss_curve_table(report)},
         checkpoints={"model": (net, report.ema_params)})
-    emit_result(result, out_dir, cfg, threads, args.format, started)
+    emit_result(result, out_dir, cfg, ctx, args.format, started)
     print(f"trained {cfg['train']['iterations']} iterations; "
           f"artifacts in {out_dir}")
     return EXIT_OK
@@ -347,7 +346,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
-    threads = _threads(args)
+    ctx = _run_context(args)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if ema is not None and not args.raw_params:
         net.set_params(ema)
@@ -357,7 +356,7 @@ def cmd_sample(args) -> int:
     result = ExperimentResult(tables={"samples": samples_table(samples)})
     out_dir = Path(args.out)
     cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": seed}
-    emit_result(result, out_dir, cfg, threads, args.format, started)
+    emit_result(result, out_dir, cfg, ctx, args.format, started)
     print(f"wrote {args.n} samples to {out_dir}")
     return EXIT_OK
 
@@ -433,8 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--threads", type=int,
-                       help="worker cap; 1 (default) is bit-reproducible; "
-                            "falls back to SUL_THREADS")
+                       help="worker processes for sweep members (foe, pat, "
+                            "scaling-line), not for one training run; output "
+                            "is byte-identical at any value; default "
+                            "SUL_THREADS, else 1")
         p.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")

@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import Dataset, supervision_draws
 from .errors import InvalidArgumentError, RankDeficiencyError
+from .geometry import sq_distance_blocks
 from .numerics import RngStream
 from .schedule import SCORE, convert_value, forward_process
 from .sampling import SolverConfig, integrate, states_at
@@ -209,11 +210,13 @@ def calibrated_l2_values(samples, subset_points, n: int) -> np.ndarray:
     pts = np.atleast_2d(np.asarray(subset_points, dtype=float))
     if n < 1 or n > pts.shape[0]:
         raise InvalidArgumentError(f"n={n} outside [1, {pts.shape[0]}]")
-    sq = np.sum((pts[None, :, :] - samples[:, None, :]) ** 2, axis=2)
-    nearest = np.sort(sq, axis=1)[:, :n]
-    denom = np.mean(nearest, axis=1)
-    return np.divide(nearest[:, 0], denom, out=np.zeros_like(denom),
-                     where=denom != 0.0)
+    out = []
+    for sq in sq_distance_blocks(samples, pts):
+        nearest = np.sort(sq, axis=1)[:, :n]
+        denom = np.mean(nearest, axis=1)
+        out.append(np.divide(nearest[:, 0], denom, out=np.zeros_like(denom),
+                             where=denom != 0.0))
+    return np.concatenate(out)
 
 
 def memorization_ratio(values, threshold: float = 1 / 3) -> float:
@@ -235,8 +238,9 @@ def regress_to_origin_ratio(pairs, dataset_points) -> float:
     pts = np.atleast_2d(np.asarray(dataset_points, dtype=float))
     origins = np.array([int(i) for i, _ in pairs])
     outs = np.array([np.asarray(out, dtype=float) for _, out in pairs])
-    sq = np.sum((pts[None, :, :] - outs[:, None, :]) ** 2, axis=2)
-    return float(np.mean(np.argmin(sq, axis=1) == origins))
+    nearest = np.concatenate([np.argmin(sq, axis=1)
+                              for sq in sq_distance_blocks(outs, pts)])
+    return float(np.mean(nearest == origins))
 
 
 @dataclass(frozen=True)

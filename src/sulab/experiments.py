@@ -1,14 +1,16 @@
 """End-to-end experiment drivers behind the command line.
 
-Each driver takes a fully resolved configuration dict (see `cli.DEFAULTS`) and
-returns an ExperimentResult: named CSV tables (header row first) plus model
-checkpoints to be written next to them. Every driver is deterministic for a
-fixed seed.
+Each driver takes a fully resolved configuration dict (see `cli.DEFAULTS`)
+and a RunContext, and returns an ExperimentResult: named CSV tables (header
+row first) plus model checkpoints to be written next to them. Every driver is
+deterministic for a fixed seed, at any `threads`.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -34,6 +36,34 @@ Table = list  # header row followed by value rows
 class ExperimentResult:
     tables: dict = dc_field(default_factory=dict)       # name -> Table
     checkpoints: dict = dc_field(default_factory=dict)  # name -> (net, ema_params)
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """What a run may use besides its config: up to `threads` worker
+    processes for the independent members of a sweep."""
+    threads: int = 1
+
+    def map(self, fn, members) -> list:
+        """[fn(m) for m in members] in member order, from up to `threads`
+        spawned workers with one BLAS thread each: fn must be module-level
+        and its argument and result picklable. A member's error is raised."""
+        members = list(members)
+        workers = min(self.threads, len(members))
+        if workers <= 1:
+            return [fn(m) for m in members]
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        env = dict(os.environ)  # BLAS sizes its pool when numpy loads
+        os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                          MKL_NUM_THREADS="1")
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing
+                                     .get_context("spawn")) as pool:
+                return list(pool.map(fn, members))
+        finally:
+            os.environ.clear()
+            os.environ.update(env)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +120,7 @@ def samples_table(samples: np.ndarray) -> Table:
 # ---------------------------------------------------------------------------
 # gaussian: selective underfitting on an isotropic-normal training set
 
-def run_gaussian(cfg: dict) -> ExperimentResult:
+def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     net = build_model(cfg["model"], ds, seed)
@@ -134,28 +164,36 @@ def run_gaussian(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # foe: region-decoupled training sweep over the region-subset size
 
-def run_foe(cfg: dict) -> ExperimentResult:
+def _foe_member(cfg: dict, ds: Dataset, pair) -> tuple:
+    """One region size: the net, its EMA and the EMA net's samples."""
+    seed = cfg["seed"]
+    net = build_model(cfg["model"], ds, seed)
+    tcfg = build_train_config(cfg["train"], seed, loss_kind="foe")
+    report = train(net, tcfg, dataset=ds, subset_pair=pair)
+    samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
+                        build_solver(cfg["solver"]), seed=seed + 2)
+    return net, report.ema_params, samples
+
+
+def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    n_score = cfg["n_score"]
-    solver = build_solver(cfg["solver"])
+    n_score, factors = cfg["n_score"], cfg["region_factors"]
+    # every split is drawn, and so checked, before any member trains
+    pairs = [split_score_region(ds, n_score, n_score * factor, seed=seed)
+             for factor in factors]
+    members = ctx.map(partial(_foe_member, cfg, ds), pairs)
     rows = []
     result = ExperimentResult()
-    for factor in cfg["region_factors"]:
+    for factor, pair, (net, ema, samples) in zip(factors, pairs, members):
         n_region = n_score * factor
-        pair = split_score_region(ds, n_score, n_region, seed=seed)
-        net = build_model(cfg["model"], ds, seed)
-        tcfg = build_train_config(cfg["train"], seed, loss_kind="foe")
-        report = train(net, tcfg, dataset=ds, subset_pair=pair)
-        sampler = ema_network(net, report.ema_params)
-        samples, _ = sample(sampler, cfg["n_samples"], solver, seed=seed + 2)
         score_pts = ds.points[pair.score_idx]
         cal = calibrated_l2_values(samples, score_pts, n=cfg["calibration_n"])
         for thr in cfg["thresholds"]:
             rows.append([factor, n_region, thr, float(np.mean(cal < thr))])
         rows.append([factor, n_region, "mean_calibrated", float(np.mean(cal))])
         result.tables[f"samples_factor{factor}"] = samples_table(samples)
-        result.checkpoints[f"model_factor{factor}"] = (net, report.ema_params)
+        result.checkpoints[f"model_factor{factor}"] = (net, ema)
     result.tables["foe_sweep"] = [
         ["region_factor", "n_region", "threshold", "value"], *rows]
     return result
@@ -169,34 +207,36 @@ _PAT_INPUT_MAPS = {"baseline": IDENTITY, "polar": POLAR,
                    "equivariant": RADIAL_EQUIVARIANT}
 
 
-def _pat_field(cfg: dict, variant: str, ds: Dataset, seed: int):
+def _pat_member(cfg: dict, variant: str) -> tuple:
+    """One variant: its samples and its (net, ema), None for the KRR field."""
+    ds, seed, ckpt = make_pat_toy_dataset(), cfg["seed"], None
     if variant == "krr":
         k = cfg["krr"]
         field = fit_krr_denoiser_field(
             ds, n_draws=k["n_draws"], gamma=k["gamma"], ridge=k["ridge"],
             seed=seed, input_map=POLAR, time_scale=k["time_scale"],
             t_min=cfg["solver"]["t_min"])
-        return field, None
-    mcfg = dict(cfg["model"])
-    mcfg["input_map"] = _PAT_INPUT_MAPS[variant]
-    net = build_model(mcfg, ds, seed)
-    report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
-    return ema_network(net, report.ema_params), (net, report.ema_params)
+    else:
+        mcfg = dict(cfg["model"])
+        mcfg["input_map"] = _PAT_INPUT_MAPS[variant]
+        net = build_model(mcfg, ds, seed)
+        report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
+        ckpt = (net, report.ema_params)
+        field = ema_network(*ckpt)
+    samples, _ = sample(field, cfg["n_samples"], build_solver(cfg["solver"]),
+                        seed=seed + 2)
+    return samples, ckpt
 
 
-def run_pat(cfg: dict) -> ExperimentResult:
-    seed = cfg["seed"]
-    ds = make_pat_toy_dataset()
-    solver = build_solver(cfg["solver"])
-    result = ExperimentResult()
-    quality_rows = []
-    for variant in cfg["variants"]:
+def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
+    for variant in cfg["variants"]:  # all checked before any member trains
         if variant not in PAT_VARIANTS:
             raise InvalidArgumentError(f"unknown pat variant {variant!r}")
-        field, ckpt = _pat_field(cfg, variant, ds, seed)
-        samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2)
-        bad, good, other = pat_quality(samples)
-        quality_rows.append([variant, bad, good, other])
+    result = ExperimentResult()
+    quality_rows = []
+    members = ctx.map(partial(_pat_member, cfg), cfg["variants"])
+    for variant, (samples, ckpt) in zip(cfg["variants"], members):
+        quality_rows.append([variant, *pat_quality(samples)])
         result.tables[f"samples_{variant}"] = samples_table(samples)
         if ckpt is not None:
             result.checkpoints[f"model_{variant}"] = ckpt
@@ -209,7 +249,7 @@ def run_pat(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # cfg-gap: conditional/unconditional score gap by region
 
-def run_cfg_gap(cfg: dict) -> ExperimentResult:
+def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     if ds.labels is None:
@@ -268,7 +308,7 @@ def run_cfg_gap(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # memorize-from-t: partial denoising from forward-noised training points
 
-def run_memorize_from_t(cfg: dict) -> ExperimentResult:
+def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     net = build_model(cfg["model"], ds, seed)
@@ -296,7 +336,7 @@ def run_memorize_from_t(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # rstar-profile: nearest-shell statistics along sampling trajectories
 
-def run_rstar_profile(cfg: dict) -> ExperimentResult:
+def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     field = OracleField(EmpiricalScoreOracle(ds))
@@ -314,7 +354,7 @@ def run_rstar_profile(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # overlap-curve: Bhattacharyya shell-overlap coefficient over time
 
-def run_overlap_curve(cfg: dict) -> ExperimentResult:
+def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
@@ -332,31 +372,37 @@ def run_overlap_curve(cfg: dict) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # scaling-line: supervision loss versus sample quality across model widths
 
-def run_scaling_line(cfg: dict) -> ExperimentResult:
+def _scaling_member(cfg: dict, ds: Dataset, net: MlpScoreNetwork) -> tuple:
+    """One width: the net, its EMA, its supervision loss and its samples."""
+    seed, diag = cfg["seed"], cfg["diagnostics"]
+    report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
+    model = ema_network(net, report.ema_params)
+    loss = supervision_loss(model, OracleField(EmpiricalScoreOracle(ds)), ds,
+                            n=diag["n"], timesteps=diag["timesteps"],
+                            seed=seed)
+    samples, _ = sample(model, cfg["n_samples"], build_solver(cfg["solver"]),
+                        seed=seed + 2)
+    return net, report.ema_params, loss, samples
+
+
+def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    oracle_field = OracleField(EmpiricalScoreOracle(ds))
-    solver = build_solver(cfg["solver"])
-    diag = cfg["diagnostics"]
     reference = RngStream(seed, stream=7).normal((cfg["n_reference"], ds.dim))
     if cfg["dataset"]["kind"] == "class-mixture":
         reference = build_dataset(cfg["dataset"], seed + 9).points
+    # every net is built, and so checked, before any member trains
+    nets = [build_model(dict(cfg["model"], width=width), ds, seed)
+            for width in cfg["widths"]]
     points = []
     rows = []
     result = ExperimentResult()
-    for width in cfg["widths"]:
-        mcfg = dict(cfg["model"])
-        mcfg["width"] = width
-        net = build_model(mcfg, ds, seed)
-        report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
-        model = ema_network(net, report.ema_params)
-        loss = supervision_loss(model, oracle_field, ds, n=diag["n"],
-                                timesteps=diag["timesteps"], seed=seed)
-        samples, _ = sample(model, cfg["n_samples"], solver, seed=seed + 2)
+    members = ctx.map(partial(_scaling_member, cfg, ds), nets)
+    for width, (net, ema, loss, samples) in zip(cfg["widths"], members):
         quality = sliced_wasserstein(samples, reference, seed=seed)
         points.append(QualityPoint(loss, quality))
         rows.append([width, loss, quality])
-        result.checkpoints[f"model_width{width}"] = (net, report.ema_params)
+        result.checkpoints[f"model_width{width}"] = (net, ema)
     slope, intercept, rms = fit_quality_line(points)
     result.tables["scaling_points"] = [
         ["width", "supervision_loss", "quality"], *rows]

@@ -13,10 +13,20 @@ from .sampling import states_at
 from .schedule import alpha_sigma
 
 
-# r_star and shell membership take rows in blocks whose (rows, N, d) difference
-# array holds at most this many elements (512 KB, so the passes over it stay
-# in cache), or one row's (N, d) when larger
+# sq_distance_blocks takes rows in blocks whose (rows, N, d) difference array
+# holds at most this many elements (512 KB, so the passes over it stay in
+# cache), or one row's (N, d) when larger
 _BLOCK_ELEMENTS = 1 << 16
+
+
+def sq_distance_blocks(a: np.ndarray, b: np.ndarray):
+    """Squared Euclidean distances from the rows of a (B, d) to those of
+    b (N, d), yielded as (rows, N) blocks in row order. Each comes from the
+    direct difference, which keeps near-duplicates exact where the expanded
+    |a|^2 - 2 a.b + |b|^2 cancels, summed as np.linalg.norm sums it."""
+    block = max(1, _BLOCK_ELEMENTS // b.size)
+    for k in range(0, max(a.shape[0], 1), block):  # (0, N) for no rows
+        yield np.add.reduce(np.square(a[k:k + block, None, :] - b), axis=2)
 
 
 @dataclass(frozen=True)
@@ -54,11 +64,7 @@ def r_star(ds: Dataset, z, t: float) -> RStar:
         raise SingularTimeError(f"r_star undefined at t={t} (sigma=0)")
     zs = np.atleast_2d(z)
     centers = a * ds.points
-    block = max(1, _BLOCK_ELEMENTS // centers.size)
-    # the Euclidean norm as np.linalg.norm sums it, without its copy of diff
-    r = np.concatenate([
-        np.sqrt(np.add.reduce(np.square(zs[k:k + block, None, :] - centers),
-                              axis=2)) for k in range(0, zs.shape[0], block)])
+    r = np.concatenate([np.sqrt(sq) for sq in sq_distance_blocks(zs, centers)])
     r /= s * np.sqrt(ds.dim)
     i = np.argmin(np.abs(r - 1.0), axis=1)
     r = r[np.arange(zs.shape[0]), i]

@@ -93,6 +93,8 @@ class MlpScoreNetwork:
             raise InvalidArgumentError(f"unknown input map {input_map!r}")
         if input_map in (POLAR, RADIAL_EQUIVARIANT) and dim != 2:
             raise InvalidArgumentError(f"{input_map} input map requires dim=2")
+        if width < 1 or hidden_layers < 0:
+            raise InvalidArgumentError("need width >= 1 and hidden_layers >= 0")
         if num_classes > 0 and class_emb_dim <= 0:
             class_emb_dim = 8
         self.dim = dim
@@ -256,6 +258,14 @@ class MlpScoreNetwork:
             "input_map": self.input_map, "time_freqs": self.time_freqs,
             "num_classes": self.num_classes, "class_emb_dim": self.class_emb_dim,
         }
+
+    def __getstate__(self):
+        # a plain pickle would copy the views in `params` apart from `flat`
+        return self.descriptor(), self.flat
+
+    def __setstate__(self, state):
+        self.__init__(**state[0])
+        self.flat[...] = state[1]
 
     def save(self, path, ema_params=None) -> None:
         """Magic, u32 version, u32 header length, the JSON descriptor with

@@ -62,6 +62,11 @@ class TrainConfig:
             raise InvalidArgumentError("bad iterations or batch size")
 
 
+# Adam and the EMA pass over the flat vectors in slices of this many elements
+# (256 KB) through a one-slice buffer, instead of making full-size temporaries
+_BLOCK = 1 << 15
+
+
 class AdamState:
     """First/second moment vectors over the flat parameters, plus a step counter."""
 
@@ -83,24 +88,29 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     b1, b2 = cfg.beta1, cfg.beta2
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
-    m, v = state.m, state.v
-    m *= b1
-    m += (1.0 - b1) * grads
-    v *= b2
-    v += (1.0 - b2) * (grads * grads)
-    denom = np.sqrt(v * (1.0 / c2))
-    denom += cfg.adam_eps
-    np.divide(m, denom, out=denom)
-    denom *= cfg.lr / c1
-    params -= denom
+    buf = np.empty(min(params.size, _BLOCK))
+    for k in range(0, params.size, _BLOCK):
+        s = slice(k, k + _BLOCK)
+        g, m, v = grads[s], state.m[s], state.v[s]
+        t = buf[:g.size]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=t)
+        v *= b2
+        v += np.multiply(np.multiply(g, g, out=t), 1.0 - b2, out=t)
+        np.sqrt(np.multiply(v, 1.0 / c2, out=t), out=t)
+        t += cfg.adam_eps
+        params[s] -= np.multiply(np.divide(m, t, out=t), cfg.lr / c1, out=t)
     return params
 
 
 def ema_update(ema_params: np.ndarray, params: np.ndarray,
                decay: float) -> np.ndarray:
     """ema <- decay * ema + (1 - decay) * params, in place."""
-    ema_params *= decay
-    ema_params += (1.0 - decay) * params
+    buf = np.empty(min(ema_params.size, _BLOCK))
+    for k in range(0, ema_params.size, _BLOCK):
+        e = ema_params[k:k + _BLOCK]
+        e *= decay
+        e += np.multiply(params[k:k + _BLOCK], 1.0 - decay, out=buf[:e.size])
     return ema_params
 
 
@@ -211,10 +221,7 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
 
     run_hooks(0)
     for it in range(1, cfg.iterations + 1):
-        try:
-            loss = dsm_step(net, dataset, cfg, rng, adam, ema, target)
-        except NumericFailureError as exc:
-            raise NumericFailureError(str(exc), iteration=it) from exc
+        loss = dsm_step(net, dataset, cfg, rng, adam, ema, target)
         report.loss_curve.append((it, loss))
         if cfg.eval_interval > 0 and it % cfg.eval_interval == 0:
             run_hooks(it)

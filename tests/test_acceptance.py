@@ -20,7 +20,7 @@ from sulab.cli import DEFAULTS, main
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset, \
     split_score_region
 from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
-from sulab.experiments import RUNNERS
+from sulab.experiments import RUNNERS, RunContext
 from sulab.geometry import bhattacharyya_overlap, in_supervision_region_batch
 from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.numerics import RngStream, log_sum_exp
@@ -34,29 +34,32 @@ from sulab.training import sample_softmax_points
 
 @pytest.fixture(scope="session")
 def gaussian_run():
-    return RUNNERS["gaussian"](copy.deepcopy(DEFAULTS["gaussian"]))
+    return RUNNERS["gaussian"](copy.deepcopy(DEFAULTS["gaussian"]),
+                               RunContext())
 
 
 @pytest.fixture(scope="session")
 def foe_run():
     cfg = copy.deepcopy(DEFAULTS["foe"])
     cfg["region_factors"] = [1, 8]
-    return RUNNERS["foe"](cfg)
+    return RUNNERS["foe"](cfg, RunContext(threads=2))
 
 
 @pytest.fixture(scope="session")
 def pat_run():
-    return RUNNERS["pat"](copy.deepcopy(DEFAULTS["pat"]))
+    return RUNNERS["pat"](copy.deepcopy(DEFAULTS["pat"]),
+                          RunContext(threads=2))
 
 
 @pytest.fixture(scope="session")
 def cfg_gap_run():
-    return RUNNERS["cfg-gap"](copy.deepcopy(DEFAULTS["cfg-gap"]))
+    return RUNNERS["cfg-gap"](copy.deepcopy(DEFAULTS["cfg-gap"]), RunContext())
 
 
 @pytest.fixture(scope="session")
 def memorize_run():
-    return RUNNERS["memorize-from-t"](copy.deepcopy(DEFAULTS["memorize-from-t"]))
+    return RUNNERS["memorize-from-t"](
+        copy.deepcopy(DEFAULTS["memorize-from-t"]), RunContext())
 
 
 # ---------------------------------------------------------------------------
@@ -487,19 +490,27 @@ _DETERMINISM_CONFIGS = {
 }
 
 
+def _run_digests(experiment, out, threads):
+    """SHA-256 of every CSV and checkpoint of one determinism-config run."""
+    cfg = {"experiment": experiment, "seed": 0, "out": str(out),
+           **copy.deepcopy(_DETERMINISM_CONFIGS[experiment])}
+    cfg_path = out.with_suffix(".json")
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(cfg_path), "--threads", threads]) == 0
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted([*out.glob("*.csv"), *out.glob("*.ckpt")])}
+
+
 class TestDeterministicReruns:
     @pytest.mark.parametrize("experiment", sorted(_DETERMINISM_CONFIGS))
     def test_rerun_bit_identical(self, experiment, tmp_path):
-        digests = []
-        for tag in ("a", "b"):
-            out = tmp_path / tag
-            cfg = {"experiment": experiment, "seed": 0, "out": str(out),
-                   **copy.deepcopy(_DETERMINISM_CONFIGS[experiment])}
-            cfg_path = tmp_path / f"{tag}.json"
-            cfg_path.write_text(json.dumps(cfg))
-            assert main(["run", "--config", str(cfg_path),
-                         "--threads", "1"]) == 0
-            digests.append({
-                f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                for f in sorted([*out.glob("*.csv"), *out.glob("*.ckpt")])})
+        digests = [_run_digests(experiment, tmp_path / tag, "1")
+                   for tag in ("a", "b")]
+        assert digests[0] and digests[0] == digests[1]
+
+    @pytest.mark.parametrize("experiment", ["foe", "pat", "scaling-line"])
+    def test_sweep_members_in_workers_bit_identical(self, experiment,
+                                                    tmp_path):
+        digests = [_run_digests(experiment, tmp_path / f"threads{threads}",
+                                threads) for threads in ("1", "2")]
         assert digests[0] and digests[0] == digests[1]

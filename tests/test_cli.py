@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -6,13 +7,14 @@ import sys
 import numpy as np
 import pytest
 
-from sulab import cli
+from sulab import cli, experiments
 from sulab.cli import (ConfigError, DEFAULTS, csv_bytes, format_cell, main,
                        merge_config, resolve_config)
 from sulab.data import Dataset, save_points
 from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
                           InvalidArgumentError, NumericFailureError,
                           RankDeficiencyError, SingularTimeError)
+from sulab.experiments import RunContext
 
 
 def run_cli(args):
@@ -232,9 +234,73 @@ class TestRunCommand:
             (tmp_path / "out" / "manifest.json").read_text())
         assert manifest["threads"] == 2
 
+    def test_threads_env_not_an_integer_exits_2(self, tmp_path, monkeypatch,
+                                                capsys):
+        cfg_path = self._overlap_cfg(tmp_path)
+        for value in ("abc", "1.5", "0"):
+            monkeypatch.setenv("SUL_THREADS", value)
+            assert run_cli(["run", "--config", cfg_path]) == 2
+            assert "SUL_THREADS" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_threads_exits_2(self, tmp_path, capsys):
         cfg_path = self._overlap_cfg(tmp_path)
         assert run_cli(["run", "--config", cfg_path, "--threads", "0"]) == 2
+
+
+_TINY = {"model": {"width": 8, "hidden_layers": 1, "time_freqs": 2},
+         "train": {"iterations": 20, "eval_interval": 10},
+         "solver": {"kind": "fixed-heun", "fixed_steps": 8, "t_min": 0.01}}
+
+
+class TestSweepMembers:
+    def test_map_keeps_member_order_and_pins_worker_blas(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        env = dict(os.environ)
+        ctx = RunContext(threads=2)
+        assert ctx.map(abs, [-3, 1, -2]) == [3, 1, 2]
+        assert ctx.map(os.getenv, ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS"]) == ["1", "1", "1"]
+        assert dict(os.environ) == env
+
+    def test_unknown_pat_variant_exits_2_before_training(self, tmp_path,
+                                                         monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a member started")
+
+        monkeypatch.setattr(experiments, "train", refuse)
+        monkeypatch.setattr(RunContext, "map", refuse)
+        cfg_path = write_config(tmp_path / "c.json", {
+            "experiment": "pat", "variants": ["baseline", "nope"],
+            "n_samples": 5, **_TINY})
+        assert run_cli(["run", "--config", cfg_path, "--threads", "2",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert "'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("override, code, message", [
+        # 5 nearest of a 4-point score subset, found after training
+        ({"calibration_n": 5}, 2, "error: n=5 outside [1, 4]\n"),
+        ({"train": {**_TINY["train"], "lr": 1e200}}, 3,
+         "numeric failure: non-finite training loss (iteration 2)\n"),
+    ], ids=["exit-2", "exit-3"])
+    def test_member_error_keeps_exit_code_and_message(
+            self, tmp_path, capsys, override, code, message):
+        cfg_path = write_config(tmp_path / "c.json", {
+            "experiment": "foe", "dataset": {"n_per_class": 8}, "n_score": 4,
+            "region_factors": [1, 2], "n_samples": 5, "calibration_n": 2,
+            **_TINY, **override})
+        errs = []
+        for threads in ("1", "2"):
+            # keep an in-process member's overflow warnings out of stderr
+            with np.errstate(all="ignore"):
+                assert run_cli(["run", "--config", cfg_path, "--threads",
+                                threads, "--out", str(tmp_path / "o")]) == code
+            errs.append(capsys.readouterr().err)
+        assert message in errs[0]
+        assert errs[0] == errs[1]
 
 
 class TestTrainSampleDiagnose:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sulab import geometry
 from sulab.data import Dataset, make_gaussian_dataset
 from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, PatRule,
                                QualityPoint, calibrated_l2_values,
@@ -219,6 +220,31 @@ class TestMemorization:
             sq = np.sort(np.sum((pts - s) ** 2, axis=1))[:3]
             expected.append(sq[0] / np.mean(sq))
         np.testing.assert_array_equal(vals, expected)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_blocks_match_one_pass_bitwise(self, monkeypatch, block):
+        pts = np.random.default_rng(3).normal(size=(12, 5))
+        samples = np.concatenate([
+            np.random.default_rng(4).normal(size=(10, 5)),
+            pts[[2, 7]], pts[[3]] + 1e-9])  # memorized and near-duplicate
+        # the one-pass direct-difference form the blocks must reproduce
+        sq = np.sum((pts[None, :, :] - samples[:, None, :]) ** 2, axis=2)
+        nearest = np.sort(sq, axis=1)[:, :8]
+        origins = np.argmin(sq, axis=1)
+        origins[::4] = 0
+        if block is not None:  # rows per block
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", block * pts.size)
+        np.testing.assert_array_equal(
+            calibrated_l2_values(samples, pts, 8),
+            nearest[:, 0] / np.mean(nearest, axis=1))
+        assert regress_to_origin_ratio(zip(origins, samples), pts) == \
+            float(np.mean(np.argmin(sq, axis=1) == origins))
+
+    def test_no_samples_give_no_values(self):
+        values = calibrated_l2_values(np.zeros((0, 2)), np.eye(2), 1)
+        assert values.shape == (0,)
 
 
 class TestRegressToOrigin:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,24 @@ class TestMlpBasics:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidArgumentError):
             MlpScoreNetwork(2, prediction_kind="bogus")
+
+    @pytest.mark.parametrize("kw", [{"width": 0}, {"hidden_layers": -1}])
+    def test_empty_layers_rejected(self, kw):
+        with pytest.raises(InvalidArgumentError):
+            MlpScoreNetwork(2, **kw)
+
+    def test_pickle_keeps_params_views_of_flat(self):
+        net = MlpScoreNetwork(3, width=8, hidden_layers=2, num_classes=2,
+                              input_map=IDENTITY, seed=4)
+        net.flat += 0.1 * RngStream(5, 0).normal(net.flat.shape)
+        clone = pickle.loads(pickle.dumps(net))
+        assert clone.descriptor() == net.descriptor()
+        np.testing.assert_array_equal(clone.flat, net.flat)
+        assert all(np.shares_memory(p, clone.flat) for p in clone.params)
+        zs = RngStream(6, 0).normal((4, 3))
+        labels = [0, 1, 2, 0]
+        np.testing.assert_array_equal(clone.evaluate_batch(zs, 0.4, labels),
+                                      net.evaluate_batch(zs, 0.4, labels))
 
     def test_label_out_of_range_rejected(self):
         net = MlpScoreNetwork(2, width=4, num_classes=3, seed=0)

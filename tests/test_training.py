@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sulab import training
 from sulab.data import (Dataset, make_class_mixture, make_gaussian_dataset,
                         split_score_region)
 from sulab.empirical import EmpiricalScoreOracle
@@ -69,6 +70,29 @@ class TestAdam:
         adam_step(st, net.flat, np.ones_like(net.flat), TrainConfig(lr=0.1))
         assert all(np.shares_memory(p, net.flat) for p in net.params)
         np.testing.assert_allclose(net.params[1], -0.1, atol=1e-6)
+
+    def test_blocks_keep_full_vector_arithmetic_bitwise(self):
+        # three blocks, the last one short; the reference is the one-pass
+        # full-vector form, with each element's operations in the same order
+        cfg = TrainConfig(lr=1e-2, beta1=0.8, beta2=0.99, adam_eps=1e-6)
+        rng = np.random.default_rng(2)
+        size = 2 * training._BLOCK + 5
+        p = rng.normal(size=size)
+        e = p + 1.0
+        st = AdamState([p])
+        p_ref, e_ref = p.copy(), e.copy()
+        m, v = np.zeros(size), np.zeros(size)
+        for step in range(1, 4):
+            g = rng.normal(size=size)
+            adam_step(st, p, g, cfg)
+            ema_update(e, p, 0.9)
+            m = m * 0.8 + (1.0 - 0.8) * g
+            v = v * 0.99 + (1.0 - 0.99) * (g * g)
+            denom = np.sqrt(v * (1.0 / (1.0 - 0.99 ** step))) + cfg.adam_eps
+            p_ref -= m / denom * (cfg.lr / (1.0 - 0.8 ** step))
+            e_ref = e_ref * 0.9 + (1.0 - 0.9) * p_ref
+        np.testing.assert_array_equal(p, p_ref)
+        np.testing.assert_array_equal(e, e_ref)
 
     def test_non_finite_gradient_raises(self):
         cfg = TrainConfig()
