@@ -26,7 +26,8 @@ from .diagnostics import SUPERVISION, calibrated_l2_values, memorization_ratio, 
     supervision_loss
 from .empirical import EmpiricalScoreOracle
 from .errors import SulabError, NumericFailureError
-from .experiments import RUNNERS, ExperimentResult, RunContext, samples_table
+from .experiments import RUNNERS, ExperimentResult, RunContext, \
+    build_dataset, loss_curve_table, samples_table
 from .geometry import bhattacharyya_overlap, rstar_by_t
 from .models import MlpScoreNetwork, OracleField
 from .sampling import SolverConfig, sample
@@ -44,33 +45,26 @@ class ConfigError(SulabError):
 # ---------------------------------------------------------------------------
 # defaults and validation
 
+# A `solver` section holds the keywords of SolverConfig, a `model` section
+# those of MlpScoreNetwork and a `train` section those of TrainConfig.
+# class_emb_dim is read only by cfg-gap's conditional net and eval_interval
+# only by gaussian's eval hooks; foe keeps both, and gaussian class_emb_dim,
+# because the benchmark's configs set them.
 _SOLVER = {"kind": "adaptive-rk45", "atol": 1e-6, "rtol": 1e-3,
            "t_min": 1e-3, "fixed_steps": 100}
-_MODEL = {"width": 256, "hidden_layers": 4, "prediction_kind": "velocity",
-          "input_map": "identity", "time_freqs": 8, "class_emb_dim": 16}
-_TRAIN = {"iterations": 2000, "batch_size": 128, "lr": 1e-3,
-          "ema_decay": 0.999, "eval_interval": 100, "t_min": 1e-3}
-
-
-def _small(model=None, tr=None):
-    m, t = dict(_MODEL), dict(_TRAIN)
-    m.update(model or {})
-    t.update(tr or {})
-    return m, t
-
-
-_GAUSS_MODEL, _GAUSS_TRAIN = _small(
-    {"time_freqs": 8}, {"iterations": 6000, "lr": 4e-3, "eval_interval": 500})
-_TOY_MODEL, _TOY_TRAIN = _small(
-    {"width": 64, "hidden_layers": 3},
-    {"iterations": 3000, "lr": 2e-3, "eval_interval": 500})
+_TOY_MODEL = {"width": 64, "hidden_layers": 3, "prediction_kind": "velocity",
+              "input_map": "identity", "time_freqs": 8}
+_TOY_TRAIN = {"iterations": 3000, "batch_size": 128, "lr": 2e-3,
+              "ema_decay": 0.999, "t_min": 1e-3}
+_GAUSS_MODEL = dict(_TOY_MODEL, width=256, hidden_layers=4, class_emb_dim=16)
+_GAUSS_TRAIN = dict(_TOY_TRAIN, iterations=6000, lr=4e-3, eval_interval=500)
 # foe regresses onto a single score point per input; under velocity prediction
 # that target, (z - y)/t, grows like 1/t for region inputs far from the score
 # subset and drags samples between the classes. The x-prediction target is y.
-_FOE_MODEL = dict(_TOY_MODEL, prediction_kind="x-pred")
-_PAT_MODEL, _PAT_TRAIN = _small(
-    {"width": 128, "hidden_layers": 2},
-    {"iterations": 8000, "lr": 2e-3, "eval_interval": 500})
+_FOE_MODEL = dict(_TOY_MODEL, prediction_kind="x-pred", class_emb_dim=16)
+# pat's variants set input_map, scaling-line's widths set width
+_PAT_MODEL = {"width": 128, "hidden_layers": 2, "prediction_kind": "velocity",
+              "time_freqs": 8}
 
 DEFAULTS: dict[str, dict] = {
     "gaussian": {
@@ -86,13 +80,13 @@ DEFAULTS: dict[str, dict] = {
         # memorization gap.
         "dataset": {"kind": "class-mixture", "dim": 16, "n_per_class": 128,
                     "separation": 8.0, "cluster_std": 1.0, "num_classes": 2},
-        "model": _FOE_MODEL, "train": _TOY_TRAIN, "solver": dict(_SOLVER),
-        "n_score": 32, "region_factors": [1, 2, 4, 8], "n_samples": 400,
-        "calibration_n": 8, "thresholds": [1 / 3, 0.25, 0.5],
+        "model": _FOE_MODEL, "train": dict(_TOY_TRAIN, eval_interval=500),
+        "solver": dict(_SOLVER), "n_score": 32, "region_factors": [1, 2, 4, 8],
+        "n_samples": 400, "calibration_n": 8, "thresholds": [1 / 3, 0.25, 0.5],
     },
     "pat": {
         "experiment": "pat", "seed": 0, "out": "runs/pat",
-        "model": _PAT_MODEL, "train": _PAT_TRAIN,
+        "model": _PAT_MODEL, "train": dict(_TOY_TRAIN, iterations=8000),
         "solver": {"kind": "fixed-heun", "atol": 1e-6, "rtol": 1e-3,
                    "t_min": 0.01, "fixed_steps": 96},
         "variants": ["baseline", "polar", "krr", "equivariant"],
@@ -104,8 +98,8 @@ DEFAULTS: dict[str, dict] = {
         "experiment": "cfg-gap", "seed": 0, "out": "runs/cfg-gap",
         "dataset": {"kind": "class-mixture", "dim": 8, "n_per_class": 32,
                     "separation": 8.0, "cluster_std": 1.0, "num_classes": 2},
-        "model": _TOY_MODEL, "train": _TOY_TRAIN, "solver": dict(_SOLVER),
-        "class_dropout": 0.2,
+        "model": dict(_TOY_MODEL, class_emb_dim=16), "train": _TOY_TRAIN,
+        "solver": dict(_SOLVER), "class_dropout": 0.2,
         "t_grid": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         "diagnostics": {"n": 200},
     },
@@ -133,8 +127,9 @@ DEFAULTS: dict[str, dict] = {
         "experiment": "scaling-line", "seed": 0, "out": "runs/scaling",
         "dataset": {"kind": "class-mixture", "dim": 2, "n_per_class": 32,
                     "separation": 8.0, "cluster_std": 1.0, "num_classes": 2},
-        "model": _TOY_MODEL, "train": _TOY_TRAIN, "solver": dict(_SOLVER),
-        "widths": [8, 16, 32, 64], "n_samples": 128, "n_reference": 512,
+        "model": {k: v for k, v in _TOY_MODEL.items() if k != "width"},
+        "train": _TOY_TRAIN, "solver": dict(_SOLVER),
+        "widths": [8, 16, 32, 64], "n_samples": 128,
         "diagnostics": {"n": 300, "timesteps": 30},
     },
 }
@@ -177,10 +172,14 @@ def resolve_config(raw: dict) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     experiment = raw.get("experiment")
-    if experiment not in DEFAULTS:
+    if not isinstance(experiment, str) or experiment not in DEFAULTS:
         raise ConfigError(
             f"experiment: must be one of {', '.join(sorted(DEFAULTS))}")
-    return merge_config(DEFAULTS[experiment], raw)
+    cfg = merge_config(DEFAULTS[experiment], raw)
+    kind = DEFAULTS[experiment].get("dataset", {}).get("kind")
+    if kind is not None and cfg["dataset"]["kind"] != kind:
+        raise ConfigError(f"dataset.kind: {experiment} takes only {kind!r}")
+    return cfg
 
 
 def load_config(path: str) -> dict:
@@ -326,14 +325,19 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+# experiments whose config describes one net and the dataset it learns
+TRAINABLE = ("gaussian", "foe", "cfg-gap", "memorize-from-t")
+
+
 def cmd_train(args) -> int:
     started = time.time()
     ctx, cfg, out_dir = _run_config(args)
-    from .experiments import build_dataset, build_model, build_train_config, \
-        loss_curve_table
+    if cfg["experiment"] not in TRAINABLE:
+        raise ConfigError(f"experiment: {cfg['experiment']} has no single net"
+                          f" to train; train takes {', '.join(TRAINABLE)}")
     ds = build_dataset(cfg["dataset"], cfg["seed"])
-    net = build_model(cfg["model"], ds, cfg["seed"])
-    report = train(net, build_train_config(cfg["train"], cfg["seed"]),
+    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=cfg["seed"])
+    report = train(net, TrainConfig(**cfg["train"], seed=cfg["seed"]),
                    dataset=ds)
     result = ExperimentResult(
         tables={"loss_curve": loss_curve_table(report)},
@@ -348,6 +352,8 @@ def cmd_sample(args) -> int:
     started = time.time()
     ctx = _run_context(args)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
+    if args.label is not None and net.num_classes == 0:
+        raise ConfigError("--label: the checkpoint's net is unconditional")
     if ema is not None and not args.raw_params:
         net.set_params(ema)
     solver = SolverConfig(t_min=args.t_min)
@@ -369,6 +375,8 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(
             f"metric: unknown {args.metric!r}; valid: "
             + ", ".join(DIAGNOSE_METRICS))
+    if args.grid < 1:
+        raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if ema is not None:

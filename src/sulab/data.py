@@ -27,7 +27,6 @@ class Dataset:
 
     points: np.ndarray
     labels: np.ndarray | None = None
-    name: str = ""
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -65,13 +64,10 @@ class Dataset:
             raise InvalidArgumentError("dataset has no labels")
         return np.flatnonzero(self.labels == label)
 
-    def subset(self, idx, name: str = "") -> "Dataset":
+    def subset(self, idx) -> "Dataset":
         idx = np.asarray(idx, dtype=np.int64)
-        return Dataset(
-            self.points[idx],
-            None if self.labels is None else self.labels[idx],
-            name or self.name,
-        )
+        return Dataset(self.points[idx],
+                       None if self.labels is None else self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -95,18 +91,19 @@ class SubsetPair:
         object.__setattr__(self, "region_idx", np.sort(r))
 
 
-def make_gaussian_dataset(dim: int, n: int, seed: int, name: str = "gaussian") -> Dataset:
-    """n i.i.d. standard-normal points in `dim` dimensions; reproducible per seed."""
-    if dim < 1 or n < 1:
-        raise InvalidArgumentError("dim and n must be >= 1")
+def make_gaussian_dataset(dim: int, n_points: int, seed: int) -> Dataset:
+    """n_points i.i.d. standard-normal points in `dim` dimensions; reproducible
+    per seed."""
+    if dim < 1 or n_points < 1:
+        raise InvalidArgumentError("dim and n_points must be >= 1")
     rng = RngStream(seed, stream=0)
-    return Dataset(rng.normal((n, dim)), name=name)
+    return Dataset(rng.normal((n_points, dim)))
 
 
 def make_pat_toy_dataset() -> Dataset:
     """The four-point 2D toy set on the x-axis used by the perception experiments."""
     pts = np.array([[-1.0, 0.0], [-0.2, 0.0], [0.2, 0.0], [1.0, 0.0]])
-    return Dataset(pts, name="pat-toy")
+    return Dataset(pts)
 
 
 def make_class_mixture(
@@ -116,7 +113,6 @@ def make_class_mixture(
     separation: float = 8.0,
     cluster_std: float = 1.0,
     num_classes: int = 2,
-    name: str = "class-mixture",
 ) -> Dataset:
     """Labeled Gaussian mixture: class c is N(m_c, cluster_std^2 I) with means
     spread `separation` apart along the first axis."""
@@ -130,7 +126,7 @@ def make_class_mixture(
         mean[0] = offsets[c]
         blocks.append(mean + cluster_std * rng.normal((n_per_class, dim)))
         labels.append(np.full(n_per_class, c, dtype=np.int64))
-    return Dataset(np.vstack(blocks), np.concatenate(labels), name=name)
+    return Dataset(np.vstack(blocks), np.concatenate(labels))
 
 
 def supervision_draws(ds: Dataset, n: int, rng: RngStream):
@@ -227,23 +223,30 @@ def save_points(ds: Dataset, path, fmt: str = "csv") -> None:
         raise InvalidArgumentError(f"unknown format {fmt!r}")
 
 
-def load_points(path, fmt: str = "csv", name: str = "") -> Dataset:
+def load_points(path, fmt: str = "csv") -> Dataset:
     """Load a dataset written by :func:`save_points`."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"no such file: {path}")
     if fmt == "csv":
-        return _load_csv(path, name or path.stem)
+        return _load_csv(path)
     if fmt == "raw-f64":
-        return _load_raw(path, name or path.stem)
+        return _load_raw(path)
     raise InvalidArgumentError(f"unknown format {fmt!r}")
 
 
-def _load_csv(path: Path, name: str) -> Dataset:
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _load_csv(path: Path) -> Dataset:
     labeled = False
     meta = Path(str(path) + ".meta")
     if meta.exists():
-        for line in meta.read_text().splitlines():
+        for line in _read_text(meta).splitlines():
             line = line.strip()
             if line == "labels=last":
                 labeled = True
@@ -251,36 +254,37 @@ def _load_csv(path: Path, name: str) -> Dataset:
                 raise FormatError(f"unknown sidecar directive {line!r}")
     rows, labels = [], []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                raise FormatError("inconsistent row width", line=lineno)
-            try:
-                if labeled:
-                    rows.append([float(v) for v in fields[:-1]])
-                    labels.append(int(fields[-1]))
-                else:
-                    rows.append([float(v) for v in fields])
-            except ValueError as exc:
-                raise FormatError(f"cannot parse row: {exc}", line=lineno) from exc
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise FormatError("inconsistent row width", line=lineno)
+        try:
+            if labeled:
+                rows.append([float(v) for v in fields[:-1]])
+                labels.append(np.int64(int(fields[-1])))
+            else:
+                rows.append([float(v) for v in fields])
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"cannot parse row: {exc}", line=lineno) from exc
     if not rows:
         raise FormatError(f"empty dataset file: {path}")
-    return Dataset(np.array(rows), np.array(labels) if labeled else None, name)
+    return Dataset(np.array(rows), np.array(labels) if labeled else None)
 
 
-def _load_raw(path: Path, name: str) -> Dataset:
+def _load_raw(path: Path) -> Dataset:
     blob = path.read_bytes()
     if len(blob) < 20 or blob[:4] != _RAW_MAGIC:
         raise FormatError(f"bad magic in {path}")
     version, d, n = struct.unpack("<IIQ", blob[4:20])
     if version != _RAW_VERSION:
         raise FormatError(f"unsupported raw version {version}")
+    if d < 1 or n < 1:
+        raise FormatError(f"no points in raw file {path}")
     need = 20 + 8 * d * n
     if len(blob) < need:
         raise FormatError(f"truncated raw file {path}")
@@ -291,4 +295,4 @@ def _load_raw(path: Path, name: str) -> Dataset:
         if len(rest) != 4 * n:
             raise FormatError(f"trailing bytes are not a label block in {path}")
         labels = np.frombuffer(rest, dtype="<u4").astype(np.int64)
-    return Dataset(pts, labels, name)
+    return Dataset(pts, labels)

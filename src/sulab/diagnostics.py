@@ -17,6 +17,7 @@ from .sampling import SolverConfig, integrate, states_at
 
 SUPERVISION = "supervision"
 EXTRAPOLATION = "extrapolation"
+_T_MIN = 1e-3  # estimator timesteps are drawn on [_T_MIN, 1 - _T_MIN]
 
 
 def velocity_weight(t):
@@ -34,13 +35,9 @@ WEIGHTINGS = {"uniform": uniform_weight, "velocity": velocity_weight}
 
 @dataclass(frozen=True)
 class RegionEstimate:
-    region: str
     value: float
     curve: list  # (t, mean weighted value) per timestep
-    n_samples: int
-    n_timesteps: int
-    weighting: str
-    stderr: float = 0.0
+    stderr: float
 
 
 @dataclass(frozen=True)
@@ -76,18 +73,16 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
                     n: int = 1000, timesteps: int = 100,
-                    weighting: str = "velocity", seed: int = 0,
-                    t_min: float = 1e-3,
-                    solver: SolverConfig | None = None,
-                    labels_for_traj=None):
+                    weighting: str = "velocity", seed: int = 0):
     """Monte Carlo estimate of a quantity over a region.
 
     quantity(zs, t) takes a batch (n, d) at a scalar timestep and returns n
     values, or an (m, n) array of m quantities over the same inputs, which
     gives a list of m RegionEstimates. T timesteps are drawn uniformly on the
     clamped range; each estimate is the weighted mean over all n*T terms.
-    Sample i is the same (x, eps) pair, or the same trajectory, at every
-    timestep, so the standard error comes from the n per-sample means.
+    Extrapolation trajectories come from the default solver. Sample i is the
+    same (x, eps) pair, or the same trajectory, at every timestep, so the
+    standard error comes from the n per-sample means.
     """
     if n < 1 or timesteps < 1:
         raise InvalidArgumentError("n and timesteps must be >= 1")
@@ -95,11 +90,9 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
         raise InvalidArgumentError(f"unknown weighting {weighting!r}")
     wfun = WEIGHTINGS[weighting]
     rng = RngStream(seed, stream=0)
-    ts = rng.uniform(t_min, 1.0 - t_min, timesteps)
-    solver = solver or SolverConfig()
+    ts = rng.uniform(_T_MIN, 1.0 - _T_MIN, timesteps)
     inputs, _ = _region_inputs(region, ds, field, n, ts,
-                               RngStream(seed, stream=1), solver,
-                               labels_for_traj)
+                               RngStream(seed, stream=1), SolverConfig())
     vals = np.stack([wfun(t) * np.asarray(quantity(inputs[j], float(t)),
                                           dtype=float)
                      for j, t in enumerate(ts)], axis=-2)  # ([m,] T, n)
@@ -112,8 +105,8 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
             total += float(np.sum(v))
         mean = total / count
         curve = [(float(t), float(np.mean(v))) for t, v in zip(ts, per_t)]
-        return RegionEstimate(region, mean, curve, n, timesteps, weighting,
-                              stderr=float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
+        return RegionEstimate(mean, curve,
+                              float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
 
     return summary(vals) if vals.ndim == 2 else [summary(v) for v in vals]
 
@@ -135,54 +128,49 @@ def score_error_quantity(field, references):
     return q
 
 
-def score_error(field, reference, region: str, ds: Dataset,
-                traj_field=None, n: int = 1000, timesteps: int = 100,
-                seed: int = 0, t_min: float = 1e-3,
-                solver: SolverConfig | None = None):
+def score_error(field, reference, region: str, ds: Dataset, n: int = 1000,
+                timesteps: int = 100, seed: int = 0):
     """Velocity-weighted squared score error of `field` against `reference`.
 
     reference may be a list of fields: the errors against all of them then
     come from one pass over the region inputs, and a list of estimates is
-    returned. Extrapolation-region trajectories come from traj_field
-    (default: the field under test itself)."""
+    returned. Extrapolation-region trajectories come from the field under
+    test itself."""
     many = isinstance(reference, (list, tuple))
     est = estimate_region(
         score_error_quantity(field, reference if many else [reference]),
-        region, ds, field=traj_field if traj_field is not None else field,
-        n=n, timesteps=timesteps, weighting="velocity", seed=seed,
-        t_min=t_min, solver=solver,
-    )
+        region, ds, field=field, n=n, timesteps=timesteps,
+        weighting="velocity", seed=seed)
     return est if many else est[0]
 
 
 def supervision_loss(field, reference, ds: Dataset, n: int = 1000,
-                     timesteps: int = 100, seed: int = 0,
-                     t_min: float = 1e-3) -> float:
+                     timesteps: int = 100, seed: int = 0) -> float:
     """The supervision-region, velocity-weighted score error scalar."""
     return score_error(field, reference, SUPERVISION, ds, n=n,
-                       timesteps=timesteps, seed=seed, t_min=t_min).value
+                       timesteps=timesteps, seed=seed).value
 
 
 def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
-                  t_grid, n: int = 200, seed: int = 0, traj_field=None,
+                  t_grid, n: int = 200, seed: int = 0, field=None,
                   solver: SolverConfig | None = None) -> list:
     """Per-timestep distribution summaries of the conditional/unconditional gap.
 
     cond_scores(zs, t, labels) and uncond_scores(zs, t) must return scores.
     Supervision inputs are forward draws (each sample keeps its own class);
-    extrapolation inputs are states along inference trajectories of traj_field
+    extrapolation inputs are states along inference trajectories of field
     sampled with uniformly drawn class labels. Returns rows
     (t, median, p10, p90).
     """
     if ds.labels is None:
         raise InvalidArgumentError("cfg gap needs a labeled dataset")
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any((t_grid <= 0.0) | (t_grid >= 1.0)):
-        raise InvalidArgumentError("t grid must lie inside (0, 1)")
+    if n < 1 or np.any((t_grid <= 0.0) | (t_grid >= 1.0)):
+        raise InvalidArgumentError("need n >= 1 and a t grid inside (0, 1)")
     rng = RngStream(seed, stream=0)
     labels = (rng.integers(0, ds.num_classes, n) if region == EXTRAPOLATION
               else None)
-    inputs, labels = _region_inputs(region, ds, traj_field, n, t_grid, rng,
+    inputs, labels = _region_inputs(region, ds, field, n, t_grid, rng,
                                     solver or SolverConfig(), labels)
     rows = []
     for j, t in enumerate(t_grid):

@@ -70,41 +70,11 @@ class RunContext:
 # shared builders
 
 def build_dataset(dcfg: dict, seed: int) -> Dataset:
-    kind = dcfg["kind"]
-    if kind == "gaussian":
-        return make_gaussian_dataset(dcfg["dim"], dcfg["n_points"], seed=seed)
-    if kind == "pat-toy":
-        return make_pat_toy_dataset()
-    if kind == "class-mixture":
-        return make_class_mixture(
-            dcfg["dim"], dcfg["n_per_class"], seed=seed,
-            separation=dcfg["separation"], cluster_std=dcfg["cluster_std"],
-            num_classes=dcfg["num_classes"])
-    raise InvalidArgumentError(f"unknown dataset kind {kind!r}")
-
-
-def build_model(mcfg: dict, ds: Dataset, seed: int,
-                conditional: bool = False) -> MlpScoreNetwork:
-    num_classes = ds.num_classes if (conditional and ds.labels is not None) else 0
-    return MlpScoreNetwork(
-        ds.dim, width=mcfg["width"], hidden_layers=mcfg["hidden_layers"],
-        prediction_kind=mcfg["prediction_kind"], input_map=mcfg["input_map"],
-        time_freqs=mcfg["time_freqs"], num_classes=num_classes,
-        class_emb_dim=mcfg["class_emb_dim"] if num_classes else 0, seed=seed)
-
-
-def build_train_config(tcfg: dict, seed: int, loss_kind: str = "dsm",
-                       class_dropout: float = 0.0) -> TrainConfig:
-    return TrainConfig(
-        iterations=tcfg["iterations"], batch_size=tcfg["batch_size"],
-        lr=tcfg["lr"], ema_decay=tcfg["ema_decay"],
-        eval_interval=tcfg["eval_interval"], loss_kind=loss_kind,
-        class_dropout=class_dropout, seed=seed, t_min=tcfg["t_min"])
-
-
-def build_solver(scfg: dict) -> SolverConfig:
-    return SolverConfig(kind=scfg["kind"], atol=scfg["atol"], rtol=scfg["rtol"],
-                        t_min=scfg["t_min"], fixed_steps=scfg["fixed_steps"])
+    """The dataset of a config's `dataset` section: `kind` (gaussian or
+    class-mixture) picks the maker, the other keys are its keywords."""
+    make = make_gaussian_dataset if dcfg["kind"] == "gaussian" \
+        else make_class_mixture
+    return make(**{k: v for k, v in dcfg.items() if k != "kind"}, seed=seed)
 
 
 def loss_curve_table(report: TrainReport) -> Table:
@@ -123,7 +93,7 @@ def samples_table(samples: np.ndarray) -> Table:
 def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    net = build_model(cfg["model"], ds, seed)
+    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
     oracle_field = OracleField(EmpiricalScoreOracle(ds))
     gt_field = GaussianGroundTruthField(ds.dim)
     diag = cfg["diagnostics"]
@@ -146,8 +116,8 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     def hook(iteration, raw_net, ema_net):
         return {**errors(raw_net, ""), **errors(ema_net, "ema_")}
 
-    tcfg = build_train_config(cfg["train"], seed)
-    report = train(net, tcfg, dataset=ds, eval_hooks=[hook])
+    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
+                   eval_hooks=[hook])
 
     names = ["sup_vs_empirical", "sup_vs_gt", "ambient_vs_gt",
              "ema_sup_vs_empirical", "ema_sup_vs_gt", "ema_ambient_vs_gt"]
@@ -167,11 +137,11 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def _foe_member(cfg: dict, ds: Dataset, pair) -> tuple:
     """One region size: the net, its EMA and the EMA net's samples."""
     seed = cfg["seed"]
-    net = build_model(cfg["model"], ds, seed)
-    tcfg = build_train_config(cfg["train"], seed, loss_kind="foe")
+    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
+    tcfg = TrainConfig(**cfg["train"], loss_kind="foe", seed=seed)
     report = train(net, tcfg, dataset=ds, subset_pair=pair)
     samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
-                        build_solver(cfg["solver"]), seed=seed + 2)
+                        SolverConfig(**cfg["solver"]), seed=seed + 2)
     return net, report.ema_params, samples
 
 
@@ -217,13 +187,12 @@ def _pat_member(cfg: dict, variant: str) -> tuple:
             seed=seed, input_map=POLAR, time_scale=k["time_scale"],
             t_min=cfg["solver"]["t_min"])
     else:
-        mcfg = dict(cfg["model"])
-        mcfg["input_map"] = _PAT_INPUT_MAPS[variant]
-        net = build_model(mcfg, ds, seed)
-        report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
+        net = MlpScoreNetwork(ds.dim, **cfg["model"],
+                              input_map=_PAT_INPUT_MAPS[variant], seed=seed)
+        report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
         ckpt = (net, report.ema_params)
         field = ema_network(*ckpt)
-    samples, _ = sample(field, cfg["n_samples"], build_solver(cfg["solver"]),
+    samples, _ = sample(field, cfg["n_samples"], SolverConfig(**cfg["solver"]),
                         seed=seed + 2)
     return samples, ckpt
 
@@ -252,14 +221,13 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    if ds.labels is None:
-        raise InvalidArgumentError("cfg-gap needs a labeled dataset")
-    net = build_model(cfg["model"], ds, seed, conditional=True)
-    tcfg = build_train_config(cfg["train"], seed,
-                              class_dropout=cfg["class_dropout"])
+    net = MlpScoreNetwork(ds.dim, **cfg["model"], num_classes=ds.num_classes,
+                          seed=seed)
+    tcfg = TrainConfig(**cfg["train"], class_dropout=cfg["class_dropout"],
+                       seed=seed)
     report = train(net, tcfg, dataset=ds)
     model = ema_network(net, report.ema_params)
-    solver = build_solver(cfg["solver"])
+    solver = SolverConfig(**cfg["solver"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     diag = cfg["diagnostics"]
 
@@ -289,7 +257,7 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
         for region in regions:
             for t, med, p10, p90 in cfg_gap_curve(
                     cond, uncond, ds, region, t_grid, n=diag["n"], seed=seed,
-                    traj_field=model, solver=solver):
+                    field=model, solver=solver):
                 rows.append([source, region, t, med, p10, p90])
     # reference scale: mean supervision-region oracle score norm per timestep
     norm_rows = []
@@ -311,12 +279,14 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    net = build_model(cfg["model"], ds, seed)
-    report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
+    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
+    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
     model = ema_network(net, report.ema_params)
-    solver = build_solver(cfg["solver"])
+    solver = SolverConfig(**cfg["solver"])
     rng = RngStream(seed, stream=3)
     reps = cfg["noise_draws"]
+    if reps < 1:
+        raise InvalidArgumentError("noise_draws must be >= 1")
     idx = np.tile(np.arange(ds.size), reps)
     eps = rng.normal((idx.size, ds.dim))
     rows = []
@@ -340,8 +310,8 @@ def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     field = OracleField(EmpiricalScoreOracle(ds))
-    solver = build_solver(cfg["solver"])
-    _, trajectories = sample(field, cfg["n_samples"], solver, seed=seed,
+    _, trajectories = sample(field, cfg["n_samples"],
+                             SolverConfig(**cfg["solver"]), seed=seed,
                              record=True)
     rows = [[t, float(np.mean(vals)), float(np.percentile(vals, 10)),
              float(np.percentile(vals, 90))]
@@ -360,11 +330,10 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     rows = [[float(t), "all", bhattacharyya_overlap(ds, float(t))]
             for t in t_grid]
-    if ds.labels is not None:
-        for c in range(ds.num_classes):
-            rows.extend([[float(t), str(c),
-                          bhattacharyya_overlap(ds, float(t), class_filter=c)]
-                         for t in t_grid])
+    for c in range(ds.num_classes):
+        rows.extend([[float(t), str(c),
+                      bhattacharyya_overlap(ds, float(t), class_filter=c)]
+                     for t in t_grid])
     return ExperimentResult(
         tables={"overlap_curve": [["t", "class", "overlap"], *rows]})
 
@@ -375,12 +344,12 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def _scaling_member(cfg: dict, ds: Dataset, net: MlpScoreNetwork) -> tuple:
     """One width: the net, its EMA, its supervision loss and its samples."""
     seed, diag = cfg["seed"], cfg["diagnostics"]
-    report = train(net, build_train_config(cfg["train"], seed), dataset=ds)
+    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
     model = ema_network(net, report.ema_params)
     loss = supervision_loss(model, OracleField(EmpiricalScoreOracle(ds)), ds,
                             n=diag["n"], timesteps=diag["timesteps"],
                             seed=seed)
-    samples, _ = sample(model, cfg["n_samples"], build_solver(cfg["solver"]),
+    samples, _ = sample(model, cfg["n_samples"], SolverConfig(**cfg["solver"]),
                         seed=seed + 2)
     return net, report.ema_params, loss, samples
 
@@ -388,11 +357,9 @@ def _scaling_member(cfg: dict, ds: Dataset, net: MlpScoreNetwork) -> tuple:
 def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    reference = RngStream(seed, stream=7).normal((cfg["n_reference"], ds.dim))
-    if cfg["dataset"]["kind"] == "class-mixture":
-        reference = build_dataset(cfg["dataset"], seed + 9).points
+    reference = build_dataset(cfg["dataset"], seed + 9).points
     # every net is built, and so checked, before any member trains
-    nets = [build_model(dict(cfg["model"], width=width), ds, seed)
+    nets = [MlpScoreNetwork(ds.dim, width=width, **cfg["model"], seed=seed)
             for width in cfg["widths"]]
     points = []
     rows = []

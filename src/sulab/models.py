@@ -93,8 +93,8 @@ class MlpScoreNetwork:
             raise InvalidArgumentError(f"unknown input map {input_map!r}")
         if input_map in (POLAR, RADIAL_EQUIVARIANT) and dim != 2:
             raise InvalidArgumentError(f"{input_map} input map requires dim=2")
-        if width < 1 or hidden_layers < 0:
-            raise InvalidArgumentError("need width >= 1 and hidden_layers >= 0")
+        if width < 1 or hidden_layers < 0 or time_freqs < 0:
+            raise InvalidArgumentError("need width >= 1, hidden_layers >= 0, time_freqs >= 0")
         if num_classes > 0 and class_emb_dim <= 0:
             class_emb_dim = 8
         self.dim = dim

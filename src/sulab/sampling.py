@@ -58,8 +58,8 @@ class SolverConfig:
             raise InvalidArgumentError(f"unknown solver kind {self.kind!r}")
         if self.atol <= 0 or self.rtol <= 0:
             raise InvalidArgumentError("tolerances must be positive")
-        if self.t_min <= 0:
-            raise InvalidArgumentError("t_min must be positive")
+        if self.t_min <= 0 or self.fixed_steps < 1:
+            raise InvalidArgumentError("t_min and fixed_steps must be positive")
         start, end = self.resolve_span()
         if not (start > end >= self.t_min):
             raise InvalidArgumentError(

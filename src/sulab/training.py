@@ -37,9 +37,6 @@ class TrainConfig:
     iterations: int = 1000
     batch_size: int = 128
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     ema_decay: float = 0.999
     class_dropout: float = 0.0
     loss_kind: str = DSM
@@ -48,8 +45,6 @@ class TrainConfig:
     t_min: float = 1e-3
 
     def __post_init__(self):
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise InvalidArgumentError("adam betas must lie in [0, 1)")
         if self.lr <= 0:
             raise InvalidArgumentError("lr must be positive")
         if not (0.0 <= self.ema_decay < 1.0):
@@ -60,6 +55,8 @@ class TrainConfig:
             raise InvalidArgumentError(f"unknown loss kind {self.loss_kind!r}")
         if self.iterations < 0 or self.batch_size < 1:
             raise InvalidArgumentError("bad iterations or batch size")
+        if not 0.0 < self.t_min < 0.5:
+            raise InvalidArgumentError("t_min must lie in (0, 0.5)")
 
 
 # Adam and the EMA pass over the flat vectors in slices of this many elements
@@ -85,7 +82,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     if not np.all(np.isfinite(grads)):
         raise NumericFailureError("non-finite gradient", iteration=state.step + 1)
     state.step += 1
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2, eps = 0.9, 0.999, 1e-8  # moment decays, denominator offset
     c1 = 1.0 - b1 ** state.step
     c2 = 1.0 - b2 ** state.step
     buf = np.empty(min(params.size, _BLOCK))
@@ -98,7 +95,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
         v *= b2
         v += np.multiply(np.multiply(g, g, out=t), 1.0 - b2, out=t)
         np.sqrt(np.multiply(v, 1.0 / c2, out=t), out=t)
-        t += cfg.adam_eps
+        t += eps
         params[s] -= np.multiply(np.divide(m, t, out=t), cfg.lr / c1, out=t)
     return params
 

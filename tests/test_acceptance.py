@@ -458,11 +458,11 @@ class TestPartialDenoising:
 
 _SMALL_SOLVER = {"kind": "fixed-heun", "fixed_steps": 8, "t_min": 0.01}
 _SMALL_MODEL = {"width": 8, "hidden_layers": 1, "time_freqs": 2}
-_SMALL_TRAIN = {"iterations": 20, "eval_interval": 10}
+_SMALL_TRAIN = {"iterations": 20}
 
 _DETERMINISM_CONFIGS = {
-    "gaussian": {"dataset": {"dim": 4, "n_points": 8},
-                 "model": _SMALL_MODEL, "train": _SMALL_TRAIN,
+    "gaussian": {"dataset": {"dim": 4, "n_points": 8}, "model": _SMALL_MODEL,
+                 "train": {**_SMALL_TRAIN, "eval_interval": 10},
                  "diagnostics": {"n": 20, "timesteps": 5}},
     "foe": {"dataset": {"n_per_class": 8}, "n_score": 4,
             "region_factors": [1, 2], "n_samples": 5, "calibration_n": 2,
@@ -483,8 +483,9 @@ _DETERMINISM_CONFIGS = {
     "overlap-curve": {"dataset": {"dim": 4, "n_per_class": 8},
                       "t_grid": [0.2, 0.5, 0.8]},
     "scaling-line": {"dataset": {"n_per_class": 8}, "widths": [4, 8],
-                     "n_samples": 8, "n_reference": 32,
-                     "model": _SMALL_MODEL, "train": _SMALL_TRAIN,
+                     "n_samples": 8,
+                     "model": {"hidden_layers": 1, "time_freqs": 2},
+                     "train": _SMALL_TRAIN,
                      "solver": _SMALL_SOLVER,
                      "diagnostics": {"n": 20, "timesteps": 5}},
 }

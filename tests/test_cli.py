@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import shutil
@@ -6,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sulab import cli, experiments
 from sulab.cli import (ConfigError, DEFAULTS, csv_bytes, format_cell, main,
@@ -69,6 +71,19 @@ class TestConfigMerging:
                               "t_grid": [0.5, 1]})
         assert cfg["dataset"]["separation"] == 8 and cfg["t_grid"] == [0.5, 1]
 
+    @pytest.mark.parametrize("experiment, kind", [
+        ("gaussian", "class-mixture"), ("overlap-curve", "gaussian"),
+        ("rstar-profile", "pat-toy")])
+    def test_dataset_kind_is_fixed_per_experiment(self, tmp_path, capsys,
+                                                  experiment, kind):
+        cfg_path = write_config(tmp_path / "c.json", {
+            "experiment": experiment, "dataset": {"kind": kind}})
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"error: dataset.kind: {experiment} takes only" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("experiment, override, field", [
         ("overlap-curve", {"t_grid": "abc"}, "t_grid"),
         ("overlap-curve", {"t_grid": [0.5, "x"]}, "t_grid"),
@@ -109,11 +124,11 @@ class TestExitCodes:
 
     def test_degenerate_scaling_line_exits_2(self, tmp_path, capsys):
         # equal widths give equal losses: the line fit has no abscissa spread
-        small = {"width": 8, "hidden_layers": 1, "time_freqs": 2}
+        small = {"hidden_layers": 1, "time_freqs": 2}
         cfg_path = write_config(tmp_path / "c.json", {
             "experiment": "scaling-line", "dataset": {"n_per_class": 8},
-            "widths": [4, 4], "n_samples": 4, "n_reference": 8,
-            "model": small, "train": {"iterations": 5, "eval_interval": 5},
+            "widths": [4, 4], "n_samples": 4,
+            "model": small, "train": {"iterations": 5},
             "solver": {"kind": "fixed-euler", "fixed_steps": 4},
             "diagnostics": {"n": 4, "timesteps": 2}})
         assert run_cli(["run", "--config", cfg_path,
@@ -249,7 +264,7 @@ class TestRunCommand:
 
 
 _TINY = {"model": {"width": 8, "hidden_layers": 1, "time_freqs": 2},
-         "train": {"iterations": 20, "eval_interval": 10},
+         "train": {"iterations": 20},
          "solver": {"kind": "fixed-heun", "fixed_steps": 8, "t_min": 0.01}}
 
 
@@ -338,6 +353,26 @@ class TestTrainSampleDiagnose:
         rows = (out / "samples.csv").read_text().splitlines()
         assert len(rows) == 6  # header + 5 samples
 
+    def test_sample_label_needs_conditional_checkpoint(self, trained, capsys):
+        ckpt, _, tmp_path = trained
+        out = tmp_path / "samples"
+        assert run_cli(["sample", "--checkpoint", str(ckpt), "--label", "1",
+                        "--out", str(out)]) == 2
+        assert "error: --label:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", ["pat", "rstar-profile",
+                                            "overlap-curve", "scaling-line"])
+    def test_train_without_one_net_exits_2(self, tmp_path, capsys,
+                                           experiment):
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"experiment": experiment})
+        out = tmp_path / "out"
+        assert run_cli(["train", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"error: experiment: {experiment} has no single net" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_sample_seed_changes_output(self, trained, capsys):
         ckpt, _, tmp_path = trained
         blobs = []
@@ -396,6 +431,13 @@ class TestTrainSampleDiagnose:
                         "--out", str(out)]) == 0
         assert out.read_text().startswith("metric,region,t,value,n,seed")
 
+    @pytest.mark.parametrize("grid", ["0", "-1"])
+    def test_diagnose_grid_below_1_exits_2(self, trained, capsys, grid):
+        ckpt, ds_path, _ = trained
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        "--grid", grid]) == 2
+        assert "error: --grid:" in capsys.readouterr().err
+
     def test_diagnose_unknown_metric_exits_2(self, trained, capsys):
         ckpt, ds_path, _ = trained
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "bogus"]) == 2
@@ -421,6 +463,96 @@ class TestTrainSampleDiagnose:
         bad.write_bytes(b"garbage")
         assert run_cli(["diagnose", str(bad), str(ds_path),
                         "supervision-loss"]) == 2
+
+
+# One tiny config per experiment, and gaussian's for `train`.
+_FUZZ_SOLVER = {"kind": "fixed-euler", "fixed_steps": 4, "t_min": 0.01}
+_FUZZ_MODEL = {"width": 4, "hidden_layers": 1, "time_freqs": 1}
+_FUZZ_TRAIN = {"iterations": 2, "batch_size": 4}
+_FUZZ_DATASET = {"dim": 2, "n_per_class": 4}
+_FUZZ_GAUSSIAN = {"experiment": "gaussian",
+                  "dataset": {"dim": 2, "n_points": 4}, "model": _FUZZ_MODEL,
+                  "train": {**_FUZZ_TRAIN, "eval_interval": 1},
+                  "diagnostics": {"n": 2, "timesteps": 2}}
+_FUZZ_CONFIGS = [
+    ("train", _FUZZ_GAUSSIAN),
+    ("run", _FUZZ_GAUSSIAN),
+    ("run", {"experiment": "foe", "dataset": _FUZZ_DATASET, "n_score": 2,
+             "region_factors": [1, 2], "n_samples": 2, "calibration_n": 1,
+             "model": _FUZZ_MODEL, "train": _FUZZ_TRAIN,
+             "solver": _FUZZ_SOLVER}),
+    ("run", {"experiment": "pat", "variants": ["baseline", "krr"],
+             "n_samples": 2, "model": _FUZZ_MODEL, "train": _FUZZ_TRAIN,
+             "solver": _FUZZ_SOLVER, "krr": {"n_draws": 8}}),
+    ("run", {"experiment": "cfg-gap", "dataset": _FUZZ_DATASET,
+             "model": _FUZZ_MODEL, "train": _FUZZ_TRAIN,
+             "solver": _FUZZ_SOLVER, "t_grid": [0.5],
+             "diagnostics": {"n": 2}}),
+    ("run", {"experiment": "memorize-from-t", "dataset": _FUZZ_DATASET,
+             "t_from_grid": [0.5], "noise_draws": 1, "calibration_n": 1,
+             "model": _FUZZ_MODEL, "train": _FUZZ_TRAIN,
+             "solver": _FUZZ_SOLVER}),
+    ("run", {"experiment": "rstar-profile",
+             "dataset": {"dim": 2, "n_points": 4}, "n_samples": 2,
+             "t_grid": [0.5], "solver": _FUZZ_SOLVER}),
+    ("run", {"experiment": "overlap-curve", "dataset": _FUZZ_DATASET,
+             "t_grid": [0.5]}),
+    ("run", {"experiment": "scaling-line", "dataset": _FUZZ_DATASET,
+             "widths": [2, 4], "n_samples": 2,
+             "model": {"hidden_layers": 1, "time_freqs": 1},
+             "train": _FUZZ_TRAIN, "solver": _FUZZ_SOLVER,
+             "diagnostics": {"n": 2, "timesteps": 2}}),
+]
+
+
+def _leaves(node, path=()):
+    """The path of every leaf of a config, list elements included."""
+    for key, value in (node.items() if isinstance(node, dict)
+                       else enumerate(node)):
+        if isinstance(value, dict):
+            yield from _leaves(value, path + (key,))
+        else:
+            yield path + (key,)
+            if isinstance(value, list):
+                yield from _leaves(value, path + (key,))
+
+
+def _mutated(case: int, path: tuple, value):
+    """(command, resolved tiny config `case` with the leaf at path set)."""
+    command, tiny = _FUZZ_CONFIGS[case]
+    cfg = resolve_config(copy.deepcopy(tiny))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return command, cfg
+
+
+@st.composite
+def _mutated_configs(draw):
+    case = draw(st.integers(0, len(_FUZZ_CONFIGS) - 1))
+    cfg = resolve_config(copy.deepcopy(_FUZZ_CONFIGS[case][1]))
+    path = draw(st.sampled_from(list(_leaves(cfg))))
+    value = draw(st.one_of(
+        st.sampled_from([None, True, 2.5, "7", [], {}, [1.5]]),  # other types
+        st.sampled_from(["gaussian", "class-mixture", "pat-toy", "polar",
+                         "x-pred", "fixed-heun"]) | st.text(max_size=6),
+        st.integers(-3, 0)))  # out of range for every count
+    return _mutated(case, path, value)
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=200, deadline=None)
+    @example(_mutated(7, ("dataset", "kind"), "gaussian"))
+    @given(_mutated_configs())
+    def test_exits_0_2_or_3(self, tmp_path_factory, case):
+        command, cfg = case
+        tmp = tmp_path_factory.mktemp("mutated")
+        cfg_path = write_config(tmp / "c.json", cfg)
+        with np.errstate(all="ignore"):
+            code = run_cli([command, "--config", cfg_path, "--threads", "1",
+                            "--out", str(tmp / "out")])
+        assert code in (0, 2, 3)
 
 
 class TestConsoleEntryPoint:

@@ -1,10 +1,14 @@
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sulab.data import (Dataset, SubsetPair, load_points, make_class_mixture,
                         make_gaussian_dataset, make_pat_toy_dataset,
                         save_points, split_score_region)
-from sulab.errors import FormatError, InvalidArgumentError
+from sulab.errors import FormatError, InvalidArgumentError, SulabError
 
 
 class TestDataset:
@@ -188,6 +192,16 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             load_points(path)
 
+    @pytest.mark.parametrize("damaged", ["pts", "pts.meta"])
+    def test_non_utf8_bytes_name_the_file(self, tmp_path, damaged):
+        path = tmp_path / "pts"
+        path.write_text("1.0,2.0,0\n")
+        (tmp_path / "pts.meta").write_text("labels=last\n")
+        bad = tmp_path / damaged
+        bad.write_bytes(bad.read_bytes() + b"\xff\n")
+        with pytest.raises(FormatError, match=re.escape(str(bad))):
+            load_points(path)
+
     def test_unknown_sidecar_directive(self, tmp_path):
         path = tmp_path / "pts"
         path.write_text("1.0,2.0\n")
@@ -199,3 +213,36 @@ class TestFileFormats:
         ds = make_gaussian_dataset(2, 2, seed=0)
         with pytest.raises(InvalidArgumentError):
             save_points(ds, tmp_path / "x", fmt="json")
+
+
+def _raw_head(version, d, n):
+    return b"SUDS" + struct.pack("<IIQ", version, d, n)
+
+
+class TestRandomFileBytes:
+    # a dataset file comes from outside the program: whatever its bytes,
+    # loading it gives a Dataset or a SulabError, never another exception
+    file_bytes = st.one_of(
+        st.binary(max_size=64),
+        st.text("0123456789.,-+einf \n").map(str.encode),
+        st.builds(lambda head, body: head + body,
+                  st.builds(_raw_head, st.integers(0, 2), st.integers(0, 3),
+                            st.integers(0, 4) | st.integers(0, 2**64 - 1)),
+                  st.binary(max_size=48)))
+    sidecar_bytes = st.none() | st.just(b"labels=last\n") | st.binary(max_size=16)
+
+    @settings(max_examples=300, deadline=None)
+    @example("csv", b"1.0,2.0\xff\n", None)
+    @example("csv", b"1.0,99999999999999999999\n", b"labels=last\n")
+    @example("raw-f64", _raw_head(1, 0, 2**64 - 1), None)
+    @given(st.sampled_from(["csv", "raw-f64"]), file_bytes, sidecar_bytes)
+    def test_loads_or_raises_sulab_error(self, tmp_path_factory, fmt, blob,
+                                         sidecar):
+        path = tmp_path_factory.mktemp("bytes") / "pts"
+        path.write_bytes(blob)
+        if sidecar is not None:
+            (path.parent / "pts.meta").write_bytes(sidecar)
+        try:
+            load_points(path, fmt=fmt)
+        except SulabError:
+            pass

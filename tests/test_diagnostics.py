@@ -58,7 +58,7 @@ class TestEstimateRegion:
                               weighting="uniform", seed=0)
         assert est.value == pytest.approx(3.0)
         assert est.stderr == pytest.approx(0.0)
-        assert len(est.curve) == 5 and est.n_samples == 10
+        assert len(est.curve) == 5
 
     def test_stderr_from_per_sample_means(self):
         # Sample i is the same (x, eps) pair at every timestep, so a quantity
