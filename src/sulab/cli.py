@@ -14,6 +14,7 @@ import copy
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from pathlib import Path
@@ -260,6 +261,14 @@ def write_line_svg(path: Path, table: list, title: str) -> None:
     path.write_text("\n".join(parts))
 
 
+def _usage(who: int) -> dict:
+    """CPU seconds, minor page faults and peak RSS so far of this process or,
+    for RUSAGE_CHILDREN, of its ended workers (the peak is the largest's)."""
+    ru = resource.getrusage(who)
+    return {"user_s": round(ru.ru_utime, 3), "system_s": round(ru.ru_stime, 3),
+            "minor_faults": ru.ru_minflt, "peak_rss_mb": round(ru.ru_maxrss / 1024, 1)}
+
+
 def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
                 ctx: RunContext, fmt: str, started: float) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -291,6 +300,8 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
         "threads": ctx.threads,
         "wall_clock_seconds": round(time.time() - started, 3),
         "artifacts": artifacts,
+        "telemetry": {"process": {"self": _usage(resource.RUSAGE_SELF),
+                                  "children": _usage(resource.RUSAGE_CHILDREN)}},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 

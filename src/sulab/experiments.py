@@ -114,7 +114,10 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
         }
 
     def hook(iteration, raw_net, ema_net):
-        return {**errors(raw_net, ""), **errors(ema_net, "ema_")}
+        raw = errors(raw_net, "")
+        if np.array_equal(raw_net.flat, ema_net.flat):  # iteration 0: same bits
+            return {**raw, **{f"ema_{k}": v for k, v in raw.items()}}
+        return {**raw, **errors(ema_net, "ema_")}
 
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
                    eval_hooks=[hook])

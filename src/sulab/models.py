@@ -125,6 +125,7 @@ class MlpScoreNetwork:
         if self.class_emb_dim > 0:
             self.params[-1][...] = 0.1 * rng.normal(shapes[-1])
         self._n_layers = len(sizes) - 1
+        self._bufs = [np.empty((0, width))] * (3 * hidden_layers + 1)  # see _work
 
     # -- feature assembly ---------------------------------------------------
 
@@ -158,32 +159,42 @@ class MlpScoreNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def _forward(self, feats: np.ndarray):
-        h = feats
-        pre, post, phis = [], [feats], []
-        for li in range(self._n_layers):
-            w, b = self.params[2 * li], self.params[2 * li + 1]
-            a = h @ w.T + b
-            if li < self._n_layers - 1:
-                pre.append(a)
-                phi = 0.5 * (1.0 + erf(a / _SQRT2))
-                phis.append(phi)
-                h = a * phi
-                post.append(h)
-            else:
-                h = a
-        return h, pre, post, phis
+    def _work(self, i: int, n: int) -> np.ndarray:
+        """Rows [:n] of work array i, a (rows, width) array that grows to the
+        largest batch seen, so forwards and backwards reuse their pages. There
+        are three per hidden layer (see _forward), then the backward's scratch."""
+        if self._bufs[i].shape[0] < n:
+            self._bufs[i] = np.empty((n, self.width))
+        return self._bufs[i][:n]
 
-    def _predict(self, zs, ts, labels):
-        """(prediction, resolved labels, frame or None, forward caches)."""
+    def _forward(self, feats: np.ndarray, keep: bool = False) -> np.ndarray:
+        """The output, a fresh array. Hidden layer li writes its pre-activation,
+        GELU phi and activation into work arrays 3li, 3li+1 and 3li+2 when
+        keep (for the backward), else into arrays 0, 1 and, over phi, 1."""
+        n, h = feats.shape[0], feats
+        for li in range(self._n_layers - 1):
+            w, b, k = self.params[2 * li], self.params[2 * li + 1], 3 * li * keep
+            a = np.matmul(h, w.T, out=self._work(k, n))
+            a += b
+            phi = np.divide(a, _SQRT2, out=self._work(k + 1, n))
+            erf(phi, out=phi)
+            phi += 1.0
+            phi *= 0.5
+            h = np.multiply(a, phi, out=self._work(k + 2, n) if keep else phi)
+        w, b = self.params[2 * self._n_layers - 2], self.params[2 * self._n_layers - 1]
+        return h @ w.T + b
+
+    def _predict(self, zs, ts, labels, keep=False):
+        """(prediction, resolved labels, frame or None, features)."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
         lab = self._resolve_labels(labels, zs.shape[0])
-        out, *caches = self._forward(self._features(zs, ts, lab))
+        feats = self._features(zs, ts, lab)
+        out = self._forward(feats, keep)
         frame = self._frame(zs) if self.input_map == RADIAL_EQUIVARIANT else None
         if frame is not None:
             out = np.einsum("bk,bkj->bj", out, frame)
-        return out, lab, frame, caches
+        return out, lab, frame, feats
 
     def evaluate_batch(self, zs, ts, labels=None) -> np.ndarray:
         """Batched prediction in self.prediction_kind."""
@@ -207,7 +218,7 @@ class MlpScoreNetwork:
         n = zs.shape[0]
         if n == 0:
             raise InvalidArgumentError("empty batch")
-        pred, lab, frame, (pre, post, phis) = self._predict(zs, ts, labels)
+        pred, lab, frame, feats = self._predict(zs, ts, labels, keep=True)
         diff = pred - targets
         loss = float(np.mean(np.sum(diff * diff, axis=1)))
         dpred = 2.0 * diff / n
@@ -218,18 +229,23 @@ class MlpScoreNetwork:
         delta = dout
         for li in range(self._n_layers - 1, -1, -1):
             w = self.params[2 * li]
-            np.matmul(delta.T, post[li], out=grads[2 * li])
+            post = self._work(3 * li - 1, n) if li > 0 else feats  # layer input
+            np.matmul(delta.T, post, out=grads[2 * li])
             np.sum(delta, axis=0, out=grads[2 * li + 1])
             if li > 0:
-                a = pre[li - 1]
+                a = self._work(3 * li - 3, n)
                 # d gelu(a)/da = phi(a) + a * N(a; 0, 1), reusing phi from forward.
-                act_grad = phis[li - 1] + a * (_INV_SQRT_2PI * np.exp(-0.5 * a * a))
-                delta = (delta @ w) * act_grad
-            else:
-                dfeats = delta @ w
-        if self.class_emb_dim > 0:
-            grads[-1][...] = 0.0
-            np.add.at(grads[-1], lab, dfeats[:, -self.class_emb_dim:])
+                act_grad = np.multiply(a, -0.5, out=self._work(-1, n))
+                act_grad *= a
+                np.exp(act_grad, out=act_grad)
+                act_grad *= _INV_SQRT_2PI
+                act_grad *= a
+                act_grad += self._work(3 * li - 2, n)
+                delta = np.matmul(delta, w, out=post)  # post is spent
+                delta *= act_grad
+            elif self.class_emb_dim > 0:  # embedding rows: their columns of d feats
+                grads[-1][...] = 0.0
+                np.add.at(grads[-1], lab, (delta @ w)[:, -self.class_emb_dim:])
         return loss, flat_grads
 
     def clone_params(self) -> np.ndarray:

@@ -17,6 +17,7 @@ from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
                           InvalidArgumentError, NumericFailureError,
                           RankDeficiencyError, SingularTimeError)
 from sulab.experiments import RunContext
+from sulab.models import MlpScoreNetwork
 
 
 def run_cli(args):
@@ -207,6 +208,28 @@ class TestRunCommand:
             files = sorted((tmp_path / tag).glob("*.csv"))
             csvs.append({f.name: f.read_bytes() for f in files})
         assert csvs[0] and csvs[0] == csvs[1]
+
+    def test_manifest_reports_process_counters(self, tmp_path):
+        tables = []
+        for tag in ("a", "b"):
+            cfg_path = write_config(tmp_path / f"cfg_{tag}.json", {
+                "experiment": "gaussian", "dataset": {"dim": 2, "n_points": 8},
+                "model": _TINY["model"], "train": {"iterations": 5},
+                "diagnostics": {"n": 4, "timesteps": 2},
+                "out": str(tmp_path / tag)})
+            assert run_cli(["run", "--config", cfg_path]) == 0
+            manifest = json.loads((tmp_path / tag / "manifest.json").read_text())
+            process = manifest["telemetry"]["process"]
+            assert set(process) == {"self", "children"}
+            for usage in process.values():
+                assert set(usage) == {"user_s", "system_s", "minor_faults",
+                                      "peak_rss_mb"}
+                assert all(v >= 0 for v in usage.values())
+            assert process["self"]["minor_faults"] > 0
+            assert process["self"]["peak_rss_mb"] > 0
+            tables.append({f.name: f.read_bytes()
+                           for f in sorted((tmp_path / tag).glob("*.csv"))})
+        assert tables[0] and tables[0] == tables[1]
 
     def test_svg_format(self, tmp_path):
         cfg_path = self._overlap_cfg(tmp_path)
@@ -553,6 +576,39 @@ class TestMutatedConfigs:
             code = run_cli([command, "--config", cfg_path, "--threads", "1",
                             "--out", str(tmp / "out")])
         assert code in (0, 2, 3)
+
+
+def _tiny_checkpoint(path):
+    net = MlpScoreNetwork(2, width=4, hidden_layers=1, time_freqs=1,
+                          num_classes=2, seed=0)
+    net.save(path, ema_params=net.clone_params())
+    return path.read_bytes()
+
+
+class TestMutatedCheckpoints:
+    # Patches carry no ASCII digit, so a mutated header can shrink a size
+    # (or break it) but never declare a net too large to build.
+    @settings(max_examples=200, deadline=None)
+    @example("truncate", 11, b"")
+    @example("overwrite", 4, b"\x02")  # version 2
+    @given(st.sampled_from(["truncate", "overwrite"]), st.integers(0, 1 << 16),
+           st.lists(st.integers(0, 255).filter(lambda c: not 48 <= c <= 57),
+                    min_size=1, max_size=4).map(bytes))
+    def test_load_raises_only_format_error(self, tmp_path_factory, how, at,
+                                           patch):
+        tmp = tmp_path_factory.mktemp("ckpt")
+        blob = _tiny_checkpoint(tmp / "base.ckpt")
+        at %= len(blob) + 1
+        blob = (blob[:at] if how == "truncate"
+                else blob[:at] + patch + blob[at + len(patch):])
+        path = tmp / "model.ckpt"
+        path.write_bytes(blob)
+        try:
+            MlpScoreNetwork.load(path)
+        except FormatError:
+            assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
+                            "--out", str(tmp / "out")]) == 2
+            assert not (tmp / "out").exists()
 
 
 class TestConsoleEntryPoint:

@@ -12,6 +12,7 @@ from sulab.models import (GaussianGroundTruthField, IDENTITY, KrrScoreField,
 from sulab.empirical import EmpiricalScoreOracle
 from sulab.numerics import RngStream
 from sulab.schedule import SCORE, VELOCITY, XPRED
+from sulab.training import ema_network
 
 
 def _grad_check(net, seed=0, n=5, tol=1e-4):
@@ -126,6 +127,66 @@ class TestMlpBasics:
         np.testing.assert_array_equal(
             net.evaluate_batch(zs, 0.4),
             net.evaluate_batch(zs, 0.4, labels=[2, 2, 2]))
+
+
+def _work_net():
+    """A class-conditional net with a non-zero head, so every layer matters."""
+    net = MlpScoreNetwork(3, width=16, hidden_layers=2, num_classes=2, seed=2)
+    net.flat += 0.1 * RngStream(3, 0).normal(net.flat.shape)
+    return net
+
+
+def _work_batch(n, seed=0):
+    rng = RngStream(seed, 0)
+    return (rng.normal((n, 3)), rng.uniform(0.01, 0.99, n),
+            rng.normal((n, 3)), np.arange(n) % 3)
+
+
+class TestWorkArrays:
+    """The forward and backward reuse per-net work arrays that grow to the
+    largest batch seen; results must not depend on what ran before."""
+
+    def test_bits_match_a_fresh_net_at_every_batch_size(self):
+        net = _work_net()
+        for n in (300, 128, 7, 300):
+            zs, ts, _, labels = _work_batch(n, seed=n)
+            np.testing.assert_array_equal(
+                net.evaluate_batch(zs, ts, labels),
+                _work_net().evaluate_batch(zs, ts, labels))
+        zs, ts, targets, labels = _work_batch(128, seed=1)
+        loss, grads = net.loss_and_grads(zs, ts, targets, labels)
+        fresh_loss, fresh_grads = _work_net().loss_and_grads(zs, ts, targets,
+                                                             labels)
+        assert loss == fresh_loss
+        np.testing.assert_array_equal(grads, fresh_grads)
+
+    def test_results_survive_later_calls(self):
+        net = _work_net()
+        zs, ts, targets, labels = _work_batch(50)
+        out = net.evaluate_batch(zs, ts, labels)
+        kept_out = out.copy()
+        _, grads = net.loss_and_grads(zs, ts, targets, labels)
+        kept_grads = grads.copy()
+        for n in (50, 80):  # new inputs at the same size, then a larger one
+            zs2, ts2, targets2, labels2 = _work_batch(n, seed=n + 1)
+            net.evaluate_batch(zs2, ts2, labels2)
+            _, grads2 = net.loss_and_grads(zs2, ts2, targets2, labels2)
+            np.testing.assert_array_equal(out, kept_out)
+            np.testing.assert_array_equal(grads, kept_grads)
+            assert not np.shares_memory(grads, grads2)
+
+    def test_pickle_and_ema_network_carry_no_work_arrays(self):
+        net = _work_net()
+        size = len(pickle.dumps(net))
+        zs, ts, targets, labels = _work_batch(300)
+        net.loss_and_grads(zs, ts, targets, labels)
+        assert len(pickle.dumps(net)) == size
+        clone = pickle.loads(pickle.dumps(net))
+        ema = ema_network(net, net.clone_params())
+        for other in (clone, ema):
+            assert all(buf.size == 0 for buf in other._bufs)
+            np.testing.assert_array_equal(other.evaluate_batch(zs, ts, labels),
+                                          net.evaluate_batch(zs, ts, labels))
 
 
 class TestGradients:
