@@ -213,10 +213,6 @@ def csv_bytes(table: list) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def write_csv(path: Path, table: list) -> None:
-    path.write_bytes(csv_bytes(table))
-
-
 def write_line_svg(path: Path, table: list, title: str) -> None:
     """Minimal line plot: later numeric columns against the first numeric one.
 
@@ -280,7 +276,7 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
 
     for name in sorted(result.tables):
         path = out_dir / f"{name}.csv"
-        write_csv(path, result.tables[name])
+        path.write_bytes(csv_bytes(result.tables[name]))
         register(path)
         if fmt == "csv+svg":
             svg = out_dir / f"{name}.svg"
@@ -318,13 +314,23 @@ def _run_context(args) -> RunContext:
     return RunContext(threads=int(value))
 
 
+def _out_dir(path) -> Path:
+    """--out as a Path, refused unless its nearest existing ancestor (or
+    itself) is a directory, so that no run starts whose output cannot land."""
+    out = Path(path)
+    near = next(p for p in (out, *out.parents) if p.exists())
+    if not near.is_dir():
+        raise ConfigError(f"--out: {near} is not a directory")
+    return out
+
+
 def _run_config(args):
     """(run context, config with the --seed override, output directory)."""
     ctx = _run_context(args)
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return ctx, cfg, Path(args.out if args.out is not None else cfg["out"])
+    return ctx, cfg, _out_dir(args.out if args.out is not None else cfg["out"])
 
 
 def cmd_run(args) -> int:
@@ -361,18 +367,16 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
-    ctx = _run_context(args)
+    ctx, out_dir = _run_context(args), _out_dir(args.out)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.label is not None and net.num_classes == 0:
         raise ConfigError("--label: the checkpoint's net is unconditional")
     if ema is not None and not args.raw_params:
         net.set_params(ema)
     solver = SolverConfig(t_min=args.t_min)
-    seed = args.seed if args.seed is not None else 0
-    samples, _ = sample(net, args.n, solver, seed=seed, label=args.label)
+    samples, _ = sample(net, args.n, solver, seed=args.seed, label=args.label)
     result = ExperimentResult(tables={"samples": samples_table(samples)})
-    out_dir = Path(args.out)
-    cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": seed}
+    cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": args.seed}
     emit_result(result, out_dir, cfg, ctx, args.format, started)
     print(f"wrote {args.n} samples to {out_dir}")
     return EXIT_OK
@@ -390,9 +394,11 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
+    if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
+        raise ConfigError(f"checkpoint {args.checkpoint} is {net.dim}-D but "
+                          f"dataset {args.dataset} is {ds.dim}-D")
     if ema is not None:
         net.set_params(ema)
-    solver = SolverConfig()
     ts = np.linspace(0.05, 0.95, args.grid)
     table = [["metric", "region", "t", "value", "n", "seed"]]
     if args.metric == "supervision-loss":
@@ -408,13 +414,12 @@ def cmd_diagnose(args) -> int:
             table.append(["overlap", "all", float(t), value, ds.size,
                           args.seed])
     elif args.metric == "rstar":
-        _, trajectories = sample(net, args.n, solver, seed=args.seed,
-                                 record=True)
+        _, trajectories = sample(net, args.n, seed=args.seed, record=True)
         for t, vals in rstar_by_t(ds, trajectories, ts):
             table.append(["rstar", "extrapolation", t, float(np.mean(vals)),
                           args.n, args.seed])
     else:  # memorization
-        samples, _ = sample(net, args.n, solver, seed=args.seed)
+        samples, _ = sample(net, args.n, seed=args.seed)
         cal = calibrated_l2_values(samples, ds.points,
                                    n=min(args.calibration_n, ds.size))
         ratio = memorization_ratio(cal, threshold=args.threshold)
@@ -423,7 +428,10 @@ def cmd_diagnose(args) -> int:
                    args.n, args.seed]]
     payload = csv_bytes(table).decode()
     if args.out:
-        Path(args.out).write_text(payload)
+        try:
+            Path(args.out).write_text(payload)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(payload)
     return EXIT_OK
@@ -475,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--raw-params", action="store_true",
                           help="use raw instead of EMA parameters")
     common(p_sample)
-    p_sample.set_defaults(fn=cmd_sample, out="runs/samples")
+    p_sample.set_defaults(fn=cmd_sample, out="runs/samples", seed=0)
 
     p_diag = sub.add_parser("diagnose", help="run one diagnostic metric")
     p_diag.add_argument("checkpoint")

@@ -162,13 +162,10 @@ def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> S
         score = _stratified_from_pools(
             [ds.class_indices(c) for c in range(ds.num_classes)], n_score, rng)
         extra_quota = n_region - n_score
-        if extra_quota > 0:
-            taken = set(score.tolist())
-            pool_parts = []
-            for c in range(ds.num_classes):
-                members = [i for i in ds.class_indices(c).tolist() if i not in taken]
-                pool_parts.append(np.array(members, dtype=np.int64))
-            extra = _stratified_from_pools(pool_parts, extra_quota, rng)
+        if extra_quota > 0:  # each class's members not yet taken, in order
+            pools = [np.setdiff1d(ds.class_indices(c), score)
+                     for c in range(ds.num_classes)]
+            extra = _stratified_from_pools(pools, extra_quota, rng)
             region = np.concatenate([score, extra])
         else:
             region = score

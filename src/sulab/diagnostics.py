@@ -27,12 +27,6 @@ def velocity_weight(t):
     return (t * t) / ((1.0 - t) ** 2)
 
 
-def uniform_weight(t):
-    return np.ones_like(np.asarray(t, dtype=float))
-
-WEIGHTINGS = {"uniform": uniform_weight, "velocity": velocity_weight}
-
-
 @dataclass(frozen=True)
 class RegionEstimate:
     value: float
@@ -72,29 +66,24 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
-                    n: int = 1000, timesteps: int = 100,
-                    weighting: str = "velocity", seed: int = 0):
+                    n: int = 1000, timesteps: int = 100, seed: int = 0):
     """Monte Carlo estimate of a quantity over a region.
 
     quantity(zs, t) takes a batch (n, d) at a scalar timestep and returns n
     values, or an (m, n) array of m quantities over the same inputs, which
     gives a list of m RegionEstimates. T timesteps are drawn uniformly on the
-    clamped range; each estimate is the weighted mean over all n*T terms.
+    clamped range; each estimate is the plain mean over all n*T terms.
     Extrapolation trajectories come from the default solver. Sample i is the
     same (x, eps) pair, or the same trajectory, at every timestep, so the
     standard error comes from the n per-sample means.
     """
     if n < 1 or timesteps < 1:
         raise InvalidArgumentError("n and timesteps must be >= 1")
-    if weighting not in WEIGHTINGS:
-        raise InvalidArgumentError(f"unknown weighting {weighting!r}")
-    wfun = WEIGHTINGS[weighting]
     rng = RngStream(seed, stream=0)
     ts = rng.uniform(_T_MIN, 1.0 - _T_MIN, timesteps)
     inputs, _ = _region_inputs(region, ds, field, n, ts,
                                RngStream(seed, stream=1), SolverConfig())
-    vals = np.stack([wfun(t) * np.asarray(quantity(inputs[j], float(t)),
-                                          dtype=float)
+    vals = np.stack([np.asarray(quantity(inputs[j], float(t)), dtype=float)
                      for j, t in enumerate(ts)], axis=-2)  # ([m,] T, n)
 
     count = n * timesteps
@@ -111,9 +100,13 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     return summary(vals) if vals.ndim == 2 else [summary(v) for v in vals]
 
 
-def score_error_quantity(field, references):
-    """quantity(zs, t) = ||score(field) - score(reference)||^2 rowwise, one
-    row per reference (m, n); the field is evaluated once per batch."""
+def score_error(field, references, region: str, ds: Dataset, n: int = 1000,
+                timesteps: int = 100, seed: int = 0) -> list:
+    """Velocity-weighted squared score error of `field` against each of a
+    list of reference fields, one estimate each, from one pass over the
+    region inputs: per input, velocity_weight(t) * ||score(field) -
+    score(reference)||^2, with the field evaluated once per batch.
+    Extrapolation-region trajectories come from the field under test itself."""
 
     def q(zs, t):
         own = convert_value(field.evaluate_batch(zs, t), field.prediction_kind,
@@ -123,32 +116,17 @@ def score_error_quantity(field, references):
             diff = own - convert_value(ref.evaluate_batch(zs, t),
                                        ref.prediction_kind, SCORE, zs, t)
             row[:] = np.einsum("bj,bj->b", diff, diff)
-        return out
+        return velocity_weight(t) * out
 
-    return q
-
-
-def score_error(field, reference, region: str, ds: Dataset, n: int = 1000,
-                timesteps: int = 100, seed: int = 0):
-    """Velocity-weighted squared score error of `field` against `reference`.
-
-    reference may be a list of fields: the errors against all of them then
-    come from one pass over the region inputs, and a list of estimates is
-    returned. Extrapolation-region trajectories come from the field under
-    test itself."""
-    many = isinstance(reference, (list, tuple))
-    est = estimate_region(
-        score_error_quantity(field, reference if many else [reference]),
-        region, ds, field=field, n=n, timesteps=timesteps,
-        weighting="velocity", seed=seed)
-    return est if many else est[0]
+    return estimate_region(q, region, ds, field=field, n=n,
+                           timesteps=timesteps, seed=seed)
 
 
 def supervision_loss(field, reference, ds: Dataset, n: int = 1000,
                      timesteps: int = 100, seed: int = 0) -> float:
     """The supervision-region, velocity-weighted score error scalar."""
-    return score_error(field, reference, SUPERVISION, ds, n=n,
-                       timesteps=timesteps, seed=seed).value
+    return score_error(field, [reference], SUPERVISION, ds, n=n,
+                       timesteps=timesteps, seed=seed)[0].value
 
 
 def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
@@ -231,31 +209,22 @@ def regress_to_origin_ratio(pairs, dataset_points) -> float:
     return float(np.mean(nearest == origins))
 
 
-@dataclass(frozen=True)
-class PatRule:
-    """Geometric classification of 2D samples against the four-point toy.
+def pat_quality(samples) -> tuple[float, float, float]:
+    """(bad_fraction, good_fraction, other_fraction) of 2D samples against the
+    four-point toy; fractions sum to 1.
 
-    bad: on the short Euclidean bridge strictly between the two inner points
-    (the width stops short of the points so memorized samples do not count).
-    good: radius within radial_tol of the [inner, outer] radial band, not bad.
+    bad: on the short Euclidean bridge strictly between the two inner points,
+    |y| < 0.1 and |x| < 0.15 (the width stops short of the points so
+    memorized samples do not count). good: radius within 0.15 of the
+    [0.2, 1.0] radial band, not bad.
     """
-
-    bridge_half_height: float = 0.1
-    bridge_half_width: float = 0.15
-    band_inner: float = 0.2
-    band_outer: float = 1.0
-    radial_tol: float = 0.15
-
-
-def pat_quality(samples, rule: PatRule = PatRule()) -> tuple[float, float, float]:
-    """(bad_fraction, good_fraction, other_fraction); fractions sum to 1."""
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.shape[1] != 2:
         raise InvalidArgumentError("pat quality requires 2D samples")
     x, y = samples[:, 0], samples[:, 1]
     r = np.hypot(x, y)
-    bad = (np.abs(y) < rule.bridge_half_height) & (np.abs(x) < rule.bridge_half_width)
-    in_band = (r >= rule.band_inner - rule.radial_tol) & (r <= rule.band_outer + rule.radial_tol)
+    bad = (np.abs(y) < 0.1) & (np.abs(x) < 0.15)
+    in_band = (r >= 0.2 - 0.15) & (r <= 1.0 + 0.15)
     good = in_band & ~bad
     bad_f = float(np.mean(bad))
     good_f = float(np.mean(good))

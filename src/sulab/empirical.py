@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import EmptyClassError, InvalidArgumentError, SingularTimeError
+from .geometry import sq_distance_blocks
 from .schedule import alpha_sigma
 
 EXACT = "exact"
@@ -35,9 +36,10 @@ def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas, sigmas,
     no (B, N, d) tensor, and the softmax subtracts each row's largest logit.
     A scalar alpha takes one matrix product for the batch; per-row alphas
     take one product per row, so each row's result is independent of the
-    other rows in its batch. With k < N only each row's k nearest points
-    keep weight: returns (weights (B, k), their point indices (B, k));
-    otherwise (weights (B, N), None).
+    other rows in its batch (geometry.expanded_sq_distances would change
+    that order and move every oracle output). With k < N only each row's k
+    nearest points keep weight: returns (weights (B, k), their point indices
+    (B, k)); otherwise (weights (B, N), None).
     """
     a = np.reshape(alphas, (-1, 1))
     s = np.reshape(sigmas, (-1, 1))
@@ -115,8 +117,7 @@ class EmpiricalScoreOracle:
         a, s = map(float, alpha_sigma(t))
         if s <= 0.0:
             raise SingularTimeError(f"collapsed score undefined at t={t} (sigma=0)")
-        diff = z[None, :] - a * self._points
-        sq = np.einsum("ij,ij->i", diff, diff)
+        sq, = next(sq_distance_blocks(z[None, :], a * self._points))
         local = int(np.argmin(sq))  # np.argmin returns the first minimum
         i = int(self._indices[local])
         return (-z + a * self.dataset.points[i]) / (s * s), i

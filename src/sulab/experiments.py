@@ -106,12 +106,10 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
         # both supervision errors read the same inputs: one pass, one forward
         emp, gt = score_error(field, [oracle_field, gt_field], SUPERVISION,
                               ds, **kw)
-        return {
-            f"{tag}sup_vs_empirical": emp.value,
-            f"{tag}sup_vs_gt": gt.value,
-            f"{tag}ambient_vs_gt": score_error(field, gt_field, SUPERVISION,
-                                               ambient_ds, **kw).value,
-        }
+        ambient, = score_error(field, [gt_field], SUPERVISION, ambient_ds, **kw)
+        return {f"{tag}sup_vs_empirical": emp.value,
+                f"{tag}sup_vs_gt": gt.value,
+                f"{tag}ambient_vs_gt": ambient.value}
 
     def hook(iteration, raw_net, ema_net):
         raw = errors(raw_net, "")
@@ -124,10 +122,8 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
     names = ["sup_vs_empirical", "sup_vs_gt", "ambient_vs_gt",
              "ema_sup_vs_empirical", "ema_sup_vs_gt", "ema_ambient_vs_gt"]
-    by_iter: dict[int, dict] = {}
-    for it, name, value in report.eval_records:
-        by_iter.setdefault(it, {})[name] = value
-    rows = [[it, *[by_iter[it][n] for n in names]] for it in sorted(by_iter)]
+    rows = [[it, *[values[n] for n in names]]
+            for it, values in report.eval_records]
     return ExperimentResult(
         tables={"loss_curve": loss_curve_table(report),
                 "error_curves": [["iteration", *names], *rows]},
@@ -238,9 +234,6 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
         return convert_value(model.evaluate_batch(zs, t, labels),
                              model.prediction_kind, SCORE, zs, t)
 
-    def model_uncond(zs, t):
-        return model_cond(zs, t, None)
-
     cond_oracle = {c: EmpiricalScoreOracle(ds, class_filter=c)
                    for c in range(ds.num_classes)}
     uncond_oracle = EmpiricalScoreOracle(ds)
@@ -255,7 +248,8 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
     rows = []
     for source, cond, uncond, regions in (
-            ("model", model_cond, model_uncond, (SUPERVISION, EXTRAPOLATION)),
+            ("model", model_cond, partial(model_cond, labels=None),
+             (SUPERVISION, EXTRAPOLATION)),
             ("oracle", oracle_cond, uncond_oracle.score_batch, (SUPERVISION,))):
         for region in regions:
             for t, med, p10, p90 in cfg_gap_curve(
@@ -361,7 +355,10 @@ def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     reference = build_dataset(cfg["dataset"], seed + 9).points
-    # every net is built, and so checked, before any member trains
+    # every width and net is checked before any member trains
+    if len(cfg["widths"]) < 2 or len(set(cfg["widths"])) < len(cfg["widths"]):
+        raise InvalidArgumentError(
+            f"widths: need at least two, all distinct; got {cfg['widths']}")
     nets = [MlpScoreNetwork(ds.dim, width=width, **cfg["model"], seed=seed)
             for width in cfg["widths"]]
     points = []

@@ -29,6 +29,13 @@ def sq_distance_blocks(a: np.ndarray, b: np.ndarray):
         yield np.add.reduce(np.square(a[k:k + block, None, :] - b), axis=2)
 
 
+def expanded_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(B, N) squared distances as |a|^2 - 2 a.b + |b|^2: no (B, N, d)
+    tensor, but it cancels (even below 0) where rows nearly coincide."""
+    return (np.einsum("ij,ij->i", a, a)[:, None] - 2.0 * a @ b.T
+            + np.einsum("ij,ij->i", b, b)[None, :])
+
+
 @dataclass(frozen=True)
 class RStar:
     r_star: float | np.ndarray  # arrays of shape (B,) for a batch of states
@@ -87,11 +94,7 @@ def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None
     a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError(f"overlap undefined at t={t} (sigma=0)")
-    sq = (
-        np.einsum("ij,ij->i", pts, pts)[:, None]
-        - 2.0 * pts @ pts.T
-        + np.einsum("ij,ij->i", pts, pts)[None, :]
-    )
+    sq = expanded_sq_distances(pts, pts)
     np.fill_diagonal(sq, np.inf)
     min_sq = max(float(sq.min()), 0.0)  # expansion can go slightly negative on duplicates
     return float(np.exp(-(a * a) * min_sq / (8.0 * s * s)))

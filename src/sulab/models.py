@@ -21,6 +21,7 @@ from scipy.special import erf
 
 from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
+from .geometry import expanded_sq_distances
 from .numerics import RngStream, cholesky_solve
 from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
                        forward_process, marginal_gaussian_score)
@@ -49,6 +50,20 @@ def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
         out.append(flat[start:start + size].reshape(shape))
         start += size
     return out
+
+
+def _layout(dim, width, hidden_layers, input_map, time_freqs, num_classes,
+            class_emb_dim, **_) -> tuple[int, int, int, int]:
+    """(input width, output width, class embedding width, parameter count)
+    of a net; the count in closed form, so that load can check a header's
+    size against its file before any array is made."""
+    emb = 0 if num_classes <= 0 else class_emb_dim if class_emb_dim > 0 else 8
+    n_in = ({IDENTITY: dim, POLAR: 3, RADIAL_EQUIVARIANT: 1}[input_map]
+            + 1 + 2 * time_freqs + emb)
+    n_out = 2 if input_map == RADIAL_EQUIVARIANT else dim
+    layers = (width * (n_in + 1) + (hidden_layers - 1) * width * (width + 1)
+              + n_out * (width + 1)) if hidden_layers else n_out * (n_in + 1)
+    return n_in, n_out, emb, layers + (num_classes + 1) * emb
 
 
 def _polar_features_batch(zs: np.ndarray) -> np.ndarray:
@@ -95,8 +110,6 @@ class MlpScoreNetwork:
             raise InvalidArgumentError(f"{input_map} input map requires dim=2")
         if width < 1 or hidden_layers < 0 or time_freqs < 0:
             raise InvalidArgumentError("need width >= 1, hidden_layers >= 0, time_freqs >= 0")
-        if num_classes > 0 and class_emb_dim <= 0:
-            class_emb_dim = 8
         self.dim = dim
         self.width = width
         self.hidden_layers = hidden_layers
@@ -104,11 +117,9 @@ class MlpScoreNetwork:
         self.input_map = input_map
         self.time_freqs = time_freqs
         self.num_classes = num_classes
-        self.class_emb_dim = class_emb_dim if num_classes > 0 else 0
-
-        feat = {IDENTITY: dim, POLAR: 3, RADIAL_EQUIVARIANT: 1}[input_map]
-        self.in_dim = feat + (1 + 2 * time_freqs) + self.class_emb_dim
-        self.out_dim = 2 if input_map == RADIAL_EQUIVARIANT else dim
+        self.in_dim, self.out_dim, self.class_emb_dim, size = _layout(
+            dim, width, hidden_layers, input_map, time_freqs, num_classes,
+            class_emb_dim)
 
         rng = RngStream(seed, stream=0)
         sizes = [self.in_dim] + [width] * hidden_layers + [self.out_dim]
@@ -117,7 +128,7 @@ class MlpScoreNetwork:
             shapes += [(sizes[li + 1], sizes[li]), (sizes[li + 1],)]
         if self.class_emb_dim > 0:
             shapes.append((num_classes + 1, self.class_emb_dim))
-        self.flat = np.zeros(sum(math.prod(s) for s in shapes))
+        self.flat = np.zeros(size)
         self.params = _views(self.flat, shapes)
         for li in range(len(sizes) - 2):  # the head and the biases stay zero
             bound = 1.0 / np.sqrt(sizes[li])
@@ -318,13 +329,13 @@ class MlpScoreNetwork:
                     or any(type(desc[k]) is not t for k, t in _CKPT_KEYS.items())):
                 raise ValueError("unknown keys or value types")
             has_ema = desc.pop("has_ema")
+            n_bytes = len(blob) - 12 - blob_len
+            want = 8 * _layout(**desc)[3] * (1 + has_ema)  # KeyError: bad map
+            if n_bytes != want:
+                raise ValueError(f"{n_bytes} parameter bytes, expected {want}")
             net = cls(**desc)
-        except (ValueError, TypeError) as exc:
-            raise FormatError(f"bad checkpoint header in {path}: {exc}") from None
-        n_bytes, want = len(blob) - 12 - blob_len, 8 * net.flat.size * (1 + has_ema)
-        if n_bytes != want:
-            raise FormatError(f"checkpoint {path} holds {n_bytes} parameter "
-                              f"bytes, expected {want}")
+        except (ValueError, TypeError, KeyError) as exc:
+            raise FormatError(f"bad checkpoint {path}: {exc}") from None
         body = np.frombuffer(blob, dtype="<f8", offset=12 + blob_len)
         net.flat[...] = body[:net.flat.size]
         ema = body[net.flat.size:].copy() if has_ema else None
@@ -332,12 +343,7 @@ class MlpScoreNetwork:
 
 
 def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    sq = (
-        np.einsum("ij,ij->i", a, a)[:, None]
-        - 2.0 * a @ b.T
-        + np.einsum("ij,ij->i", b, b)[None, :]
-    )
-    return np.exp(-gamma * np.maximum(sq, 0.0))
+    return np.exp(-gamma * np.maximum(expanded_sq_distances(a, b), 0.0))
 
 
 # -- ScoreField wrappers ----------------------------------------------------

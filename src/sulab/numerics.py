@@ -84,8 +84,12 @@ def cholesky_solve(matrix, rhs) -> np.ndarray:
     return _slinalg.cho_solve(factor, b)
 
 
-def sliced_wasserstein(a, b, projections: int = 64, seed: int = 0) -> float:
-    """Mean 1-Wasserstein distance between random 1D projections of two point sets.
+_PROJECTIONS = 64  # random directions per sliced_wasserstein call
+
+
+def sliced_wasserstein(a, b, seed: int = 0) -> float:
+    """Mean 1-Wasserstein distance between _PROJECTIONS random 1D projections
+    of two point sets.
 
     Uses the sorted-difference formula on each projection. Point sets may have
     different sizes; projected empirical CDFs are compared on a common quantile
@@ -97,12 +101,10 @@ def sliced_wasserstein(a, b, projections: int = 64, seed: int = 0) -> float:
         raise InvalidArgumentError("point sets must be nonempty")
     if a.shape[1] != b.shape[1]:
         raise InvalidArgumentError("dimension mismatch between point sets")
-    if projections < 1:
-        raise InvalidArgumentError("projections must be >= 1")
     d = a.shape[1]
     rng = RngStream(seed, stream=0)
     total = 0.0
-    for _ in range(projections):
+    for _ in range(_PROJECTIONS):
         u = rng.normal(d)
         u /= np.linalg.norm(u)
         pa = np.sort(a @ u)
@@ -114,4 +116,4 @@ def sliced_wasserstein(a, b, projections: int = 64, seed: int = 0) -> float:
             qa = np.quantile(pa, q)
             qb = np.quantile(pb, q)
             total += float(np.mean(np.abs(qa - qb)))
-    return total / projections
+    return total / _PROJECTIONS

@@ -1,10 +1,10 @@
 """Probability-flow ODE integration over any ScoreField.
 
-Integrates dz/dt = v(z, t) from t_start down to t_end, where v is the field's
+Integrates dz/dt = v(z, t) from t_start down to t_min, where v is the field's
 prediction converted to the velocity parameterization. Three integrators:
 an adaptive Dormand-Prince 5(4) embedded pair, fixed-step Heun, and fixed-step
-Euler. Endpoints clamp to [t_min, 1 - t_min] because the parameterization
-conversions are singular at t in {0, 1}.
+Euler. A run ends at t_min, and by default starts at 1 - t_min, because the
+parameterization conversions are singular at t in {0, 1}.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ class SolverConfig:
     rtol: float = 1e-3
     max_steps: int = 100_000
     t_min: float = 1e-3
-    t_start: float | None = None  # default 1 - t_min
-    t_end: float | None = None    # default t_min
+    t_start: float | None = None  # default 1 - t_min; a run ends at t_min
     fixed_steps: int = 100        # step count for the fixed-step kinds
 
     def __post_init__(self):
@@ -61,15 +60,12 @@ class SolverConfig:
         if self.t_min <= 0 or self.fixed_steps < 1:
             raise InvalidArgumentError("t_min and fixed_steps must be positive")
         start, end = self.resolve_span()
-        if not (start > end >= self.t_min):
-            raise InvalidArgumentError(
-                f"need t_start ({start}) > t_end ({end}) >= t_min ({self.t_min})"
-            )
+        if not start > end:
+            raise InvalidArgumentError(f"need t_start ({start}) > t_min ({end})")
 
     def resolve_span(self) -> tuple[float, float]:
         start = 1.0 - self.t_min if self.t_start is None else self.t_start
-        end = self.t_min if self.t_end is None else self.t_end
-        return float(start), float(end)
+        return float(start), float(self.t_min)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +186,7 @@ def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
 def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
               record: bool = False, label=None):
     """Integrate the probability-flow ODE for a batch of states z_init (B, d)
-    down from t_start to t_end; label is None, shared, or one per row.
+    down from t_start to t_min; label is None, shared, or one per row.
 
     Returns (z_final (B, d), a TrajectoryRecord of the B rows or None). A
     non-finite state raises NumericFailureError naming its row.
@@ -284,7 +280,7 @@ def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
 def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 0,
            record: bool = False, label=None):
     """Draw n probability-flow samples: z_init ~ N(0, I), integrated
-    t_start -> t_end as one batch.
+    t_start -> t_min as one batch.
 
     Each sample's initial state comes from its own RNG stream (seed, sample
     index), so any prefix of samples starts from the same states whatever n
@@ -301,10 +297,9 @@ def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 
 
 
 def denoise_from(score_field, z_t, t_from: float,
-                 cfg: SolverConfig = SolverConfig(), label=None) -> np.ndarray:
+                 cfg: SolverConfig = SolverConfig()) -> np.ndarray:
     """Partial denoising: integrate states z_t (B, d) from t_from down to t_min."""
     if t_from <= cfg.t_min:
         return np.array(z_t, dtype=float)
-    sub = replace(cfg, t_start=min(t_from, 1.0 - cfg.t_min), t_end=cfg.t_min)
-    z, _ = integrate(score_field, z_t, sub, record=False, label=label)
-    return z
+    sub = replace(cfg, t_start=min(t_from, 1.0 - cfg.t_min))
+    return integrate(score_field, z_t, sub)[0]

@@ -111,15 +111,6 @@ def ema_update(ema_params: np.ndarray, params: np.ndarray,
     return ema_params
 
 
-def _batch_labels(ds: Dataset, lab, cfg: TrainConfig, rng: RngStream):
-    if lab is None:
-        return None
-    if cfg.class_dropout > 0.0:
-        drop = rng.uniform(size=len(lab)) < cfg.class_dropout
-        lab[drop] = ds.num_classes  # null token
-    return lab
-
-
 def _denoising_target(kind: str, x, eps, zs, ts, rng) -> np.ndarray:
     """The dsm target: the closed form for the noise that made zs."""
     return dsm_target(kind, x, eps, ts)
@@ -130,14 +121,16 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
              target=_denoising_target) -> float:
     """One optimizer step of every loss kind.
 
-    Draws x from ds, noise and time (then class dropout), forms z_t, and
-    regresses the net onto target(kind, x, eps, zs, ts, rng), which may draw
-    last. Adam then updates the flat parameters, and the EMA follows.
+    Draws x from ds, noise and time (then class dropout onto the null
+    token), forms z_t, and regresses the net onto target(kind, x, eps, zs,
+    ts, rng), which may draw last. Adam then updates the flat parameters, and
+    the EMA follows.
     """
     x, eps, lab = supervision_draws(ds, cfg.batch_size, rng)
     ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
     zs = forward_process(x, eps, ts)
-    lab = _batch_labels(ds, lab, cfg, rng)
+    if lab is not None and cfg.class_dropout > 0.0:
+        lab[rng.uniform(size=len(lab)) < cfg.class_dropout] = ds.num_classes
     targets = target(net.prediction_kind, x, eps, zs, ts, rng)
     loss, grads = net.loss_and_grads(zs, ts, targets, lab)
     if not np.isfinite(loss):
@@ -161,7 +154,7 @@ def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
 @dataclass
 class TrainReport:
     loss_curve: list = dc_field(default_factory=list)   # (iteration, loss)
-    eval_records: list = dc_field(default_factory=list)  # (iteration, name, value)
+    eval_records: list = dc_field(default_factory=list)  # (iteration, {name: value})
     ema_params: np.ndarray | None = None  # flat vector, as clone_params gives
 
 
@@ -181,7 +174,7 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
     dsm draws from dataset, oracle-dsm from the oracle's dataset, foe from
     the region subset of dataset. Hooks are callables
     (iteration, net, ema_net) -> dict of metric values; they run on frozen
-    snapshots and their records land in the report.
+    snapshots, and each round's merged dict lands in the report.
     Deterministic for a fixed cfg.seed.
     """
     if cfg.loss_kind == DSM and dataset is None:
@@ -212,9 +205,9 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None
         if not eval_hooks:
             return
         ema_net = ema_network(net, ema)
-        for hook in eval_hooks:
-            for name, value in hook(iteration, net, ema_net).items():
-                report.eval_records.append((iteration, name, float(value)))
+        report.eval_records.append((iteration, {
+            name: float(value) for hook in eval_hooks
+            for name, value in hook(iteration, net, ema_net).items()}))
 
     run_hooks(0)
     for it in range(1, cfg.iterations + 1):

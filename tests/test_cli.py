@@ -2,6 +2,7 @@ import copy
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -27,6 +28,10 @@ def run_cli(args):
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started that the input should have stopped")
 
 
 class TestConfigMerging:
@@ -123,18 +128,33 @@ class TestExitCodes:
         assert run_cli(["print-defaults"]) == code
         assert "x" in capsys.readouterr().err
 
-    def test_degenerate_scaling_line_exits_2(self, tmp_path, capsys):
-        # equal widths give equal losses: the line fit has no abscissa spread
-        small = {"hidden_layers": 1, "time_freqs": 2}
+    def test_degenerate_scaling_line_exits_2(self, tmp_path, capsys,
+                                             monkeypatch):
+        # equal widths would give equal losses, a line fit with no abscissa
+        # spread, and one checkpoint name for two nets: refused up front
+        self._scaling_line_refused(tmp_path, capsys, monkeypatch, [4, 4])
+
+    @pytest.mark.parametrize("widths", [[8], [], [8, 16, 8]])
+    def test_scaling_line_needs_two_distinct_widths(self, tmp_path, capsys,
+                                                    monkeypatch, widths):
+        self._scaling_line_refused(tmp_path, capsys, monkeypatch, widths)
+
+    @staticmethod
+    def _scaling_line_refused(tmp_path, capsys, monkeypatch, widths):
+        monkeypatch.setattr(experiments, "train", _refuse)
+        monkeypatch.setattr(RunContext, "map", _refuse)
         cfg_path = write_config(tmp_path / "c.json", {
             "experiment": "scaling-line", "dataset": {"n_per_class": 8},
-            "widths": [4, 4], "n_samples": 4,
-            "model": small, "train": {"iterations": 5},
+            "widths": widths, "n_samples": 4,
+            "model": {"hidden_layers": 1, "time_freqs": 2},
+            "train": {"iterations": 5},
             "solver": {"kind": "fixed-euler", "fixed_steps": 4},
             "diagnostics": {"n": 4, "timesteps": 2}})
-        assert run_cli(["run", "--config", cfg_path,
+        assert run_cli(["run", "--config", cfg_path, "--threads", "2",
                         "--out", str(tmp_path / "out")]) == 2
-        assert "degenerate abscissa" in capsys.readouterr().err
+        assert (f"error: widths: need at least two, all distinct; got "
+                f"{widths}") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestCsvFormatting:
@@ -280,6 +300,21 @@ class TestRunCommand:
             assert run_cli(["run", "--config", cfg_path]) == 2
             assert "SUL_THREADS" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_running(
+            self, tmp_path, capsys, monkeypatch, command, under):
+        monkeypatch.setitem(cli.RUNNERS, "gaussian", _refuse)
+        monkeypatch.setattr(cli, "train", _refuse)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n")
+        out = blocker / "sub" if under else blocker
+        cfg_path = write_config(tmp_path / "c.json", {"experiment": "gaussian"})
+        assert run_cli([command, "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"error: --out: {blocker} is not a directory" in \
+            capsys.readouterr().err
+        assert blocker.read_text() == "a file\n"
 
     def test_bad_threads_exits_2(self, tmp_path, capsys):
         cfg_path = self._overlap_cfg(tmp_path)
@@ -454,6 +489,42 @@ class TestTrainSampleDiagnose:
                         "--out", str(out)]) == 0
         assert out.read_text().startswith("metric,region,t,value,n,seed")
 
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_sample_out_that_cannot_be_a_directory_exits_2(
+            self, trained, capsys, monkeypatch, under):
+        ckpt, _, tmp_path = trained
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        out = ckpt / "sub" if under else ckpt
+        assert run_cli(["sample", "--checkpoint", str(ckpt),
+                        "--out", str(out)]) == 2
+        assert f"error: --out: {ckpt} is not a directory" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken/x.csv", "missing/x.csv", "."])
+    def test_diagnose_unwritable_out_exits_2(self, trained, capsys, out):
+        ckpt, ds_path, tmp_path = trained
+        (tmp_path / "taken").write_text("a file\n")
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        "--grid", "2", "--out", str(tmp_path / out)]) == 2
+        assert "error: --out: cannot write" in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "a file\n"
+
+    @pytest.mark.parametrize("metric, code", [
+        ("supervision-loss", 2), ("rstar", 2), ("memorization", 2),
+        ("overlap", 0)])  # overlap reads the dataset alone
+    def test_diagnose_dimension_mismatch_exits_2_before_sampling(
+            self, trained, capsys, monkeypatch, metric, code):
+        monkeypatch.setattr(cli, "sample", _refuse)
+        monkeypatch.setattr(cli, "supervision_loss", _refuse)
+        ckpt, _, tmp_path = trained
+        flat = tmp_path / "flat.csv"
+        save_points(Dataset(points=np.eye(8, 2)), flat)
+        assert run_cli(["diagnose", str(ckpt), str(flat), metric, "--n", "4",
+                        "--calibration-n", "2"]) == code
+        if code:
+            assert (f"error: checkpoint {ckpt} is 3-D but dataset {flat} is "
+                    f"2-D") in capsys.readouterr().err
+
     @pytest.mark.parametrize("grid", ["0", "-1"])
     def test_diagnose_grid_below_1_exits_2(self, trained, capsys, grid):
         ckpt, ds_path, _ = trained
@@ -585,15 +656,22 @@ def _tiny_checkpoint(path):
     return path.read_bytes()
 
 
+def _with_header(blob, **changes):
+    """A checkpoint blob with header keys changed and its length re-packed."""
+    (n,) = struct.unpack("<I", blob[8:12])
+    desc = {**json.loads(blob[12:12 + n]), **changes}
+    head = json.dumps(desc, sort_keys=True).encode()
+    return blob[:8] + struct.pack("<I", len(head)) + head + blob[12 + n:]
+
+
 class TestMutatedCheckpoints:
-    # Patches carry no ASCII digit, so a mutated header can shrink a size
-    # (or break it) but never declare a net too large to build.
+    # Patches may hold ASCII digits, so a header can declare a net far too
+    # large to build: its size is checked before any array is made.
     @settings(max_examples=200, deadline=None)
     @example("truncate", 11, b"")
     @example("overwrite", 4, b"\x02")  # version 2
     @given(st.sampled_from(["truncate", "overwrite"]), st.integers(0, 1 << 16),
-           st.lists(st.integers(0, 255).filter(lambda c: not 48 <= c <= 57),
-                    min_size=1, max_size=4).map(bytes))
+           st.binary(min_size=1, max_size=4))
     def test_load_raises_only_format_error(self, tmp_path_factory, how, at,
                                            patch):
         tmp = tmp_path_factory.mktemp("ckpt")
@@ -609,6 +687,24 @@ class TestMutatedCheckpoints:
             assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
                             "--out", str(tmp / "out")]) == 2
             assert not (tmp / "out").exists()
+
+
+    @pytest.mark.parametrize("changes", [
+        {"width": 100_000_000}, {"hidden_layers": 10 ** 12},
+        {"time_freqs": 10 ** 9}, {"num_classes": 10 ** 10},
+        {"input_map": "bogus"}])
+    def test_header_declaring_a_huge_or_unknown_net_is_refused(self, tmp_path,
+                                                               changes):
+        path = tmp_path / "model.ckpt"
+        blob = _tiny_checkpoint(tmp_path / "base.ckpt")
+        path.write_bytes(_with_header(blob))
+        assert MlpScoreNetwork.load(path)[0].width == 4  # re-packed, unchanged
+        path.write_bytes(_with_header(blob, **changes))
+        with pytest.raises(FormatError, match="model.ckpt"):
+            MlpScoreNetwork.load(path)
+        assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestConsoleEntryPoint:

@@ -3,8 +3,7 @@ import pytest
 
 from sulab import geometry
 from sulab.data import Dataset, make_gaussian_dataset
-from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, PatRule,
-                               QualityPoint, calibrated_l2_values,
+from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, QualityPoint, calibrated_l2_values,
                                cfg_gap_curve,
                                estimate_region, fit_quality_line,
                                memorization_ratio, pat_quality,
@@ -51,11 +50,10 @@ class TestVelocityWeight:
 
 
 class TestEstimateRegion:
-    def test_constant_quantity_uniform_weight(self):
+    def test_constant_quantity_plain_mean(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
         est = estimate_region(lambda zs, t: np.full(zs.shape[0], 3.0),
-                              SUPERVISION, ds, n=10, timesteps=5,
-                              weighting="uniform", seed=0)
+                              SUPERVISION, ds, n=10, timesteps=5, seed=0)
         assert est.value == pytest.approx(3.0)
         assert est.stderr == pytest.approx(0.0)
         assert len(est.curve) == 5
@@ -66,17 +64,9 @@ class TestEstimateRegion:
         ds = make_gaussian_dataset(2, 8, seed=0)
         n = 10
         est = estimate_region(lambda zs, t: np.arange(zs.shape[0], dtype=float),
-                              SUPERVISION, ds, n=n, timesteps=25,
-                              weighting="uniform", seed=0)
+                              SUPERVISION, ds, n=n, timesteps=25, seed=0)
         assert est.value == pytest.approx(4.5)
         assert est.stderr == pytest.approx(np.std(np.arange(n)) / np.sqrt(n))
-
-    def test_constant_quantity_velocity_weight_matches_mean(self):
-        ds = make_gaussian_dataset(2, 8, seed=0)
-        est = estimate_region(lambda zs, t: np.ones(zs.shape[0]),
-                              SUPERVISION, ds, n=4, timesteps=50, seed=1)
-        ts = np.array([t for t, _ in est.curve])
-        assert est.value == pytest.approx(np.mean(velocity_weight(ts)))
 
     def test_extrapolation_requires_field(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
@@ -89,8 +79,6 @@ class TestEstimateRegion:
         q = lambda zs, t: np.ones(zs.shape[0])
         with pytest.raises(InvalidArgumentError):
             estimate_region(q, SUPERVISION, ds, n=0)
-        with pytest.raises(InvalidArgumentError):
-            estimate_region(q, SUPERVISION, ds, weighting="bogus")
         with pytest.raises(InvalidArgumentError):
             estimate_region(q, "interior", ds)
 
@@ -108,7 +96,7 @@ class TestEstimateRegion:
         field = GaussianGroundTruthField(4)
         est = estimate_region(lambda zs, t: np.sum(zs * zs, axis=1),
                               EXTRAPOLATION, ds, field=field, n=40,
-                              timesteps=12, weighting="uniform", seed=3)
+                              timesteps=12, seed=3)
         for t, mean_sq in est.curve:
             v = (1 - t) ** 2 + t**2
             expected = 4 * v / ((1 - 1e-3) ** 2 + 1e-3**2)
@@ -120,8 +108,20 @@ class TestScoreError:
     def test_zero_for_identical_fields(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
         field = GaussianGroundTruthField(2)
-        est = score_error(field, field, SUPERVISION, ds, n=10, timesteps=10)
+        est, = score_error(field, [field], SUPERVISION, ds, n=10,
+                           timesteps=10)
         assert est.value == 0.0
+
+    def test_unit_error_gives_mean_velocity_weight(self):
+        # |s1 - s2|^2 = 1 at every input, so the estimate is the mean of the
+        # velocity weight over the drawn timesteps: the weight lives here,
+        # not in estimate_region.
+        ds = make_gaussian_dataset(2, 8, seed=0)
+        est, = score_error(ConstantScoreField([1.0, 0.0]),
+                           [ConstantScoreField([0.0, 0.0])], SUPERVISION, ds,
+                           n=4, timesteps=50, seed=1)
+        ts = np.array([t for t, _ in est.curve])
+        assert est.value == pytest.approx(np.mean(velocity_weight(ts)))
 
     def test_constant_offset_closed_form(self):
         # Fields differing by a constant vector c: weighted error is
@@ -129,7 +129,7 @@ class TestScoreError:
         ds = make_gaussian_dataset(3, 8, seed=0)
         a = ConstantScoreField([1.0, 0.0, 0.0])
         b = ConstantScoreField([0.0, 2.0, 0.0])
-        est = score_error(a, b, SUPERVISION, ds, n=5, timesteps=40, seed=2)
+        est, = score_error(a, [b], SUPERVISION, ds, n=5, timesteps=40, seed=2)
         ts = np.array([t for t, _ in est.curve])
         expected = np.mean(velocity_weight(ts) * 5.0)
         assert est.value == pytest.approx(expected, rel=1e-10)
@@ -139,7 +139,7 @@ class TestScoreError:
         a = ConstantScoreField([1.0, 0.0])
         b = ConstantScoreField([0.0, 0.0])
         scalar = supervision_loss(a, b, ds, n=6, timesteps=9, seed=4)
-        est = score_error(a, b, SUPERVISION, ds, n=6, timesteps=9, seed=4)
+        est, = score_error(a, [b], SUPERVISION, ds, n=6, timesteps=9, seed=4)
         assert scalar == est.value
 
 
@@ -267,14 +267,13 @@ class TestPatQuality:
         assert bad + good + other == pytest.approx(1.0)
 
     def test_classification_cases(self):
-        rule = PatRule()
         samples = np.array([
             [0.0, 0.0],    # center of the bridge: bad
             [1.0, 0.0],    # on the outer radius but inside bridge height? |y|=0<0.1 but |x|=1>0.2 so good
             [0.0, 0.5],    # radius 0.5 inside band, off bridge: good
             [5.0, 5.0],    # far outside band: other
         ])
-        bad, good, other = pat_quality(samples, rule)
+        bad, good, other = pat_quality(samples)
         assert bad == pytest.approx(0.25)
         assert good == pytest.approx(0.5)
         assert other == pytest.approx(0.25)

@@ -100,6 +100,19 @@ class TestMlpBasics:
         with pytest.raises(InvalidArgumentError):
             MlpScoreNetwork(2, **kw)
 
+    @pytest.mark.parametrize("kw", [
+        {}, {"hidden_layers": 0}, {"hidden_layers": 1, "width": 3},
+        {"input_map": POLAR, "time_freqs": 0},
+        {"input_map": RADIAL_EQUIVARIANT, "num_classes": 3},
+        {"num_classes": 2, "class_emb_dim": 5}, {"num_classes": 1},
+        {"class_emb_dim": 7}])
+    def test_closed_form_count_tiles_the_tensors(self, kw):
+        # the flat vector is sized by the closed-form count that load checks
+        # a header against; the per-tensor views must cover it exactly
+        net = MlpScoreNetwork(2, **{"width": 6, **kw})
+        assert net.flat.size == sum(p.size for p in net.params)
+        assert np.shares_memory(net.params[-1], net.flat[-1:])
+
     def test_pickle_keeps_params_views_of_flat(self):
         net = MlpScoreNetwork(3, width=8, hidden_layers=2, num_classes=2,
                               input_map=IDENTITY, seed=4)

@@ -138,4 +138,6 @@ class TestSlicedWasserstein:
 
     def test_rejects_bad_args(self):
         with pytest.raises(InvalidArgumentError):
-            sliced_wasserstein(np.zeros((5, 2)), np.zeros((5, 2)), projections=0)
+            sliced_wasserstein(np.zeros((0, 2)), np.zeros((5, 2)))
+        with pytest.raises(InvalidArgumentError):
+            sliced_wasserstein(np.zeros((5, 2)), np.zeros((5, 3)))

@@ -289,8 +289,8 @@ class TestTrainLoop:
                                         eval_interval=5, seed=0),
                        dataset=ds, eval_hooks=(hook,))
         assert seen == [0, 5, 10]
-        assert (5, "const", 1.0) in report.eval_records
-        assert (10, "width", 4.0) in report.eval_records
+        assert report.eval_records == [
+            (it, {"const": 1.0, "width": 4.0}) for it in (0, 5, 10)]
 
     def test_class_dropout_uses_null_token(self):
         # With dropout 1.0 every label becomes the null token, which must
