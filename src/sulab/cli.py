@@ -266,7 +266,7 @@ def _usage(who: int) -> dict:
 
 
 def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
-                ctx: RunContext, fmt: str, started: float) -> None:
+                fmt: str, started: float, threads: int = 1) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
@@ -293,7 +293,7 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
         "tool_version": __version__,
         "config_sha256": hashlib.sha256(config_blob).hexdigest(),
         "config": cfg,
-        "threads": ctx.threads,
+        "threads": threads,
         "wall_clock_seconds": round(time.time() - started, 3),
         "artifacts": artifacts,
         "telemetry": {"process": {"self": _usage(resource.RUSAGE_SELF),
@@ -325,19 +325,19 @@ def _out_dir(path) -> Path:
 
 
 def _run_config(args):
-    """(run context, config with the --seed override, output directory)."""
-    ctx = _run_context(args)
+    """(config with the --seed override, output directory)."""
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    return ctx, cfg, _out_dir(args.out if args.out is not None else cfg["out"])
+    return cfg, _out_dir(args.out if args.out is not None else cfg["out"])
 
 
 def cmd_run(args) -> int:
     started = time.time()
-    ctx, cfg, out_dir = _run_config(args)
+    ctx = _run_context(args)
+    cfg, out_dir = _run_config(args)
     result = RUNNERS[cfg["experiment"]](cfg, ctx)
-    emit_result(result, out_dir, cfg, ctx, args.format, started)
+    emit_result(result, out_dir, cfg, args.format, started, ctx.threads)
     print(f"{cfg['experiment']}: wrote {len(result.tables)} tables to {out_dir}")
     return EXIT_OK
 
@@ -348,7 +348,7 @@ TRAINABLE = ("gaussian", "foe", "cfg-gap", "memorize-from-t")
 
 def cmd_train(args) -> int:
     started = time.time()
-    ctx, cfg, out_dir = _run_config(args)
+    cfg, out_dir = _run_config(args)
     if cfg["experiment"] not in TRAINABLE:
         raise ConfigError(f"experiment: {cfg['experiment']} has no single net"
                           f" to train; train takes {', '.join(TRAINABLE)}")
@@ -359,7 +359,7 @@ def cmd_train(args) -> int:
     result = ExperimentResult(
         tables={"loss_curve": loss_curve_table(report)},
         checkpoints={"model": (net, report.ema_params)})
-    emit_result(result, out_dir, cfg, ctx, args.format, started)
+    emit_result(result, out_dir, cfg, args.format, started)
     print(f"trained {cfg['train']['iterations']} iterations; "
           f"artifacts in {out_dir}")
     return EXIT_OK
@@ -367,7 +367,7 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
-    ctx, out_dir = _run_context(args), _out_dir(args.out)
+    out_dir = _out_dir(args.out)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.label is not None and net.num_classes == 0:
         raise ConfigError("--label: the checkpoint's net is unconditional")
@@ -377,7 +377,7 @@ def cmd_sample(args) -> int:
     samples, _ = sample(net, args.n, solver, seed=args.seed, label=args.label)
     result = ExperimentResult(tables={"samples": samples_table(samples)})
     cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": args.seed}
-    emit_result(result, out_dir, cfg, ctx, args.format, started)
+    emit_result(result, out_dir, cfg, args.format, started)
     print(f"wrote {args.n} samples to {out_dir}")
     return EXIT_OK
 
@@ -428,8 +428,10 @@ def cmd_diagnose(args) -> int:
                    args.n, args.seed]]
     payload = csv_bytes(table).decode()
     if args.out:
+        out = Path(args.out)
         try:
-            Path(args.out).write_text(payload)
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(payload)
         except OSError as exc:
             raise ConfigError(f"--out: cannot write {args.out}: {exc}") from None
     else:
@@ -458,15 +460,15 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="seed override")
-        p.add_argument("--threads", type=int,
-                       help="worker processes for sweep members (foe, pat, "
-                            "scaling-line), not for one training run; output "
-                            "is byte-identical at any value; default "
-                            "SUL_THREADS, else 1")
         p.add_argument("--format", choices=["csv", "csv+svg"], default="csv")
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
+    p_run.add_argument("--threads", type=int,
+                       help="worker processes for sweep members (foe, pat, "
+                            "scaling-line), not for one training run; output "
+                            "is byte-identical at any value; default "
+                            "SUL_THREADS, else 1")
     common(p_run)
     p_run.set_defaults(fn=cmd_run)
 

@@ -66,13 +66,14 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
-                    n: int = 1000, timesteps: int = 100, seed: int = 0):
-    """Monte Carlo estimate of a quantity over a region.
+                    n: int = 1000, timesteps: int = 100, seed: int = 0) -> list:
+    """Monte Carlo estimates of m quantities over a region, one
+    RegionEstimate each.
 
-    quantity(zs, t) takes a batch (n, d) at a scalar timestep and returns n
-    values, or an (m, n) array of m quantities over the same inputs, which
-    gives a list of m RegionEstimates. T timesteps are drawn uniformly on the
-    clamped range; each estimate is the plain mean over all n*T terms.
+    quantity(zs, t) takes a batch (n, d) at a scalar timestep and returns an
+    (m, n) array: m quantities over the same inputs. T timesteps are drawn
+    uniformly on the clamped range; each estimate is the plain mean over all
+    n*T terms.
     Extrapolation trajectories come from the default solver. Sample i is the
     same (x, eps) pair, or the same trajectory, at every timestep, so the
     standard error comes from the n per-sample means.
@@ -84,7 +85,9 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     inputs, _ = _region_inputs(region, ds, field, n, ts,
                                RngStream(seed, stream=1), SolverConfig())
     vals = np.stack([np.asarray(quantity(inputs[j], float(t)), dtype=float)
-                     for j, t in enumerate(ts)], axis=-2)  # ([m,] T, n)
+                     for j, t in enumerate(ts)], axis=1)  # (m, T, n)
+    if vals.ndim != 3:
+        raise InvalidArgumentError(f"quantity must return an (m, {n}) array")
 
     count = n * timesteps
 
@@ -97,7 +100,7 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
         return RegionEstimate(mean, curve,
                               float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
 
-    return summary(vals) if vals.ndim == 2 else [summary(v) for v in vals]
+    return [summary(v) for v in vals]
 
 
 def score_error(field, references, region: str, ds: Dataset, n: int = 1000,

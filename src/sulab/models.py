@@ -17,7 +17,6 @@ import struct
 from pathlib import Path
 
 import numpy as np
-from scipy.special import erf
 
 from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
@@ -182,6 +181,7 @@ class MlpScoreNetwork:
         """The output, a fresh array. Hidden layer li writes its pre-activation,
         GELU phi and activation into work arrays 3li, 3li+1 and 3li+2 when
         keep (for the backward), else into arrays 0, 1 and, over phi, 1."""
+        from scipy.special import erf  # here, so a run with no net loads no scipy
         n, h = feats.shape[0], feats
         for li in range(self._n_layers - 1):
             w, b, k = self.params[2 * li], self.params[2 * li + 1], 3 * li * keep

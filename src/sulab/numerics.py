@@ -9,7 +9,6 @@ over numpy's counter-based Philox generator keyed by (seed, stream). The same
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg as _slinalg
 
 from .errors import InvalidArgumentError, RankDeficiencyError
 
@@ -64,6 +63,7 @@ def log_sum_exp(values) -> float:
 
 def cholesky_solve(matrix, rhs) -> np.ndarray:
     """Solve A x = b for symmetric positive definite A by Cholesky factorization."""
+    from scipy import linalg  # here, so only a KRR fit loads it
     a = np.asarray(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -71,8 +71,8 @@ def cholesky_solve(matrix, rhs) -> np.ndarray:
     if b.shape[0] != a.shape[0]:
         raise InvalidArgumentError("rhs length does not match matrix")
     try:
-        factor = _slinalg.cho_factor(a, lower=True)
-    except _slinalg.LinAlgError as exc:
+        factor = linalg.cho_factor(a, lower=True)
+    except linalg.LinAlgError as exc:
         # scipy reports the failing leading minor in its message; expose the index.
         pivot = None
         msg = str(exc)
@@ -81,7 +81,7 @@ def cholesky_solve(matrix, rhs) -> np.ndarray:
                 pivot = int(tok)
                 break
         raise RankDeficiencyError("matrix is not positive definite", pivot=pivot) from exc
-    return _slinalg.cho_solve(factor, b)
+    return linalg.cho_solve(factor, b)
 
 
 _PROJECTIONS = 64  # random directions per sliced_wasserstein call

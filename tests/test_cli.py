@@ -419,6 +419,23 @@ class TestTrainSampleDiagnose:
         assert "error: --label:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_threads_only_on_run(self, trained, capsys, monkeypatch):
+        # train trains one net and sample integrates one batch: neither has
+        # sweep members for --threads to spread.
+        monkeypatch.setattr(cli, "train", _refuse)
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        ckpt, _, tmp_path = trained
+        cfg_path = write_config(tmp_path / "c.json", {"experiment": "gaussian"})
+        for argv in (["train", "--config", cfg_path],
+                     ["sample", "--checkpoint", str(ckpt)]):
+            with pytest.raises(SystemExit) as exc:
+                run_cli([*argv, "--threads", "1",
+                         "--out", str(tmp_path / "out")])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --threads 1" in \
+                capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("experiment", ["pat", "rstar-profile",
                                             "overlap-curve", "scaling-line"])
     def test_train_without_one_net_exits_2(self, tmp_path, capsys,
@@ -500,7 +517,14 @@ class TestTrainSampleDiagnose:
         assert f"error: --out: {ckpt} is not a directory" in \
             capsys.readouterr().err
 
-    @pytest.mark.parametrize("out", ["taken/x.csv", "missing/x.csv", "."])
+    def test_diagnose_out_creates_missing_parent(self, trained, capsys):
+        ckpt, ds_path, tmp_path = trained
+        out = tmp_path / "missing" / "deeper" / "x.csv"
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        "--grid", "2", "--out", str(out)]) == 0
+        assert out.read_text().startswith("metric,region,t,value,n,seed")
+
+    @pytest.mark.parametrize("out", ["taken/x.csv", "."])
     def test_diagnose_unwritable_out_exits_2(self, trained, capsys, out):
         ckpt, ds_path, tmp_path = trained
         (tmp_path / "taken").write_text("a file\n")
@@ -644,7 +668,8 @@ class TestMutatedConfigs:
         tmp = tmp_path_factory.mktemp("mutated")
         cfg_path = write_config(tmp / "c.json", cfg)
         with np.errstate(all="ignore"):
-            code = run_cli([command, "--config", cfg_path, "--threads", "1",
+            threads = ["--threads", "1"] if command == "run" else []
+            code = run_cli([command, "--config", cfg_path, *threads,
                             "--out", str(tmp / "out")])
         assert code in (0, 2, 3)
 
@@ -705,6 +730,47 @@ class TestMutatedCheckpoints:
         assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
                         "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+
+def _scipy_after(code: str) -> list:
+    """The scipy modules a fresh interpreter holds after running code."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps("
+         "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipyLoadedOnFirstUse:
+    # scipy is imported where it is called, so a process loads only the
+    # scipy its run uses.
+    def test_cli_import_loads_no_scipy(self):
+        assert _scipy_after("import sulab.cli") == []
+
+    def test_mlp_forward_loads_special_not_linalg(self):
+        loaded = _scipy_after(
+            "import numpy as np\n"
+            "from sulab.models import MlpScoreNetwork\n"
+            "net = MlpScoreNetwork(2, width=4, hidden_layers=1, time_freqs=1)\n"
+            "net.evaluate_batch(np.zeros((3, 2)), 0.5)")
+        assert "scipy.special" in loaded
+        assert "scipy.linalg" not in loaded
+
+    def test_cholesky_solve_loads_linalg_and_still_reports_pivot(self):
+        loaded = _scipy_after(
+            "import numpy as np\n"
+            "from sulab.errors import RankDeficiencyError\n"
+            "from sulab.numerics import cholesky_solve\n"
+            "bad = np.zeros((3, 3))\n"
+            "bad[0, 0] = 1.0\n"
+            "try:\n"
+            "    cholesky_solve(bad, np.ones(3))\n"
+            "    raise SystemExit('no RankDeficiencyError')\n"
+            "except RankDeficiencyError as exc:\n"
+            "    assert exc.pivot == 2, exc.pivot\n"
+            "assert np.allclose(cholesky_solve(2 * np.eye(2), np.ones(2)), 0.5)")
+        assert "scipy.linalg" in loaded
 
 
 class TestConsoleEntryPoint:

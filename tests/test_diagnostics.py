@@ -52,8 +52,8 @@ class TestVelocityWeight:
 class TestEstimateRegion:
     def test_constant_quantity_plain_mean(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
-        est = estimate_region(lambda zs, t: np.full(zs.shape[0], 3.0),
-                              SUPERVISION, ds, n=10, timesteps=5, seed=0)
+        est, = estimate_region(lambda zs, t: np.full((1, zs.shape[0]), 3.0),
+                               SUPERVISION, ds, n=10, timesteps=5, seed=0)
         assert est.value == pytest.approx(3.0)
         assert est.stderr == pytest.approx(0.0)
         assert len(est.curve) == 5
@@ -63,30 +63,34 @@ class TestEstimateRegion:
         # that is constant per sample has the spread of n values, not n*T.
         ds = make_gaussian_dataset(2, 8, seed=0)
         n = 10
-        est = estimate_region(lambda zs, t: np.arange(zs.shape[0], dtype=float),
-                              SUPERVISION, ds, n=n, timesteps=25, seed=0)
+        est, = estimate_region(
+            lambda zs, t: np.arange(zs.shape[0], dtype=float)[None],
+            SUPERVISION, ds, n=n, timesteps=25, seed=0)
         assert est.value == pytest.approx(4.5)
         assert est.stderr == pytest.approx(np.std(np.arange(n)) / np.sqrt(n))
 
     def test_extrapolation_requires_field(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
         with pytest.raises(InvalidArgumentError):
-            estimate_region(lambda zs, t: np.ones(zs.shape[0]),
+            estimate_region(lambda zs, t: np.ones((1, zs.shape[0])),
                             EXTRAPOLATION, ds, n=2, timesteps=2, seed=0)
 
     def test_validation(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
-        q = lambda zs, t: np.ones(zs.shape[0])
+        q = lambda zs, t: np.ones((1, zs.shape[0]))
         with pytest.raises(InvalidArgumentError):
             estimate_region(q, SUPERVISION, ds, n=0)
         with pytest.raises(InvalidArgumentError):
             estimate_region(q, "interior", ds)
+        with pytest.raises(InvalidArgumentError, match=r"\(m, 4\) array"):
+            estimate_region(lambda zs, t: np.ones(zs.shape[0]), SUPERVISION,
+                            ds, n=4, timesteps=2)
 
     def test_deterministic(self):
         ds = make_gaussian_dataset(3, 16, seed=0)
-        q = lambda zs, t: np.sum(zs * zs, axis=1)
-        a = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
-        b = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
+        q = lambda zs, t: np.sum(zs * zs, axis=1)[None]
+        a, = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
+        b, = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
         assert a.value == b.value and a.curve == b.curve
 
     def test_extrapolation_inputs_track_trajectories(self):
@@ -94,14 +98,26 @@ class TestEstimateRegion:
         # sqrt(V(t)); the mean squared norm over inputs should match d * V(t).
         ds = make_gaussian_dataset(4, 8, seed=0)
         field = GaussianGroundTruthField(4)
-        est = estimate_region(lambda zs, t: np.sum(zs * zs, axis=1),
-                              EXTRAPOLATION, ds, field=field, n=40,
-                              timesteps=12, seed=3)
+        est, = estimate_region(lambda zs, t: np.sum(zs * zs, axis=1)[None],
+                               EXTRAPOLATION, ds, field=field, n=40,
+                               timesteps=12, seed=3)
         for t, mean_sq in est.curve:
             v = (1 - t) ** 2 + t**2
             expected = 4 * v / ((1 - 1e-3) ** 2 + 1e-3**2)
             # slack: 40 samples of a chi-square-like statistic
             assert abs(mean_sq / expected - 1.0) < 0.5
+
+    def test_m_quantities_match_one_at_a_time(self):
+        # One pass over m quantities gives, bit for bit, what m passes give.
+        ds = make_gaussian_dataset(3, 16, seed=0)
+        qs = [lambda zs, t: np.sum(zs * zs, axis=1),
+              lambda zs, t: t * zs[:, 0]]
+        both = estimate_region(lambda zs, t: np.stack([q(zs, t) for q in qs]),
+                               SUPERVISION, ds, n=20, timesteps=10, seed=7)
+        alone = [estimate_region(lambda zs, t, q=q: q(zs, t)[None],
+                                 SUPERVISION, ds, n=20, timesteps=10,
+                                 seed=7)[0] for q in qs]
+        assert both == alone
 
 
 class TestScoreError:
