@@ -34,16 +34,6 @@ class RegionEstimate:
     stderr: float
 
 
-@dataclass(frozen=True)
-class QualityPoint:
-    supervision_loss: float
-    quality: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.supervision_loss) and np.isfinite(self.quality)):
-            raise InvalidArgumentError("quality point must be finite")
-
-
 def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
                    rng: RngStream, solver: SolverConfig, labels_for_traj=None):
     """Per-timestep query batches (T, n, d) for a region, plus per-sample
@@ -198,15 +188,15 @@ def memorization_ratio(values, threshold: float = 1 / 3) -> float:
     return float(np.mean(values < threshold))
 
 
-def regress_to_origin_ratio(pairs, dataset_points) -> float:
-    """Fraction of (origin index, denoised output) pairs whose output's nearest
-    dataset point is its origin."""
-    pairs = list(pairs)
-    if not pairs:
-        raise InvalidArgumentError("empty pairs")
+def regress_to_origin_ratio(origins, outputs, dataset_points) -> float:
+    """Fraction of denoised outputs (n, d) whose nearest dataset point is
+    their origin: origins (n,) holds the index of the point each output was
+    noised from."""
+    origins = np.asarray(origins)
+    outs = np.atleast_2d(np.asarray(outputs, dtype=float))
+    if origins.size == 0 or origins.shape != (outs.shape[0],):
+        raise InvalidArgumentError("need one origin per output, at least one")
     pts = np.atleast_2d(np.asarray(dataset_points, dtype=float))
-    origins = np.array([int(i) for i, _ in pairs])
-    outs = np.array([np.asarray(out, dtype=float) for _, out in pairs])
     nearest = np.concatenate([np.argmin(sq, axis=1)
                               for sq in sq_distance_blocks(outs, pts)])
     return float(np.mean(nearest == origins))
@@ -234,15 +224,17 @@ def pat_quality(samples) -> tuple[float, float, float]:
     return bad_f, good_f, 1.0 - bad_f - good_f
 
 
-def fit_quality_line(points) -> tuple[float, float, float]:
-    """Ordinary least squares of quality on supervision loss.
+def fit_quality_line(losses, qualities) -> tuple[float, float, float]:
+    """Ordinary least squares of quality on supervision loss, one pair per
+    model.
 
     Returns (slope, intercept, rms residual)."""
-    points = list(points)
-    if len(points) < 2:
+    xs = np.asarray(losses, dtype=float)
+    ys = np.asarray(qualities, dtype=float)
+    if xs.size < 2:
         raise InvalidArgumentError("need at least two quality points")
-    xs = np.array([p.supervision_loss for p in points])
-    ys = np.array([p.quality for p in points])
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise InvalidArgumentError("quality points must be finite")
     if np.ptp(xs) == 0.0:
         raise RankDeficiencyError("degenerate abscissa: all losses identical")
     a = np.stack([xs, np.ones_like(xs)], axis=1)

@@ -2,9 +2,9 @@
 
 The smoothed training density at time t is a uniform Gaussian mixture with
 means alpha_t * x_i and shared isotropic variance sigma_t^2. Its score is a
-softmax-weighted pull toward the scaled training points; all weight
-computations go through log-space max subtraction so arbitrarily separated
-points stay finite.
+softmax-weighted pull toward every one of the scaled training points; all
+weight computations go through log-space max subtraction so arbitrarily
+separated points stay finite.
 """
 
 from __future__ import annotations
@@ -12,22 +12,19 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyClassError, InvalidArgumentError, SingularTimeError
+from .errors import EmptyClassError, SingularTimeError
 from .geometry import sq_distance_blocks
 from .schedule import alpha_sigma
 
-EXACT = "exact"
-
 
 def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b, or a[i] @ b[i] for a stack b, as one product per row: a
-    row's bits then do not depend on the rows it is batched with, as they
-    can in one matrix product."""
+    """a[i] @ b as one product per row: a row's bits then do not depend on
+    the rows it is batched with, as they can in one matrix product."""
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
-def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas, sigmas,
-                    k: int | None = None):
+def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas,
+                    sigmas) -> np.ndarray:
     """Responsibilities proportional to exp(-|z - alpha x_i|^2 / (2 sigma^2)),
     normalized over each row of zs (B, d).
 
@@ -37,9 +34,7 @@ def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas, sigmas,
     A scalar alpha takes one matrix product for the batch; per-row alphas
     take one product per row, so each row's result is independent of the
     other rows in its batch (geometry.expanded_sq_distances would change
-    that order and move every oracle output). With k < N only each row's k
-    nearest points keep weight: returns (weights (B, k), their point indices
-    (B, k)); otherwise (weights (B, N), None).
+    that order and move every oracle output). Returns the (B, N) weights.
     """
     a = np.reshape(alphas, (-1, 1))
     s = np.reshape(sigmas, (-1, 1))
@@ -47,29 +42,21 @@ def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas, sigmas,
     sq *= -2.0 * a
     sq += np.einsum("ij,ij->i", zs, zs)[:, None]
     sq += (a * a) * np.einsum("ij,ij->i", points, points)[None, :]
-    idx = None
-    if k is not None and k < points.shape[0]:
-        idx = np.argpartition(sq, k - 1, axis=1)[:, :k]
-        sq = np.take_along_axis(sq, idx, axis=1)
     sq /= -(2.0 * s * s)
     sq -= sq.max(axis=1, keepdims=True)
     np.exp(sq, out=sq)
     sq /= sq.sum(axis=1, keepdims=True)
-    return sq, idx
+    return sq
 
 
 class EmpiricalScoreOracle:
-    """Evaluates the exact score of the Gaussian-smoothed training set.
+    """Exact score of the Gaussian-smoothed training set, over all its points.
 
-    truncation: "exact" (all N points) or an integer k for kNN truncation,
-    restricting the mixture to the k points whose scaled positions are nearest
-    the query. k = N reproduces the exact oracle bit-for-bit.
     class_filter restricts the mixture to points of one class, renormalized
     uniformly within the class.
     """
 
-    def __init__(self, dataset: Dataset, truncation=EXACT,
-                 class_filter: int | None = None):
+    def __init__(self, dataset: Dataset, class_filter: int | None = None):
         if class_filter is not None:
             idx = dataset.class_indices(class_filter)
             if idx.size == 0:
@@ -77,17 +64,8 @@ class EmpiricalScoreOracle:
             self._indices = idx
         else:
             self._indices = np.arange(dataset.size)
-        self.dataset = dataset
         self.dim = dataset.dim
         self._points = dataset.points[self._indices]
-        n = self._points.shape[0]
-        if truncation == EXACT:
-            self.k = n
-        else:
-            k = int(truncation)
-            if not (1 <= k <= n):
-                raise InvalidArgumentError(f"knn truncation k={k} outside [1, {n}]")
-            self.k = k
 
     def score_batch(self, zs: np.ndarray, t) -> np.ndarray:
         """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries;
@@ -101,10 +79,8 @@ class EmpiricalScoreOracle:
             # one t for the batch: scale the points once and take single
             # matrix products (only per-row t needs rows computed apart)
             points, a = a * points, 1.0
-        w, idx = mixture_weights(zs, points, a, s, self.k)
-        if idx is not None:
-            means = _rowwise_matmul(w, points[idx])
-        elif np.ndim(t) == 0:
+        w = mixture_weights(zs, points, a, s)
+        if np.ndim(t) == 0:
             means = w @ points
         else:
             means = _rowwise_matmul(w, points)
@@ -120,7 +96,7 @@ class EmpiricalScoreOracle:
         sq, = next(sq_distance_blocks(z[None, :], a * self._points))
         local = int(np.argmin(sq))  # np.argmin returns the first minimum
         i = int(self._indices[local])
-        return (-z + a * self.dataset.points[i]) / (s * s), i
+        return (-z + a * self._points[local]) / (s * s), i
 
 
 def naive_empirical_score(dataset: Dataset, z, t: float) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 from .data import Dataset, make_class_mixture, make_gaussian_dataset, \
     make_pat_toy_dataset, split_score_region, supervision_draws
 from .diagnostics import EXTRAPOLATION, SUPERVISION, calibrated_l2_values, \
-    cfg_gap_curve, pat_quality, regress_to_origin_ratio, score_error, \
-    supervision_loss, fit_quality_line, QualityPoint
+    cfg_gap_curve, memorization_ratio, pat_quality, regress_to_origin_ratio, \
+    score_error, supervision_loss, fit_quality_line
 from .empirical import EmpiricalScoreOracle
 from .errors import InvalidArgumentError
 from .geometry import bhattacharyya_overlap, rstar_by_t
@@ -137,8 +137,8 @@ def _foe_member(cfg: dict, ds: Dataset, pair) -> tuple:
     """One region size: the net, its EMA and the EMA net's samples."""
     seed = cfg["seed"]
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
-    tcfg = TrainConfig(**cfg["train"], loss_kind="foe", seed=seed)
-    report = train(net, tcfg, dataset=ds, subset_pair=pair)
+    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
+                   subset_pair=pair)
     samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
                         SolverConfig(**cfg["solver"]), seed=seed + 2)
     return net, report.ema_params, samples
@@ -148,7 +148,13 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     n_score, factors = cfg["n_score"], cfg["region_factors"]
-    # every split is drawn, and so checked, before any member trains
+    # checked before any member trains: these settings, each split as drawn
+    if not 1 <= cfg["calibration_n"] <= n_score:
+        raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
+                                   f"outside [1, n_score={n_score}]")
+    for thr in cfg["thresholds"]:
+        if not 0.0 < thr < 1.0:
+            raise InvalidArgumentError(f"thresholds: {thr} outside (0, 1)")
     pairs = [split_score_region(ds, n_score, n_score * factor, seed=seed)
              for factor in factors]
     members = ctx.map(partial(_foe_member, cfg, ds), pairs)
@@ -159,7 +165,7 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
         score_pts = ds.points[pair.score_idx]
         cal = calibrated_l2_values(samples, score_pts, n=cfg["calibration_n"])
         for thr in cfg["thresholds"]:
-            rows.append([factor, n_region, thr, float(np.mean(cal < thr))])
+            rows.append([factor, n_region, thr, memorization_ratio(cal, thr)])
         rows.append([factor, n_region, "mean_calibrated", float(np.mean(cal))])
         result.tables[f"samples_factor{factor}"] = samples_table(samples)
         result.checkpoints[f"model_factor{factor}"] = (net, ema)
@@ -276,14 +282,17 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
+    reps = cfg["noise_draws"]
+    if reps < 1:  # this and calibration_n are checked before the net trains
+        raise InvalidArgumentError(f"noise_draws: must be >= 1, got {reps}")
+    if not 1 <= cfg["calibration_n"] <= ds.size:
+        raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
+                                   f"outside [1, {ds.size}] (dataset size)")
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
     model = ema_network(net, report.ema_params)
     solver = SolverConfig(**cfg["solver"])
     rng = RngStream(seed, stream=3)
-    reps = cfg["noise_draws"]
-    if reps < 1:
-        raise InvalidArgumentError("noise_draws must be >= 1")
     idx = np.tile(np.arange(ds.size), reps)
     eps = rng.normal((idx.size, ds.dim))
     rows = []
@@ -292,7 +301,7 @@ def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
         outs = denoise_from(model, zs, float(t_from), solver)
         cals = calibrated_l2_values(outs, ds.points, n=cfg["calibration_n"])
         rows.append([float(t_from),
-                     regress_to_origin_ratio(zip(idx.tolist(), outs), ds.points),
+                     regress_to_origin_ratio(idx, outs, ds.points),
                      float(np.mean(cals))])
     return ExperimentResult(
         tables={"memorize_from_t":
@@ -361,16 +370,15 @@ def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
             f"widths: need at least two, all distinct; got {cfg['widths']}")
     nets = [MlpScoreNetwork(ds.dim, width=width, **cfg["model"], seed=seed)
             for width in cfg["widths"]]
-    points = []
     rows = []
     result = ExperimentResult()
     members = ctx.map(partial(_scaling_member, cfg, ds), nets)
     for width, (net, ema, loss, samples) in zip(cfg["widths"], members):
         quality = sliced_wasserstein(samples, reference, seed=seed)
-        points.append(QualityPoint(loss, quality))
         rows.append([width, loss, quality])
         result.checkpoints[f"model_width{width}"] = (net, ema)
-    slope, intercept, rms = fit_quality_line(points)
+    slope, intercept, rms = fit_quality_line([r[1] for r in rows],
+                                             [r[2] for r in rows])
     result.tables["scaling_points"] = [
         ["width", "supervision_loss", "quality"], *rows]
     result.tables["scaling_fit"] = [

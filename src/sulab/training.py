@@ -1,15 +1,15 @@
 """Training losses and the optimizer loop.
 
-One optimizer step, dsm_step, serves three losses; the loss kind only
-chooses the input points and the regression target:
-  dsm        - standard denoising regression on forward-process draws,
-  oracle-dsm - regression onto the exact empirical score of an oracle,
-  foe        - region-decoupled importance-sampled loss: inputs come from the
-               region subset's forward process, targets from a single point y
-               drawn with softmax responsibilities over the score subset.
-Targets are always expressed in the network's prediction kind. Timesteps are
-clamped to [t_min, 1 - t_min] to keep every conversion finite. Parameters,
-gradients, the Adam moments and the EMA are each one flat float64 vector.
+One optimizer step, dsm_step, serves two losses, which differ only in the
+input points and the regression target:
+  dsm - standard denoising regression on forward-process draws,
+  foe - region-decoupled importance-sampled loss: inputs come from the
+        region subset's forward process, targets from a single point y
+        drawn with softmax responsibilities over the score subset.
+train runs foe when it is given a subset pair and dsm otherwise. Targets
+are always expressed in the network's prediction kind. Timesteps are clamped
+to [t_min, 1 - t_min] to keep every conversion finite. Parameters, gradients,
+the Adam moments and the EMA are each one flat float64 vector.
 """
 
 from __future__ import annotations
@@ -19,17 +19,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .data import Dataset, SubsetPair, supervision_draws
-from .empirical import EmpiricalScoreOracle, mixture_weights
+from .empirical import mixture_weights
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
-from .schedule import (SCORE, XPRED, alpha_sigma, convert_value, dsm_target,
+from .schedule import (XPRED, alpha_sigma, convert_value, dsm_target,
                        forward_process)
-
-DSM = "dsm"
-ORACLE_DSM = "oracle-dsm"
-FOE = "foe"
-LOSS_KINDS = (DSM, ORACLE_DSM, FOE)
 
 
 @dataclass(frozen=True)
@@ -39,7 +34,6 @@ class TrainConfig:
     lr: float = 1e-3
     ema_decay: float = 0.999
     class_dropout: float = 0.0
-    loss_kind: str = DSM
     eval_interval: int = 100
     seed: int = 0
     t_min: float = 1e-3
@@ -51,8 +45,6 @@ class TrainConfig:
             raise InvalidArgumentError("ema decay must lie in [0, 1)")
         if not (0.0 <= self.class_dropout <= 1.0):
             raise InvalidArgumentError("class dropout must lie in [0, 1]")
-        if self.loss_kind not in LOSS_KINDS:
-            raise InvalidArgumentError(f"unknown loss kind {self.loss_kind!r}")
         if self.iterations < 0 or self.batch_size < 1:
             raise InvalidArgumentError("bad iterations or batch size")
         if not 0.0 < self.t_min < 0.5:
@@ -119,7 +111,7 @@ def _denoising_target(kind: str, x, eps, zs, ts, rng) -> np.ndarray:
 def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream,
              adam: AdamState, ema: np.ndarray | None = None,
              target=_denoising_target) -> float:
-    """One optimizer step of every loss kind.
+    """One optimizer step of either loss.
 
     Draws x from ds, noise and time (then class dropout onto the null
     token), forms z_t, and regresses the net onto target(kind, x, eps, zs,
@@ -144,7 +136,7 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
 def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
                           ts: np.ndarray, rng: RngStream) -> np.ndarray:
     """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2))."""
-    w, _ = mixture_weights(zs, score_points, *alpha_sigma(ts))
+    w = mixture_weights(zs, score_points, *alpha_sigma(ts))
     cdf = np.cumsum(w, axis=1)
     u = rng.uniform(size=zs.shape[0])
     picks = (cdf < u[:, None]).sum(axis=1)
@@ -165,31 +157,19 @@ def ema_network(net: MlpScoreNetwork, ema_params: np.ndarray) -> MlpScoreNetwork
     return clone
 
 
-def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset | None = None,
-          oracle: EmpiricalScoreOracle | None = None,
+def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
           subset_pair: SubsetPair | None = None, eval_hooks=()) -> TrainReport:
     """Run cfg.iterations optimizer steps and invoke hooks at eval_interval.
 
-    The loss kind picks the input points and the target of dsm_step once:
-    dsm draws from dataset, oracle-dsm from the oracle's dataset, foe from
-    the region subset of dataset. Hooks are callables
+    Without subset_pair the loss is dsm on dataset. With it the loss is foe:
+    inputs from the pair's region subset of dataset, targets drawn from its
+    score subset. Hooks are callables
     (iteration, net, ema_net) -> dict of metric values; they run on frozen
     snapshots, and each round's merged dict lands in the report.
     Deterministic for a fixed cfg.seed.
     """
-    if cfg.loss_kind == DSM and dataset is None:
-        raise InvalidArgumentError("dsm loss needs a dataset")
-    if cfg.loss_kind == ORACLE_DSM and oracle is None:
-        raise InvalidArgumentError("oracle-dsm loss needs an oracle")
-    if cfg.loss_kind == FOE and (subset_pair is None or dataset is None):
-        raise InvalidArgumentError("foe loss needs a dataset and a subset pair")
     target = _denoising_target
-    if cfg.loss_kind == ORACLE_DSM:
-        dataset = oracle.dataset
-
-        def target(kind, x, eps, zs, ts, rng):
-            return convert_value(oracle.score_batch(zs, ts), SCORE, kind, zs, ts)
-    elif cfg.loss_kind == FOE:
+    if subset_pair is not None:
         score_pts = dataset.points[subset_pair.score_idx]
         dataset = dataset.subset(subset_pair.region_idx)
 

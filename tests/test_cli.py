@@ -156,6 +156,24 @@ class TestExitCodes:
                 f"{widths}") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("experiment, override, field", [
+        ("foe", {"thresholds": [1 / 3, 1.5]}, "thresholds"),
+        ("foe", {"thresholds": [0.0]}, "thresholds"),
+        ("foe", {"calibration_n": 40}, "calibration_n"),  # n_score is 32
+        ("foe", {"calibration_n": 0}, "calibration_n"),
+        ("memorize-from-t", {"noise_draws": 0}, "noise_draws"),
+        ("memorize-from-t", {"calibration_n": 99}, "calibration_n")])
+    def test_settings_checked_before_any_net_trains(
+            self, tmp_path, capsys, monkeypatch, experiment, override, field):
+        monkeypatch.setattr(experiments, "train", _refuse)
+        monkeypatch.setattr(RunContext, "map", _refuse)
+        cfg_path = write_config(tmp_path / "c.json",
+                                {"experiment": experiment, **override})
+        assert run_cli(["run", "--config", cfg_path,
+                        "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestCsvFormatting:
     def test_float_repr_round_trips(self):
@@ -354,8 +372,9 @@ class TestSweepMembers:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, code, message", [
-        # 5 nearest of a 4-point score subset, found after training
-        ({"calibration_n": 5}, 2, "error: n=5 outside [1, 4]\n"),
+        # a net the member cannot build: 16-D data under a 2-D input map
+        ({"model": {**_TINY["model"], "input_map": "polar"}}, 2,
+         "error: polar input map requires dim=2\n"),
         ({"train": {**_TINY["train"], "lr": 1e200}}, 3,
          "numeric failure: non-finite training loss (iteration 2)\n"),
     ], ids=["exit-2", "exit-3"])

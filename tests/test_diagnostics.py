@@ -3,7 +3,7 @@ import pytest
 
 from sulab import geometry
 from sulab.data import Dataset, make_gaussian_dataset
-from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, QualityPoint, calibrated_l2_values,
+from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, calibrated_l2_values,
                                cfg_gap_curve,
                                estimate_region, fit_quality_line,
                                memorization_ratio, pat_quality,
@@ -255,7 +255,7 @@ class TestRowBlocks:
         np.testing.assert_array_equal(
             calibrated_l2_values(samples, pts, 8),
             nearest[:, 0] / np.mean(nearest, axis=1))
-        assert regress_to_origin_ratio(zip(origins, samples), pts) == \
+        assert regress_to_origin_ratio(origins, samples, pts) == \
             float(np.mean(np.argmin(sq, axis=1) == origins))
 
     def test_no_samples_give_no_values(self):
@@ -266,14 +266,20 @@ class TestRowBlocks:
 class TestRegressToOrigin:
     def test_counts_nearest_matches(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-        pairs = [(0, [0.1, 0.0]),   # nearest is 0 == origin: hit
-                 (1, [9.5, 0.0]),   # nearest is 1 == origin: hit
-                 (0, [9.0, 0.0])]   # nearest is 1 != origin: miss
-        assert regress_to_origin_ratio(pairs, pts) == pytest.approx(2 / 3)
+        origins = [0, 1, 0]
+        outputs = [[0.1, 0.0],   # nearest is 0 == origin: hit
+                   [9.5, 0.0],   # nearest is 1 == origin: hit
+                   [9.0, 0.0]]   # nearest is 1 != origin: miss
+        assert regress_to_origin_ratio(origins, outputs, pts) == \
+            pytest.approx(2 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            regress_to_origin_ratio([], np.zeros((2, 2)))
+            regress_to_origin_ratio([], np.zeros((0, 2)), np.zeros((2, 2)))
+
+    def test_one_origin_per_output(self):
+        with pytest.raises(InvalidArgumentError):
+            regress_to_origin_ratio([0], np.zeros((3, 2)), np.zeros((2, 2)))
 
 
 class TestPatQuality:
@@ -301,27 +307,27 @@ class TestPatQuality:
 
 class TestQualityLine:
     def test_exact_line_recovered(self):
-        pts = [QualityPoint(x, 2.0 * x + 1.0) for x in (0.1, 0.5, 1.0, 2.0)]
-        slope, intercept, resid = fit_quality_line(pts)
+        xs = [0.1, 0.5, 1.0, 2.0]
+        slope, intercept, resid = fit_quality_line(
+            xs, [2.0 * x + 1.0 for x in xs])
         assert slope == pytest.approx(2.0)
         assert intercept == pytest.approx(1.0)
         assert resid == pytest.approx(0.0, abs=1e-12)
 
     def test_residual_reported(self):
-        pts = [QualityPoint(0.0, 0.0), QualityPoint(1.0, 0.0),
-               QualityPoint(0.5, 1.0)]
-        _, _, resid = fit_quality_line(pts)
+        _, _, resid = fit_quality_line([0.0, 1.0, 0.5], [0.0, 0.0, 1.0])
         assert resid > 0.1
 
     def test_degenerate_abscissa(self):
-        pts = [QualityPoint(1.0, 0.0), QualityPoint(1.0, 2.0)]
         with pytest.raises(RankDeficiencyError):
-            fit_quality_line(pts)
+            fit_quality_line([1.0, 1.0], [0.0, 2.0])
 
     def test_too_few_points(self):
         with pytest.raises(InvalidArgumentError):
-            fit_quality_line([QualityPoint(0.0, 0.0)])
+            fit_quality_line([0.0], [0.0])
 
     def test_non_finite_point_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            QualityPoint(np.nan, 0.0)
+        for losses, qualities in (([np.nan, 1.0], [0.0, 1.0]),
+                                  ([0.0, 1.0], [0.0, np.inf])):
+            with pytest.raises(InvalidArgumentError):
+                fit_quality_line(losses, qualities)

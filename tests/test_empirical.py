@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
+from sulab.data import Dataset, make_class_mixture
 from sulab.empirical import (EmpiricalScoreOracle, mixture_weights,
                              naive_empirical_score)
 from sulab.errors import (EmptyClassError, InvalidArgumentError,
@@ -66,22 +66,15 @@ class TestLogDensityGradient:
 
 
 class TestBatchPath:
-    @staticmethod
-    def _per_row_vs_shared(truncation):
+    def test_batch_matches_single(self):
         ds, _, _ = _random_instance(5, n=12, d=3)
-        oracle = EmpiricalScoreOracle(ds, truncation=truncation)
+        oracle = EmpiricalScoreOracle(ds)
         rng = RngStream(9, 0)
         zs = rng.normal((20, 3))
         ts = rng.uniform(0.05, 0.95, 20)
         batch = oracle.score_batch(zs, ts)
         singles = np.stack([_score(oracle, zs[i], float(ts[i])) for i in range(20)])
         np.testing.assert_allclose(batch, singles, rtol=1e-12, atol=1e-12)
-
-    def test_batch_matches_single(self):
-        self._per_row_vs_shared("exact")
-
-    def test_per_row_t_matches_shared_t_knn(self):
-        self._per_row_vs_shared(4)
 
     def test_scalar_t_broadcast(self):
         ds, _, _ = _random_instance(6, n=5, d=2)
@@ -97,41 +90,15 @@ class TestSoftmaxWeights:
         ds, z, t = _random_instance(7)
         zs = np.stack([z, -z, 3.0 * z])
         ts = np.array([t, 0.5, 0.9])
-        w, idx = mixture_weights(zs, ds.points, 1.0 - ts, ts)
-        assert idx is None and w.shape == (3, ds.size)
+        w = mixture_weights(zs, ds.points, 1.0 - ts, ts)
+        assert w.shape == (3, ds.size)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w >= 0)
 
     def test_nearest_point_dominates_at_small_t(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-        w, idx = mixture_weights(np.array([[0.01, 0.0]]), pts, 0.95, 0.05, k=1)
-        assert idx[0, 0] == 0 and w[0, 0] == 1.0
-        w, _ = mixture_weights(np.array([[0.01, 0.0]]), pts, 0.95, 0.05)
+        w = mixture_weights(np.array([[0.01, 0.0]]), pts, 0.95, 0.05)
         assert w[0, 0] > 0.999
-
-
-class TestTruncation:
-    def test_k_equals_n_is_exact(self):
-        ds, z, t = _random_instance(11)
-        exact = _score(EmpiricalScoreOracle(ds), z, t)
-        knn = _score(EmpiricalScoreOracle(ds, truncation=ds.size), z, t)
-        np.testing.assert_array_equal(exact, knn)
-
-    def test_small_k_approximates_at_small_t(self):
-        ds = make_gaussian_dataset(4, 64, seed=2)
-        oracle_exact = EmpiricalScoreOracle(ds)
-        oracle_k = EmpiricalScoreOracle(ds, truncation=8)
-        z = (1 - 0.05) * ds.points[3] + 0.05 * RngStream(0, 0).normal(4)
-        a = _score(oracle_exact, z, 0.05)
-        b = _score(oracle_k, z, 0.05)
-        np.testing.assert_allclose(a, b, rtol=1e-6)
-
-    def test_bad_k_rejected(self):
-        ds, _, _ = _random_instance(0, n=4)
-        with pytest.raises(InvalidArgumentError):
-            EmpiricalScoreOracle(ds, truncation=0)
-        with pytest.raises(InvalidArgumentError):
-            EmpiricalScoreOracle(ds, truncation=5)
 
 
 class TestCollapsedScore:

@@ -69,13 +69,13 @@ class TestStableSoftmax:
 
     def test_uniform(self):
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        w, _ = mixture_weights(np.zeros((1, 2)), pts, 0.5, 0.5)
+        w = mixture_weights(np.zeros((1, 2)), pts, 0.5, 0.5)
         np.testing.assert_allclose(w, np.full((1, 3), 1 / 3), atol=1e-15)
 
     def test_huge_logits(self):
         # logits -|z - x_i|^2 / (2 sigma^2) of 0 and about -5e11
         pts = np.array([[0.0], [1e6]])
-        w, _ = mixture_weights(np.zeros((1, 1)), pts, 1.0, 1.0)
+        w = mixture_weights(np.zeros((1, 1)), pts, 1.0, 1.0)
         assert w[0, 0] == pytest.approx(1.0)
         assert np.all(np.isfinite(w))
 
@@ -84,7 +84,7 @@ class TestStableSoftmax:
            st.floats(-100, 100))
     def test_simplex(self, vals, z):
         pts = np.asarray(vals)[:, None]
-        w, _ = mixture_weights(np.array([[z]]), pts, 1.0, 0.1)
+        w = mixture_weights(np.array([[z]]), pts, 1.0, 0.1)
         assert np.all(w >= 0)
         assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
 

@@ -24,7 +24,7 @@ class TestTrainConfig:
         with pytest.raises(InvalidArgumentError):
             TrainConfig(class_dropout=1.5)
         with pytest.raises(InvalidArgumentError):
-            TrainConfig(loss_kind="sgd")
+            TrainConfig(t_min=0.5)
         with pytest.raises(InvalidArgumentError):
             TrainConfig(batch_size=0)
 
@@ -203,13 +203,8 @@ class TestSoftmaxSampling:
 class TestTrainLoop:
     def test_missing_inputs_rejected(self):
         net = MlpScoreNetwork(2, width=4, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            train(net, TrainConfig(iterations=1, loss_kind="dsm"))
-        with pytest.raises(InvalidArgumentError):
-            train(net, TrainConfig(iterations=1, loss_kind="oracle-dsm"))
-        with pytest.raises(InvalidArgumentError):
-            train(net, TrainConfig(iterations=1, loss_kind="foe"),
-                  dataset=make_gaussian_dataset(2, 4, seed=0))
+        with pytest.raises(TypeError):
+            train(net, TrainConfig(iterations=1))
 
     def test_deterministic_given_seed(self):
         ds = make_gaussian_dataset(3, 16, seed=0)
@@ -234,24 +229,6 @@ class TestTrainLoop:
         losses = [l for _, l in report.loss_curve]
         assert np.mean(losses[-50:]) < 0.2 * np.mean(losses[:50])
 
-    def test_oracle_dsm_learns_score_on_point_mass(self):
-        # One training point at the origin: the empirical score is exactly
-        # -z/t^2, i.e. the velocity target is z/t. A small net fits it well.
-        ds = Dataset(points=np.zeros((1, 2)))
-        oracle = EmpiricalScoreOracle(ds)
-        net = MlpScoreNetwork(2, width=32, hidden_layers=2, seed=0)
-        train(net, TrainConfig(iterations=600, batch_size=64, lr=2e-3,
-                               loss_kind="oracle-dsm", seed=0,
-                               t_min=0.05), oracle=oracle)
-        rng = np.random.default_rng(0)
-        zs = 0.3 * rng.normal(size=(50, 2))
-        ts = rng.uniform(0.3, 0.7, 50)
-        pred = net.evaluate_batch(zs, ts)
-        target = zs / ts[:, None]
-        err = np.mean(np.sum((pred - target) ** 2, axis=1))
-        scale = np.mean(np.sum(target**2, axis=1))
-        assert err < 0.05 * scale
-
     def test_foe_regresses_to_score_subset_field(self):
         # The expectation of the single-point target over the softmax draw is
         # the empirical velocity of the score subset, so training should pull
@@ -260,7 +237,7 @@ class TestTrainLoop:
         pair = split_score_region(ds, n_score=4, n_region=16, seed=0)
         net = MlpScoreNetwork(2, width=32, hidden_layers=2, seed=0)
         train(net, TrainConfig(iterations=800, batch_size=64, lr=2e-3,
-                               loss_kind="foe", seed=0, t_min=0.05),
+                               seed=0, t_min=0.05),
               dataset=ds, subset_pair=pair)
         oracle = EmpiricalScoreOracle(ds.subset(pair.score_idx))
         rng = np.random.default_rng(0)
