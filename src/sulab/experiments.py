@@ -77,6 +77,15 @@ def build_dataset(dcfg: dict, seed: int) -> Dataset:
     return make(**{k: v for k, v in dcfg.items() if k != "kind"}, seed=seed)
 
 
+def build_solver(cfg: dict) -> SolverConfig:
+    """The config's `solver` section, checked before any net trains; its
+    errors name the section."""
+    try:
+        return SolverConfig(**cfg["solver"])
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"solver: {exc}") from None
+
+
 def loss_curve_table(report: TrainReport) -> Table:
     return [["iteration", "loss"], *[[it, ls] for it, ls in report.loss_curve]]
 
@@ -133,14 +142,14 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # foe: region-decoupled training sweep over the region-subset size
 
-def _foe_member(cfg: dict, ds: Dataset, pair) -> tuple:
+def _foe_member(cfg: dict, solver: SolverConfig, ds: Dataset, pair) -> tuple:
     """One region size: the net, its EMA and the EMA net's samples."""
     seed = cfg["seed"]
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
                    subset_pair=pair)
     samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
-                        SolverConfig(**cfg["solver"]), seed=seed + 2)
+                        solver, seed=seed + 2)
     return net, report.ema_params, samples
 
 
@@ -155,9 +164,10 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
     for thr in cfg["thresholds"]:
         if not 0.0 < thr < 1.0:
             raise InvalidArgumentError(f"thresholds: {thr} outside (0, 1)")
+    solver = build_solver(cfg)
     pairs = [split_score_region(ds, n_score, n_score * factor, seed=seed)
              for factor in factors]
-    members = ctx.map(partial(_foe_member, cfg, ds), pairs)
+    members = ctx.map(partial(_foe_member, cfg, solver, ds), pairs)
     rows = []
     result = ExperimentResult()
     for factor, pair, (net, ema, samples) in zip(factors, pairs, members):
@@ -182,7 +192,7 @@ _PAT_INPUT_MAPS = {"baseline": IDENTITY, "polar": POLAR,
                    "equivariant": RADIAL_EQUIVARIANT}
 
 
-def _pat_member(cfg: dict, variant: str) -> tuple:
+def _pat_member(cfg: dict, solver: SolverConfig, variant: str) -> tuple:
     """One variant: its samples and its (net, ema), None for the KRR field."""
     ds, seed, ckpt = make_pat_toy_dataset(), cfg["seed"], None
     if variant == "krr":
@@ -190,15 +200,14 @@ def _pat_member(cfg: dict, variant: str) -> tuple:
         field = fit_krr_denoiser_field(
             ds, n_draws=k["n_draws"], gamma=k["gamma"], ridge=k["ridge"],
             seed=seed, input_map=POLAR, time_scale=k["time_scale"],
-            t_min=cfg["solver"]["t_min"])
+            t_min=solver.t_min)
     else:
         net = MlpScoreNetwork(ds.dim, **cfg["model"],
                               input_map=_PAT_INPUT_MAPS[variant], seed=seed)
         report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
         ckpt = (net, report.ema_params)
         field = ema_network(*ckpt)
-    samples, _ = sample(field, cfg["n_samples"], SolverConfig(**cfg["solver"]),
-                        seed=seed + 2)
+    samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2)
     return samples, ckpt
 
 
@@ -208,7 +217,8 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
             raise InvalidArgumentError(f"unknown pat variant {variant!r}")
     result = ExperimentResult()
     quality_rows = []
-    members = ctx.map(partial(_pat_member, cfg), cfg["variants"])
+    members = ctx.map(partial(_pat_member, cfg, build_solver(cfg)),
+                      cfg["variants"])
     for variant, (samples, ckpt) in zip(cfg["variants"], members):
         quality_rows.append([variant, *pat_quality(samples)])
         result.tables[f"samples_{variant}"] = samples_table(samples)
@@ -224,7 +234,7 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # cfg-gap: conditional/unconditional score gap by region
 
 def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
-    seed = cfg["seed"]
+    seed, solver = cfg["seed"], build_solver(cfg)
     ds = build_dataset(cfg["dataset"], seed)
     net = MlpScoreNetwork(ds.dim, **cfg["model"], num_classes=ds.num_classes,
                           seed=seed)
@@ -232,7 +242,6 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
                        seed=seed)
     report = train(net, tcfg, dataset=ds)
     model = ema_network(net, report.ema_params)
-    solver = SolverConfig(**cfg["solver"])
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     diag = cfg["diagnostics"]
 
@@ -288,10 +297,10 @@ def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     if not 1 <= cfg["calibration_n"] <= ds.size:
         raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
                                    f"outside [1, {ds.size}] (dataset size)")
+    solver = build_solver(cfg)
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
     model = ema_network(net, report.ema_params)
-    solver = SolverConfig(**cfg["solver"])
     rng = RngStream(seed, stream=3)
     idx = np.tile(np.arange(ds.size), reps)
     eps = rng.normal((idx.size, ds.dim))
@@ -316,9 +325,8 @@ def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     field = OracleField(EmpiricalScoreOracle(ds))
-    _, trajectories = sample(field, cfg["n_samples"],
-                             SolverConfig(**cfg["solver"]), seed=seed,
-                             record=True)
+    _, trajectories = sample(field, cfg["n_samples"], build_solver(cfg),
+                             seed=seed, record=True)
     rows = [[t, float(np.mean(vals)), float(np.percentile(vals, 10)),
              float(np.percentile(vals, 90))]
             for t, vals in rstar_by_t(ds, trajectories, cfg["t_grid"])]
@@ -347,7 +355,8 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # scaling-line: supervision loss versus sample quality across model widths
 
-def _scaling_member(cfg: dict, ds: Dataset, net: MlpScoreNetwork) -> tuple:
+def _scaling_member(cfg: dict, solver: SolverConfig, ds: Dataset,
+                    net: MlpScoreNetwork) -> tuple:
     """One width: the net, its EMA, its supervision loss and its samples."""
     seed, diag = cfg["seed"], cfg["diagnostics"]
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
@@ -355,8 +364,7 @@ def _scaling_member(cfg: dict, ds: Dataset, net: MlpScoreNetwork) -> tuple:
     loss = supervision_loss(model, OracleField(EmpiricalScoreOracle(ds)), ds,
                             n=diag["n"], timesteps=diag["timesteps"],
                             seed=seed)
-    samples, _ = sample(model, cfg["n_samples"], SolverConfig(**cfg["solver"]),
-                        seed=seed + 2)
+    samples, _ = sample(model, cfg["n_samples"], solver, seed=seed + 2)
     return net, report.ema_params, loss, samples
 
 
@@ -372,7 +380,8 @@ def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
             for width in cfg["widths"]]
     rows = []
     result = ExperimentResult()
-    members = ctx.map(partial(_scaling_member, cfg, ds), nets)
+    members = ctx.map(partial(_scaling_member, cfg, build_solver(cfg), ds),
+                      nets)
     for width, (net, ema, loss, samples) in zip(cfg["widths"], members):
         quality = sliced_wasserstein(samples, reference, seed=seed)
         rows.append([width, loss, quality])

@@ -1,7 +1,7 @@
 """Trainable and fitted score fields.
 
 MlpScoreNetwork is a small fully-connected net with hand-written exact
-backpropagation (no autodiff dependency), smooth GELU activations, sinusoidal
+backpropagation (no autodiff), tanh-form GELU activations, sinusoidal
 time features, an optional trainable class embedding with a null-class token,
 and three input maps: identity, polar, and radial-equivariant. The KRR
 score field fits a Gaussian-kernel ridge regression from noisy features to
@@ -31,14 +31,16 @@ RADIAL_EQUIVARIANT = "radial-equivariant"
 INPUT_MAPS = (IDENTITY, POLAR, RADIAL_EQUIVARIANT)
 
 _CKPT_MAGIC = b"SUCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2  # version 1 nets used the exact GELU
 # header keys and their JSON types: the descriptor plus has_ema
 _CKPT_KEYS = {"dim": int, "width": int, "hidden_layers": int,
               "prediction_kind": str, "input_map": str, "time_freqs": int,
               "num_classes": int, "class_emb_dim": int, "has_ema": bool}
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# tanh-form GELU (Hendrycks & Gimpel 2016): a * phi(a), with
+# phi(a) = (1 + tanh(_GELU_C * (a + _GELU_K * a^3))) / 2
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 
 def _views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -87,8 +89,8 @@ def _time_features(ts: np.ndarray, freqs: int) -> np.ndarray:
 class MlpScoreNetwork:
     """Fully-connected score network with exact hand-rolled gradients.
 
-    hidden_layers hidden layers of width `width`, GELU activations, and a
-    zero-initialized linear head (so the initial output is identically zero).
+    hidden_layers hidden layers of width `width`, tanh-form GELU activations
+    and a zero-initialized linear head (so the initial output is zero).
     Class-conditional nets reserve embedding row `num_classes` as the null
     token; evaluating with label None uses that row.
 
@@ -181,14 +183,16 @@ class MlpScoreNetwork:
         """The output, a fresh array. Hidden layer li writes its pre-activation,
         GELU phi and activation into work arrays 3li, 3li+1 and 3li+2 when
         keep (for the backward), else into arrays 0, 1 and, over phi, 1."""
-        from scipy.special import erf  # here, so a run with no net loads no scipy
         n, h = feats.shape[0], feats
         for li in range(self._n_layers - 1):
             w, b, k = self.params[2 * li], self.params[2 * li + 1], 3 * li * keep
             a = np.matmul(h, w.T, out=self._work(k, n))
             a += b
-            phi = np.divide(a, _SQRT2, out=self._work(k + 1, n))
-            erf(phi, out=phi)
+            phi = np.multiply(a, a, out=self._work(k + 1, n))
+            phi *= _GELU_C * _GELU_K
+            phi += _GELU_C
+            phi *= a
+            np.tanh(phi, out=phi)
             phi += 1.0
             phi *= 0.5
             h = np.multiply(a, phi, out=self._work(k + 2, n) if keep else phi)
@@ -244,15 +248,17 @@ class MlpScoreNetwork:
             np.matmul(delta.T, post, out=grads[2 * li])
             np.sum(delta, axis=0, out=grads[2 * li + 1])
             if li > 0:
-                a = self._work(3 * li - 3, n)
-                # d gelu(a)/da = phi(a) + a * N(a; 0, 1), reusing phi from forward.
-                act_grad = np.multiply(a, -0.5, out=self._work(-1, n))
-                act_grad *= a
-                np.exp(act_grad, out=act_grad)
-                act_grad *= _INV_SQRT_2PI
-                act_grad *= a
-                act_grad += self._work(3 * li - 2, n)
-                delta = np.matmul(delta, w, out=post)  # post is spent
+                a, phi = self._work(3 * li - 3, n), self._work(3 * li - 2, n)
+                # d gelu(a)/da = phi + 2 a phi (1 - phi) C (1 + 3 K a^2),
+                # reusing phi and post = a phi from the forward
+                act_grad = np.subtract(1.0, phi, out=self._work(-1, n))
+                act_grad *= post
+                scale = np.multiply(a, a, out=post)  # post is spent
+                scale *= 6.0 * _GELU_C * _GELU_K
+                scale += 2.0 * _GELU_C
+                act_grad *= scale
+                act_grad += phi
+                delta = np.matmul(delta, w, out=post)
                 delta *= act_grad
             elif self.class_emb_dim > 0:  # embedding rows: their columns of d feats
                 grads[-1][...] = 0.0

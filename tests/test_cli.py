@@ -162,7 +162,10 @@ class TestExitCodes:
         ("foe", {"calibration_n": 40}, "calibration_n"),  # n_score is 32
         ("foe", {"calibration_n": 0}, "calibration_n"),
         ("memorize-from-t", {"noise_draws": 0}, "noise_draws"),
-        ("memorize-from-t", {"calibration_n": 99}, "calibration_n")])
+        ("memorize-from-t", {"calibration_n": 99}, "calibration_n"),
+        *[(experiment, {"solver": {"kind": "bogus"}}, "solver")
+          for experiment in ("foe", "pat", "cfg-gap", "memorize-from-t",
+                             "scaling-line")]])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
@@ -713,7 +716,7 @@ class TestMutatedCheckpoints:
     # large to build: its size is checked before any array is made.
     @settings(max_examples=200, deadline=None)
     @example("truncate", 11, b"")
-    @example("overwrite", 4, b"\x02")  # version 2
+    @example("overwrite", 4, b"\x01")  # version 1
     @given(st.sampled_from(["truncate", "overwrite"]), st.integers(0, 1 << 16),
            st.binary(min_size=1, max_size=4))
     def test_load_raises_only_format_error(self, tmp_path_factory, how, at,
@@ -732,6 +735,16 @@ class TestMutatedCheckpoints:
                             "--out", str(tmp / "out")]) == 2
             assert not (tmp / "out").exists()
 
+    def test_version_1_checkpoint_is_refused(self, tmp_path):
+        # version 1 nets were trained with the exact (erf) GELU
+        path = tmp_path / "model.ckpt"
+        blob = _tiny_checkpoint(tmp_path / "base.ckpt")
+        path.write_bytes(blob[:4] + struct.pack("<I", 1) + blob[8:])
+        with pytest.raises(FormatError, match=r"version 1 in .*model\.ckpt"):
+            MlpScoreNetwork.load(path)
+        assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
+                        "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("changes", [
         {"width": 100_000_000}, {"hidden_layers": 10 ** 12},
@@ -767,14 +780,13 @@ class TestScipyLoadedOnFirstUse:
     def test_cli_import_loads_no_scipy(self):
         assert _scipy_after("import sulab.cli") == []
 
-    def test_mlp_forward_loads_special_not_linalg(self):
-        loaded = _scipy_after(
+    def test_mlp_forward_and_backward_load_no_scipy(self):
+        assert _scipy_after(
             "import numpy as np\n"
             "from sulab.models import MlpScoreNetwork\n"
-            "net = MlpScoreNetwork(2, width=4, hidden_layers=1, time_freqs=1)\n"
-            "net.evaluate_batch(np.zeros((3, 2)), 0.5)")
-        assert "scipy.special" in loaded
-        assert "scipy.linalg" not in loaded
+            "net = MlpScoreNetwork(2, width=4, hidden_layers=2, time_freqs=1)\n"
+            "net.evaluate_batch(np.zeros((3, 2)), 0.5)\n"
+            "net.loss_and_grads(np.ones((3, 2)), 0.5, np.zeros((3, 2)))") == []
 
     def test_cholesky_solve_loads_linalg_and_still_reports_pivot(self):
         loaded = _scipy_after(

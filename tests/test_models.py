@@ -202,6 +202,34 @@ class TestWorkArrays:
                                           net.evaluate_batch(zs, ts, labels))
 
 
+def _reference_forward(net, zs, ts):
+    """The net's prediction recomputed from its parameter tensors with plain
+    numpy: identity input map, no classes, tanh-form GELU hidden layers."""
+    omega = np.pi * 2.0 ** np.arange(net.time_freqs)
+    h = np.concatenate([zs, ts[:, None], np.sin(ts[:, None] * omega),
+                        np.cos(ts[:, None] * omega)], axis=1)
+    for li in range(net.hidden_layers + 1):
+        a = h @ net.params[2 * li].T + net.params[2 * li + 1]
+        h = (0.5 * a * (1.0 + np.tanh(np.sqrt(2.0 / np.pi)
+                                      * (a + 0.044715 * a ** 3)))
+             if li < net.hidden_layers else a)
+    return h
+
+
+class TestActivation:
+    def test_evaluate_batch_matches_numpy_reference(self):
+        net = MlpScoreNetwork(3, width=16, hidden_layers=3, time_freqs=2,
+                              seed=4)
+        rng = np.random.default_rng(1)
+        for p in net.params:  # the head and biases start at zero
+            p += 0.5 * rng.normal(size=p.shape)
+        zs = 3.0 * rng.normal(size=(40, 3))
+        ts = rng.uniform(0.01, 0.99, 40)
+        np.testing.assert_allclose(net.evaluate_batch(zs, ts),
+                                   _reference_forward(net, zs, ts),
+                                   rtol=1e-12, atol=0.0)
+
+
 class TestGradients:
     def test_identity_map(self):
         net = MlpScoreNetwork(4, width=8, hidden_layers=2, seed=3)
