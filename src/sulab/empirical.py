@@ -2,9 +2,12 @@
 
 The smoothed training density at time t is a uniform Gaussian mixture with
 means alpha_t * x_i and shared isotropic variance sigma_t^2. Its score is a
-softmax-weighted pull toward every one of the scaled training points; all
-weight computations go through log-space max subtraction so arbitrarily
-separated points stay finite.
+softmax-weighted pull toward every one of the scaled training points. Up to
+-|z|^2 / (2 sigma^2), which is the same for every i and so drops out of the
+softmax, the logit -|z - alpha x_i|^2 / (2 sigma^2) is one product of the
+augmented query [z alpha / sigma^2, -alpha^2 / (2 sigma^2)] with the
+augmented point [x_i, |x_i|^2]. Each row's largest logit is subtracted
+before the exp, so arbitrarily separated points stay finite.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .errors import EmptyClassError, SingularTimeError
-from .geometry import sq_distance_blocks
+from .errors import EmptyClassError, InvalidArgumentError, SingularTimeError
+from .geometry import _BLOCK_ELEMENTS, sq_distance_blocks
 from .schedule import alpha_sigma
 
 
@@ -23,30 +26,33 @@ def _rowwise_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(a[:, None, :], b)[:, 0]
 
 
+def _augmented(points: np.ndarray) -> np.ndarray:
+    """The contiguous (d + 1, N) columns [x_i, |x_i|^2] of points (N, d)."""
+    return np.vstack([points.T, np.einsum("ij,ij->i", points, points)])
+
+
+def _shifted_exp(product, zs: np.ndarray, aug: np.ndarray, a, s) -> np.ndarray:
+    """(B, N) exp(logit - row max) of zs (B, d) against aug, with a and s
+    (B, 1) or (1, 1) and product np.matmul or _rowwise_matmul."""
+    c = a / (s * s)
+    e = product(np.hstack([zs * c, np.broadcast_to(-0.5 * a * c, (len(zs), 1))]), aug)
+    e -= e.max(axis=1, keepdims=True)
+    return np.exp(e, out=e)
+
+
 def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas,
                     sigmas) -> np.ndarray:
     """Responsibilities proportional to exp(-|z - alpha x_i|^2 / (2 sigma^2)),
-    normalized over each row of zs (B, d).
-
-    alphas and sigmas are scalars or per-row (B,) arrays. The squared
-    distances use the expanded form |z|^2 - 2 alpha z.x + alpha^2 |x|^2, with
-    no (B, N, d) tensor, and the softmax subtracts each row's largest logit.
-    A scalar alpha takes one matrix product for the batch; per-row alphas
-    take one product per row, so each row's result is independent of the
-    other rows in its batch (geometry.expanded_sq_distances would change
-    that order and move every oracle output). Returns the (B, N) weights.
+    normalized over each row of zs (B, d), as (B, N) weights; alphas and
+    sigmas are scalars or per-row (B,) arrays. The logits are the augmented
+    product of the module docstring, taken one row at a time for per-row
+    alphas, so a row's result does not depend on the other rows in its batch.
     """
-    a = np.reshape(alphas, (-1, 1))
-    s = np.reshape(sigmas, (-1, 1))
-    sq = zs @ points.T if np.ndim(alphas) == 0 else _rowwise_matmul(zs, points.T)
-    sq *= -2.0 * a
-    sq += np.einsum("ij,ij->i", zs, zs)[:, None]
-    sq += (a * a) * np.einsum("ij,ij->i", points, points)[None, :]
-    sq /= -(2.0 * s * s)
-    sq -= sq.max(axis=1, keepdims=True)
-    np.exp(sq, out=sq)
-    sq /= sq.sum(axis=1, keepdims=True)
-    return sq
+    product = np.matmul if np.ndim(alphas) == 0 else _rowwise_matmul
+    e = _shifted_exp(product, zs, _augmented(points),
+                     np.reshape(alphas, (-1, 1)), np.reshape(sigmas, (-1, 1)))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 class EmpiricalScoreOracle:
@@ -66,25 +72,28 @@ class EmpiricalScoreOracle:
             self._indices = np.arange(dataset.size)
         self.dim = dataset.dim
         self._points = dataset.points[self._indices]
+        self._aug = _augmented(self._points)
 
     def score_batch(self, zs: np.ndarray, t) -> np.ndarray:
-        """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries;
-        t scalar or per-row array."""
+        """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries,
+        with t a scalar or an array of one value or one per row. The means are
+        (e @ X) / sum(e) from the unnormalized weights e. A scalar t takes one
+        matrix product for the batch; per-row t one product per row, in blocks
+        of at most _BLOCK_ELEMENTS weights, so no (B, N) array is built."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if np.any(np.asarray(t) <= 0.0):
             raise SingularTimeError("empirical score undefined at t=0")
-        a, s = alpha_sigma(t)
-        points = self._points
-        if np.ndim(t) == 0:
-            # one t for the batch: scale the points once and take single
-            # matrix products (only per-row t needs rows computed apart)
-            points, a = a * points, 1.0
-        w = mixture_weights(zs, points, a, s)
-        if np.ndim(t) == 0:
-            means = w @ points
-        else:
-            means = _rowwise_matmul(w, points)
-        return (-zs + np.reshape(a, (-1, 1)) * means) / np.reshape(s * s, (-1, 1))
+        if np.ndim(t) and np.size(t) not in (1, len(zs)):
+            raise InvalidArgumentError(f"t has {np.size(t)} values for {len(zs)} rows")
+        a, s = (np.broadcast_to(np.ravel(v), len(zs))[:, None] for v in alpha_sigma(t))
+        product = np.matmul if np.ndim(t) == 0 else _rowwise_matmul
+        block = max(1, _BLOCK_ELEMENTS // len(self._points) if np.ndim(t) else len(zs))
+        means = np.empty_like(zs)
+        for k in range(0, len(zs), block):
+            rows = slice(k, k + block)
+            e = _shifted_exp(product, zs[rows], self._aug, a[rows], s[rows])
+            means[rows] = product(e, self._points) / e.sum(axis=1, keepdims=True)
+        return (a * means - zs) / (s * s)
 
     def collapsed_score(self, z, t: float) -> tuple[np.ndarray, int]:
         """Single-nearest-component approximation: (-z + alpha * x_i) / sigma^2

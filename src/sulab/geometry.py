@@ -13,9 +13,9 @@ from .sampling import states_at
 from .schedule import alpha_sigma
 
 
-# sq_distance_blocks takes rows in blocks whose (rows, N, d) difference array
-# holds at most this many elements (512 KB, so the passes over it stay in
-# cache), or one row's (N, d) when larger
+# The row blocks of sq_distance_blocks' (rows, N, d) differences and of the
+# oracle's per-row-t (rows, N) weights hold at most this many elements
+# (512 KB, so the passes over them stay in cache), or one row's when larger
 _BLOCK_ELEMENTS = 1 << 16
 
 

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sulab.data import Dataset, make_class_mixture
+from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.empirical import (EmpiricalScoreOracle, mixture_weights,
                              naive_empirical_score)
 from sulab.errors import (EmptyClassError, InvalidArgumentError,
                           SingularTimeError)
+from sulab.geometry import sq_distance_blocks
 from sulab.numerics import RngStream
 
 
@@ -84,6 +87,46 @@ class TestBatchPath:
         singles = np.stack([_score(oracle, z, 0.3) for z in zs])
         np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    def test_per_row_t_length(self):
+        ds, _, _ = _random_instance(6, n=5, d=2)
+        oracle = EmpiricalScoreOracle(ds)
+        zs = RngStream(1, 1).normal((5, 2))
+        # one value stands for every row, as a full per-row array would
+        np.testing.assert_array_equal(oracle.score_batch(zs, np.array([0.3])),
+                                      oracle.score_batch(zs, np.full(5, 0.3)))
+        with pytest.raises(InvalidArgumentError, match="3 values for 5 rows"):
+            oracle.score_batch(zs, np.full(3, 0.3))
+
+
+class TestRowBlocks:
+    """Per-row t runs in row blocks of bounded size (64 rows at N = 1,024)."""
+
+    def test_rows_independent_of_batch_and_block(self):
+        oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 1024, seed=2))
+        rng = RngStream(3, 0)
+        zs = rng.normal((70, 16))
+        ts = rng.uniform(0.05, 0.95, 70)
+        batch = oracle.score_batch(zs, ts)
+        singles = np.concatenate([oracle.score_batch(zs[i:i + 1], ts[i:i + 1])
+                                  for i in range(70)])
+        np.testing.assert_array_equal(batch, singles)
+        np.testing.assert_array_equal(batch[:40],
+                                      oracle.score_batch(zs[:40], ts[:40]))
+
+    def test_memory_bounded(self):
+        # (256, 4096) float64 weights alone would take 8 MB
+        oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 4096, seed=2))
+        rng = RngStream(4, 0)
+        zs = rng.normal((256, 16))
+        ts = rng.uniform(0.05, 0.95, 256)
+        tracemalloc.start()
+        try:
+            oracle.score_batch(zs, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+
 
 class TestSoftmaxWeights:
     def test_weights_sum_to_one(self):
@@ -94,6 +137,22 @@ class TestSoftmaxWeights:
         assert w.shape == (3, ds.size)
         np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(w >= 0)
+
+    def test_matches_direct_difference_reference(self):
+        ds, _, _ = _random_instance(11, n=40, d=5)
+        rng = RngStream(12, 0)
+        zs = rng.normal((30, 5))
+        ts = rng.uniform(0.05, 0.95, 30)
+        for t in (ts, 0.4):
+            a, s = np.broadcast_to(1.0 - t, 30), np.broadcast_to(t, 30)
+            sq = np.concatenate([next(sq_distance_blocks(zs[i:i + 1], a[i] * ds.points))
+                                 for i in range(30)])
+            logits = -sq / (2.0 * s * s)[:, None]
+            want = np.exp(logits - logits.max(axis=1, keepdims=True))
+            want /= want.sum(axis=1, keepdims=True)
+            # subnormal weights carry no relative precision
+            np.testing.assert_allclose(mixture_weights(zs, ds.points, 1.0 - t, t),
+                                       want, rtol=1e-12, atol=np.finfo(float).tiny)
 
     def test_nearest_point_dominates_at_small_t(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
