@@ -180,6 +180,14 @@ def resolve_config(raw: dict) -> dict:
     kind = DEFAULTS[experiment].get("dataset", {}).get("kind")
     if kind is not None and cfg["dataset"]["kind"] != kind:
         raise ConfigError(f"dataset.kind: {experiment} takes only {kind!r}")
+    # checked before any work starts: the seed and every sample or draw count
+    diag = cfg.get("diagnostics", {})
+    lows = {"seed": (cfg["seed"], 0),
+            **{k: (cfg[k], 1) for k in ("n_samples", "noise_draws") if k in cfg},
+            **{f"diagnostics.{k}": (v, 1) for k, v in diag.items()}}
+    for where, (value, low) in lows.items():
+        if value < low:
+            raise ConfigError(f"{where}: must be >= {low}, got {value}")
     return cfg
 
 
@@ -390,8 +398,10 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(
             f"metric: unknown {args.metric!r}; valid: "
             + ", ".join(DIAGNOSE_METRICS))
-    if args.grid < 1:
-        raise ConfigError(f"--grid: must be >= 1, got {args.grid}")
+    for flag, value in (("--grid", args.grid),
+                        ("--calibration-n", args.calibration_n)):
+        if value < 1:
+            raise ConfigError(f"{flag}: must be >= 1, got {value}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
@@ -513,6 +523,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
         return args.fn(args)
     except NumericFailureError as exc:  # DivergenceError too
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -33,26 +33,15 @@ def _augmented(points: np.ndarray) -> np.ndarray:
 
 def _shifted_exp(product, zs: np.ndarray, aug: np.ndarray, a, s) -> np.ndarray:
     """(B, N) exp(logit - row max) of zs (B, d) against aug, with a and s
-    (B, 1) or (1, 1) and product np.matmul or _rowwise_matmul."""
+    (B, 1) or (1, 1) and product np.matmul or _rowwise_matmul. The augmented
+    query is written in place into one (B, d + 1) array."""
     c = a / (s * s)
-    e = product(np.hstack([zs * c, np.broadcast_to(-0.5 * a * c, (len(zs), 1))]), aug)
+    q = np.empty((len(zs), zs.shape[1] + 1))
+    np.multiply(zs, c, out=q[:, :-1])
+    q[:, -1:] = -0.5 * a * c
+    e = product(q, aug)
     e -= e.max(axis=1, keepdims=True)
     return np.exp(e, out=e)
-
-
-def mixture_weights(zs: np.ndarray, points: np.ndarray, alphas,
-                    sigmas) -> np.ndarray:
-    """Responsibilities proportional to exp(-|z - alpha x_i|^2 / (2 sigma^2)),
-    normalized over each row of zs (B, d), as (B, N) weights; alphas and
-    sigmas are scalars or per-row (B,) arrays. The logits are the augmented
-    product of the module docstring, taken one row at a time for per-row
-    alphas, so a row's result does not depend on the other rows in its batch.
-    """
-    product = np.matmul if np.ndim(alphas) == 0 else _rowwise_matmul
-    e = _shifted_exp(product, zs, _augmented(points),
-                     np.reshape(alphas, (-1, 1)), np.reshape(sigmas, (-1, 1)))
-    e /= e.sum(axis=1, keepdims=True)
-    return e
 
 
 class EmpiricalScoreOracle:

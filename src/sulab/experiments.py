@@ -291,10 +291,8 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
 def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    reps = cfg["noise_draws"]
-    if reps < 1:  # this and calibration_n are checked before the net trains
-        raise InvalidArgumentError(f"noise_draws: must be >= 1, got {reps}")
-    if not 1 <= cfg["calibration_n"] <= ds.size:
+    reps = cfg["noise_draws"]  # at least 1, as resolve_config checks
+    if not 1 <= cfg["calibration_n"] <= ds.size:  # checked before training
         raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
                                    f"outside [1, {ds.size}] (dataset size)")
     solver = build_solver(cfg)

@@ -9,7 +9,8 @@ input points and the regression target:
 train runs foe when it is given a subset pair and dsm otherwise. Targets
 are always expressed in the network's prediction kind. Timesteps are clamped
 to [t_min, 1 - t_min] to keep every conversion finite. Parameters, gradients,
-the Adam moments and the EMA are each one flat float64 vector.
+the Adam moments and the EMA are each one flat float64 vector; one blocked
+pass per step updates all of them but the gradients.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .data import Dataset, SubsetPair, supervision_draws
-from .empirical import mixture_weights
+from .empirical import _augmented, _shifted_exp
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
@@ -67,8 +68,10 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
-              cfg: TrainConfig) -> np.ndarray:
-    """In-place bias-corrected Adam update of the flat params (no weight decay)."""
+              cfg: TrainConfig, ema: np.ndarray | None = None) -> np.ndarray:
+    """In-place bias-corrected Adam update of the flat params (no weight
+    decay). Given ema, each of its slices then moves in place to
+    decay * ema + (1 - decay) * params, right after that slice's update."""
     if params.shape != grads.shape:
         raise InvalidArgumentError("params/grads length mismatch")
     if not np.all(np.isfinite(grads)):
@@ -89,18 +92,11 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
         np.sqrt(np.multiply(v, 1.0 / c2, out=t), out=t)
         t += eps
         params[s] -= np.multiply(np.divide(m, t, out=t), cfg.lr / c1, out=t)
+        if ema is not None:
+            e = ema[s]
+            e *= cfg.ema_decay
+            e += np.multiply(params[s], 1.0 - cfg.ema_decay, out=t)
     return params
-
-
-def ema_update(ema_params: np.ndarray, params: np.ndarray,
-               decay: float) -> np.ndarray:
-    """ema <- decay * ema + (1 - decay) * params, in place."""
-    buf = np.empty(min(ema_params.size, _BLOCK))
-    for k in range(0, ema_params.size, _BLOCK):
-        e = ema_params[k:k + _BLOCK]
-        e *= decay
-        e += np.multiply(params[k:k + _BLOCK], 1.0 - decay, out=buf[:e.size])
-    return ema_params
 
 
 def _denoising_target(kind: str, x, eps, zs, ts, rng) -> np.ndarray:
@@ -116,7 +112,7 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
     Draws x from ds, noise and time (then class dropout onto the null
     token), forms z_t, and regresses the net onto target(kind, x, eps, zs,
     ts, rng), which may draw last. Adam then updates the flat parameters, and
-    the EMA follows.
+    the EMA, when given, in the same pass.
     """
     x, eps, lab = supervision_draws(ds, cfg.batch_size, rng)
     ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
@@ -127,20 +123,23 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
     loss, grads = net.loss_and_grads(zs, ts, targets, lab)
     if not np.isfinite(loss):
         raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
-    adam_step(adam, net.flat, grads, cfg)
-    if ema is not None:
-        ema_update(ema, net.flat, cfg.ema_decay)
+    adam_step(adam, net.flat, grads, cfg, ema)
     return loss
 
 
 def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
-                          ts: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2))."""
-    w = mixture_weights(zs, score_points, *alpha_sigma(ts))
-    cdf = np.cumsum(w, axis=1)
+                          ts: np.ndarray, rng: RngStream,
+                          aug: np.ndarray | None = None) -> np.ndarray:
+    """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2)):
+    j counts the running sums of the shifted exps below u times the row total.
+    aug is _augmented(score_points), built here when not given. The logits are
+    one matrix product, so a row's bits depend on its batch (drawn whole)."""
+    a, s = alpha_sigma(ts)
+    aug = _augmented(score_points) if aug is None else aug
+    e = _shifted_exp(np.matmul, zs, aug, a[:, None], s[:, None])
+    cdf = np.cumsum(e, axis=1, out=e)
     u = rng.uniform(size=zs.shape[0])
-    picks = (cdf < u[:, None]).sum(axis=1)
-    return np.minimum(picks, score_points.shape[0] - 1)
+    return (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
 
 
 @dataclass
@@ -171,10 +170,12 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
     target = _denoising_target
     if subset_pair is not None:
         score_pts = dataset.points[subset_pair.score_idx]
+        score_aug = _augmented(score_pts)
         dataset = dataset.subset(subset_pair.region_idx)
 
         def target(kind, x, eps, zs, ts, rng):
-            y = score_pts[sample_softmax_points(score_pts, zs, ts, rng)]
+            y = score_pts[sample_softmax_points(score_pts, zs, ts, rng,
+                                                aug=score_aug)]
             return convert_value(y, XPRED, kind, zs, ts)
     rng = RngStream(cfg.seed, stream=0)
     adam = AdamState(net.params)

@@ -165,10 +165,19 @@ class TestExitCodes:
         ("memorize-from-t", {"calibration_n": 99}, "calibration_n"),
         *[(experiment, {"solver": {"kind": "bogus"}}, "solver")
           for experiment in ("foe", "pat", "cfg-gap", "memorize-from-t",
-                             "scaling-line")]])
+                             "scaling-line")],
+        *[(experiment, {"n_samples": 0}, "n_samples")
+          for experiment in ("foe", "pat", "scaling-line", "rstar-profile")],
+        ("gaussian", {"diagnostics": {"n": 0}}, "diagnostics.n"),
+        ("cfg-gap", {"diagnostics": {"n": 0}}, "diagnostics.n"),
+        ("gaussian", {"diagnostics": {"timesteps": 0}}, "diagnostics.timesteps"),
+        ("scaling-line", {"diagnostics": {"timesteps": 0}},
+         "diagnostics.timesteps"),
+        ("foe", {"seed": -1}, "seed")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
+        monkeypatch.setattr(experiments, "sample", _refuse)
         monkeypatch.setattr(RunContext, "map", _refuse)
         cfg_path = write_config(tmp_path / "c.json",
                                 {"experiment": experiment, **override})
@@ -577,6 +586,34 @@ class TestTrainSampleDiagnose:
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
                         "--grid", grid]) == 2
         assert "error: --grid:" in capsys.readouterr().err
+
+    def test_diagnose_calibration_n_below_1_exits_2(self, trained, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(cli, "sample", _refuse)
+        ckpt, ds_path, _ = trained
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "memorization",
+                        "--n", "4", "--calibration-n", "0"]) == 2
+        assert "error: --calibration-n: must be >= 1, got 0" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "train", "sample", "diagnose"])
+    def test_negative_seed_names_its_flag(self, trained, capsys, monkeypatch,
+                                          command):
+        for where in (experiments, cli):
+            monkeypatch.setattr(where, "train", _refuse)
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        ckpt, ds_path, tmp_path = trained
+        cfg_path = write_config(tmp_path / "c.json", {"experiment": "gaussian"})
+        out = tmp_path / "out"
+        argv = {"run": ["run", "--config", cfg_path, "--out", str(out)],
+                "train": ["train", "--config", cfg_path, "--out", str(out)],
+                "sample": ["sample", "--checkpoint", str(ckpt),
+                           "--out", str(out)],
+                "diagnose": ["diagnose", str(ckpt), str(ds_path), "overlap",
+                             "--out", str(out / "x.csv")]}[command]
+        assert run_cli([*argv, "--seed", "-1"]) == 2
+        assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diagnose_unknown_metric_exits_2(self, trained, capsys):
         ckpt, ds_path, _ = trained

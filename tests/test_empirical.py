@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
-from sulab.empirical import (EmpiricalScoreOracle, mixture_weights,
-                             naive_empirical_score)
+from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
 from sulab.errors import (EmptyClassError, InvalidArgumentError,
                           SingularTimeError)
 from sulab.geometry import sq_distance_blocks
 from sulab.numerics import RngStream
+from sulab.schedule import forward_process
+from sulab.training import sample_softmax_points
 
 
 def _random_instance(seed, n=16, d=4):
@@ -128,36 +129,65 @@ class TestRowBlocks:
         assert peak < 2 << 20
 
 
+def _direct_softmax_cdf(zs, points, ts):
+    """Per-row normalized CDFs (B, N) of softmax(-|z - alpha x|^2 / (2 sigma^2))
+    from direct differences: |z - alpha x|^2 = alpha^2 |z / alpha - x|^2."""
+    a, s = 1.0 - ts, ts
+    sq = np.concatenate(list(sq_distance_blocks(zs / a[:, None], points)))
+    logits = -(a * a / (2.0 * s * s))[:, None] * sq
+    logits -= logits.max(axis=1, keepdims=True)
+    cdf = np.cumsum(np.exp(logits), axis=1)
+    return cdf / cdf[:, -1:], logits
+
+
 class TestSoftmaxWeights:
+    """foe's target draw: one pick per row from the softmax responsibilities,
+    the logits one product against the augmented points."""
+
     def test_weights_sum_to_one(self):
+        # 20,000 draws per row: each point's pick frequency matches its
+        # direct-difference weight, and the picks cover the whole row total
         ds, z, t = _random_instance(7)
-        zs = np.stack([z, -z, 3.0 * z])
-        ts = np.array([t, 0.5, 0.9])
-        w = mixture_weights(zs, ds.points, 1.0 - ts, ts)
-        assert w.shape == (3, ds.size)
-        np.testing.assert_allclose(w.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(w >= 0)
+        reps = 20_000
+        zs = np.repeat(np.stack([z, -z, 3.0 * z]), reps, axis=0)
+        ts = np.repeat([t, 0.5, 0.9], reps)
+        picks = sample_softmax_points(ds.points, zs, ts, RngStream(3, 0))
+        assert picks.min() >= 0 and picks.max() < ds.size
+        cdf, _ = _direct_softmax_cdf(zs[::reps], ds.points, ts[::reps])
+        w = np.diff(cdf, axis=1, prepend=0.0)
+        freq = np.stack([np.bincount(picks[k * reps:(k + 1) * reps],
+                                     minlength=ds.size) / reps
+                         for k in range(3)])
+        np.testing.assert_allclose(freq.sum(axis=1), 1.0)
+        assert np.all(np.abs(freq - w) <= 5.0 * np.sqrt(w * (1 - w) / reps)
+                      + 1.0 / reps)
 
     def test_matches_direct_difference_reference(self):
-        ds, _, _ = _random_instance(11, n=40, d=5)
-        rng = RngStream(12, 0)
-        zs = rng.normal((30, 5))
-        ts = rng.uniform(0.05, 0.95, 30)
-        for t in (ts, 0.4):
-            a, s = np.broadcast_to(1.0 - t, 30), np.broadcast_to(t, 30)
-            sq = np.concatenate([next(sq_distance_blocks(zs[i:i + 1], a[i] * ds.points))
-                                 for i in range(30)])
-            logits = -sq / (2.0 * s * s)[:, None]
-            want = np.exp(logits - logits.max(axis=1, keepdims=True))
-            want /= want.sum(axis=1, keepdims=True)
-            # subnormal weights carry no relative precision
-            np.testing.assert_allclose(mixture_weights(zs, ds.points, 1.0 - t, t),
-                                       want, rtol=1e-12, atol=np.finfo(float).tiny)
+        # a foe-like score subset: 32 points in 16-D, two classes 8 apart;
+        # region-like queries at per-row t over [t_min, 1 - t_min], where
+        # far logits fall below -708 and their exps underflow
+        n, t_min = 100_000, 1e-3
+        pts = make_class_mixture(16, 16, seed=4, separation=8.0).points
+        region = make_class_mixture(16, 128, seed=5, separation=8.0).points
+        rng = RngStream(6, 0)
+        x = region[rng.integers(0, len(region), n)]
+        ts = rng.uniform(t_min, 1.0 - t_min, n)
+        zs = forward_process(x, rng.normal(x.shape), ts)
+        picks = sample_softmax_points(pts, zs, ts, RngStream(7, 0))
+        u = RngStream(7, 0).uniform(size=n)  # the draw's own u, row by row
+        cdf, logits = _direct_softmax_cdf(zs, pts, ts)
+        assert np.any(logits < -708.0)
+        want = np.minimum((cdf < u[:, None]).sum(axis=1), len(pts) - 1)
+        # a pick may differ only where u lies on a CDF boundary, to rounding
+        near = np.abs(cdf - u[:, None]).min(axis=1) < 1e-12
+        assert near.sum() <= 5
+        np.testing.assert_array_equal(picks[~near], want[~near])
 
     def test_nearest_point_dominates_at_small_t(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-        w = mixture_weights(np.array([[0.01, 0.0]]), pts, 0.95, 0.05)
-        assert w[0, 0] > 0.999
+        picks = sample_softmax_points(pts, np.tile([0.01, 0.0], (1000, 1)),
+                                      np.full(1000, 0.05), RngStream(8, 0))
+        np.testing.assert_array_equal(picks, 0)
 
 
 class TestCollapsedScore:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
-from sulab.empirical import mixture_weights
 from sulab.numerics import (RngStream, cholesky_solve, log_sum_exp,
                             sliced_wasserstein)
+from sulab.training import sample_softmax_points
 
 
 class TestRngStream:
@@ -65,28 +65,39 @@ class TestLogSumExp:
 
 
 class TestStableSoftmax:
-    """The package's one softmax: the mixture responsibilities."""
+    """The package's one softmax, as foe's target draw uses it: one pick per
+    row with probability proportional to exp(-|z - alpha x_i|^2 / (2 sigma^2)),
+    alpha = 1 - t and sigma = t."""
 
     def test_uniform(self):
+        # z = 0 is equidistant from the three points: each is drawn a third
+        # of the time
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-        w = mixture_weights(np.zeros((1, 2)), pts, 0.5, 0.5)
-        np.testing.assert_allclose(w, np.full((1, 3), 1 / 3), atol=1e-15)
+        n = 30_000
+        picks = sample_softmax_points(pts, np.zeros((n, 2)), np.full(n, 0.5),
+                                      RngStream(0, 0))
+        freq = np.bincount(picks, minlength=3) / n
+        np.testing.assert_allclose(freq, 1 / 3, atol=5 * np.sqrt(2 / 9 / n))
 
     def test_huge_logits(self):
-        # logits -|z - x_i|^2 / (2 sigma^2) of 0 and about -5e11
+        # logits -|z - alpha x_i|^2 / (2 sigma^2) of 0 and about -5e11
         pts = np.array([[0.0], [1e6]])
-        w = mixture_weights(np.zeros((1, 1)), pts, 1.0, 1.0)
-        assert w[0, 0] == pytest.approx(1.0)
-        assert np.all(np.isfinite(w))
+        picks = sample_softmax_points(pts, np.zeros((64, 1)), np.full(64, 0.5),
+                                      RngStream(1, 0))
+        np.testing.assert_array_equal(picks, 0)
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30),
            st.floats(-100, 100))
     def test_simplex(self, vals, z):
+        # every pick is an index whose weight is not negligible: more than
+        # e^-50 of the largest, as computed from the direct differences
         pts = np.asarray(vals)[:, None]
-        w = mixture_weights(np.array([[z]]), pts, 1.0, 0.1)
-        assert np.all(w >= 0)
-        assert np.sum(w) == pytest.approx(1.0, abs=1e-12)
+        picks = sample_softmax_points(pts, np.full((16, 1), z), np.full(16, 0.1),
+                                      RngStream(2, 0))
+        assert np.all((0 <= picks) & (picks < len(vals)))
+        logits = -(z - 0.9 * pts[:, 0]) ** 2 / (2 * 0.1 ** 2)
+        assert np.all(logits[picks] - logits.max() > -50.0)
 
 
 class TestCholeskySolve:

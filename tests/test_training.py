@@ -4,15 +4,14 @@ import pytest
 from sulab import training
 from sulab.data import (Dataset, make_class_mixture, make_gaussian_dataset,
                         split_score_region)
-from sulab.empirical import EmpiricalScoreOracle
+from sulab.empirical import EmpiricalScoreOracle, _augmented
 from sulab.errors import InvalidArgumentError, NumericFailureError
 from sulab.models import MlpScoreNetwork
 from sulab.numerics import RngStream
 from sulab.schedule import (SCORE, VELOCITY, XPRED, convert_value, dsm_target,
                             forward_process)
 from sulab.training import (AdamState, TrainConfig, adam_step, dsm_step,
-                            ema_network, ema_update, sample_softmax_points,
-                            train)
+                            ema_network, sample_softmax_points, train)
 
 
 class TestTrainConfig:
@@ -71,8 +70,9 @@ class TestAdam:
 
     def test_blocks_keep_full_vector_arithmetic_bitwise(self):
         # three blocks, the last one short; the reference is the one-pass
-        # full-vector form, with each element's operations in the same order
-        cfg = TrainConfig(lr=1e-2)
+        # full-vector form, with each element's operations in the same order,
+        # the EMA following the finished Adam update
+        cfg = TrainConfig(lr=1e-2, ema_decay=0.9)
         rng = np.random.default_rng(2)
         size = 2 * training._BLOCK + 5
         p = rng.normal(size=size)
@@ -82,8 +82,7 @@ class TestAdam:
         m, v = np.zeros(size), np.zeros(size)
         for step in range(1, 4):
             g = rng.normal(size=size)
-            adam_step(st, p, g, cfg)
-            ema_update(e, p, 0.9)
+            adam_step(st, p, g, cfg, e)
             m = m * 0.9 + (1.0 - 0.9) * g
             v = v * 0.999 + (1.0 - 0.999) * (g * g)
             denom = np.sqrt(v * (1.0 / (1.0 - 0.999 ** step))) + 1e-8
@@ -108,9 +107,12 @@ class TestAdam:
 
 class TestEma:
     def test_update_formula(self):
+        # a zero gradient leaves m at 0 and so the parameters where they are;
+        # the EMA moves to decay * ema + (1 - decay) * params
         e = np.array([1.0, 1.0])
         p = np.array([3.0, -1.0])
-        ema_update(e, p, 0.9)
+        adam_step(AdamState([p]), p, np.zeros(2), TrainConfig(ema_decay=0.9), e)
+        np.testing.assert_array_equal(p, [3.0, -1.0])
         np.testing.assert_allclose(e, [1.2, 0.8])
 
     def test_ema_network_carries_snapshot(self):
@@ -198,6 +200,16 @@ class TestSoftmaxSampling:
         picks = sample_softmax_points(pts, zs, ts, RngStream(1, 0))
         frac = picks.mean()
         assert 0.45 < frac < 0.55
+
+    def test_prebuilt_points_give_the_same_picks(self):
+        # train builds the augmented points once and passes them in
+        rng = np.random.default_rng(3)
+        pts, zs = rng.normal(size=(32, 4)), rng.normal(size=(128, 4))
+        ts = rng.uniform(0.01, 0.99, 128)
+        np.testing.assert_array_equal(
+            sample_softmax_points(pts, zs, ts, RngStream(4, 0),
+                                  aug=_augmented(pts)),
+            sample_softmax_points(pts, zs, ts, RngStream(4, 0)))
 
 
 class TestTrainLoop:
