@@ -350,16 +350,16 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-# experiments whose config describes one net and the dataset it learns
-TRAINABLE = ("gaussian", "foe", "cfg-gap", "memorize-from-t")
+# experiments whose one net is trained by plain DSM on its whole dataset
+TRAINABLE = ("gaussian", "memorize-from-t")
 
 
 def cmd_train(args) -> int:
     started = time.time()
     cfg, out_dir = _run_config(args)
     if cfg["experiment"] not in TRAINABLE:
-        raise ConfigError(f"experiment: {cfg['experiment']} has no single net"
-                          f" to train; train takes {', '.join(TRAINABLE)}")
+        raise ConfigError(f"experiment: {cfg['experiment']} has no single net for train; "
+                          f"train takes {', '.join(TRAINABLE)}; run it with `sulab run`")
     ds = build_dataset(cfg["dataset"], cfg["seed"])
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=cfg["seed"])
     report = train(net, TrainConfig(**cfg["train"], seed=cfg["seed"]),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,11 @@ class Dataset:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @cached_property
+    def points_t(self) -> np.ndarray:
+        """The contiguous (d, N) transpose of points."""
+        return np.ascontiguousarray(self.points.T)
 
     @property
     def dim(self) -> int:

@@ -170,7 +170,7 @@ def calibrated_l2_values(samples, subset_points, n: int) -> np.ndarray:
     if n < 1 or n > pts.shape[0]:
         raise InvalidArgumentError(f"n={n} outside [1, {pts.shape[0]}]")
     out = []
-    for sq in sq_distance_blocks(samples, pts):
+    for sq in sq_distance_blocks(samples, pts.T):
         nearest = np.sort(sq, axis=1)[:, :n]
         denom = np.mean(nearest, axis=1)
         out.append(np.divide(nearest[:, 0], denom, out=np.zeros_like(denom),
@@ -198,7 +198,7 @@ def regress_to_origin_ratio(origins, outputs, dataset_points) -> float:
         raise InvalidArgumentError("need one origin per output, at least one")
     pts = np.atleast_2d(np.asarray(dataset_points, dtype=float))
     nearest = np.concatenate([np.argmin(sq, axis=1)
-                              for sq in sq_distance_blocks(outs, pts)])
+                              for sq in sq_distance_blocks(outs, pts.T)])
     return float(np.mean(nearest == origins))
 
 

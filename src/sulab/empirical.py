@@ -91,7 +91,7 @@ class EmpiricalScoreOracle:
         a, s = map(float, alpha_sigma(t))
         if s <= 0.0:
             raise SingularTimeError(f"collapsed score undefined at t={t} (sigma=0)")
-        sq, = next(sq_distance_blocks(z[None, :], a * self._points))
+        sq, = next(sq_distance_blocks(z[None, :], a * self._aug[:-1]))
         local = int(np.argmin(sq))  # np.argmin returns the first minimum
         i = int(self._indices[local])
         return (-z + a * self._points[local]) / (s * s), i

@@ -13,20 +13,21 @@ from .sampling import states_at
 from .schedule import alpha_sigma
 
 
-# The row blocks of sq_distance_blocks' (rows, N, d) differences and of the
+# The row blocks of sq_distance_blocks' (rows, d, N) differences and of the
 # oracle's per-row-t (rows, N) weights hold at most this many elements
 # (512 KB, so the passes over them stay in cache), or one row's when larger
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def sq_distance_blocks(a: np.ndarray, b: np.ndarray):
-    """Squared Euclidean distances from the rows of a (B, d) to those of
-    b (N, d), yielded as (rows, N) blocks in row order. Each comes from the
-    direct difference, which keeps near-duplicates exact where the expanded
-    |a|^2 - 2 a.b + |b|^2 cancels, summed as np.linalg.norm sums it."""
-    block = max(1, _BLOCK_ELEMENTS // b.size)
+def sq_distance_blocks(a: np.ndarray, b_t: np.ndarray):
+    """Squared Euclidean distances from the rows of a (B, d) to the columns
+    of b_t (d, N), yielded as (rows, N) blocks in row order, from the direct
+    difference (exact on near-duplicates, where |a|^2 - 2 a.b + |b|^2
+    cancels) summed over coordinates in order: a row's bits are its own."""
+    block = max(1, _BLOCK_ELEMENTS // b_t.size)
     for k in range(0, max(a.shape[0], 1), block):  # (0, N) for no rows
-        yield np.add.reduce(np.square(a[k:k + block, None, :] - b), axis=2)
+        diff = a[k:k + block, :, None] - b_t
+        yield np.add.reduce(np.square(diff, out=diff), axis=1)
 
 
 def expanded_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -70,7 +71,7 @@ def r_star(ds: Dataset, z, t: float) -> RStar:
     if s <= 0.0:
         raise SingularTimeError(f"r_star undefined at t={t} (sigma=0)")
     zs = np.atleast_2d(z)
-    centers = a * ds.points
+    centers = a * ds.points_t
     r = np.concatenate([np.sqrt(sq) for sq in sq_distance_blocks(zs, centers)])
     r /= s * np.sqrt(ds.dim)
     i = np.argmin(np.abs(r - 1.0), axis=1)

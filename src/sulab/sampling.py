@@ -2,7 +2,8 @@
 
 Integrates dz/dt = v(z, t) from t_start down to t_min, where v is the field's
 prediction converted to the velocity parameterization. Three integrators:
-an adaptive Dormand-Prince 5(4) embedded pair, fixed-step Heun, and fixed-step
+an adaptive Dormand-Prince 5(4) embedded pair, whose accepted steps hand
+their last stage on as the next step's first, fixed-step Heun, and fixed-step
 Euler. A run ends at t_min, and by default starts at 1 - t_min, because the
 parameterization conversions are singular at t in {0, 1}.
 """
@@ -22,8 +23,9 @@ FIXED_HEUN = "fixed-heun"
 FIXED_EULER = "fixed-euler"
 SOLVER_KINDS = (ADAPTIVE_RK45, FIXED_HEUN, FIXED_EULER)
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau. It is first same as last: stage 7 is taken at
+# the fifth-order solution (B5 is its row of A), so it is the next stage 1
+_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
 _DP_A = [
     [],
     [1 / 5],
@@ -31,9 +33,8 @@ _DP_A = [
     [44 / 45, -56 / 15, 32 / 9],
     [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
                    -92097 / 339200, 187 / 2100, 1 / 40])
 
@@ -121,10 +122,8 @@ def states_at(trajs, ts) -> np.ndarray:
     above = np.add.reduceat(times > ts, first, axis=1, dtype=np.intp)
     j = np.minimum(np.maximum(first + above, first + 1), last)
     i = j - 1
-    w = ((ts - times[j]) / (times[i] - times[j]))[..., None]
-    out = w * states[i] + (1.0 - w) * states[j]
-    out = np.where((ts <= times[last])[..., None], states[last], out)
-    return np.where((ts >= times[first])[..., None], states[first], out)
+    w = np.clip((ts - times[j]) / (times[i] - times[j]), 0.0, 1.0)[..., None]
+    return w * states[i] + (1.0 - w) * states[j]
 
 
 def velocity_fn(score_field, label=None):
@@ -160,13 +159,13 @@ def _error_ratio(err: np.ndarray, z: np.ndarray, z_new: np.ndarray,
 
 
 def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
-                  atol: float, rtol: float) -> np.ndarray:
-    # Hairer-style heuristic, adapted for decreasing t; one step per row. A
-    # row whose derivative difference overflows gets h = 0, which the solver
-    # reports as that row's failure.
+                  atol: float, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    # Hairer-style heuristic, adapted for decreasing t; one step per row, and
+    # the field at z0, f0. A row whose derivative difference overflows gets
+    # h = 0, which the solver reports as that row's failure.
     every = np.arange(z0.shape[0])
     sc = atol + rtol * np.abs(z0)
-    f0 = v(z0, t0)
+    f0 = np.array(v(z0, t0))  # owned: a field may return a read-only array
     _check_finite(f0, every, np.zeros_like(every))
     d0 = np.max(np.abs(z0) / sc, axis=1)
     d1 = np.max(np.abs(f0) / sc, axis=1)
@@ -180,7 +179,7 @@ def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
         d12 = np.maximum(d1, np.max(np.abs(f1 - f0) / sc, axis=1) / h0)
         h1 = np.where(d12 <= 1e-15, np.maximum(1e-6, h0 * 1e-3),
                       (0.01 / d12) ** 0.2)
-    return np.minimum(np.minimum(100 * h0, h1), span)
+    return np.minimum(np.minimum(100 * h0, h1), span), f0
 
 
 def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
@@ -226,11 +225,13 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
 def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
     """Dormand-Prince 5(4) with t, h and the step counts kept per row. Each
     stage evaluates the field once, over the rows still short of t_end, so
-    every row takes the step sequence it would take on its own. A row whose
-    step falls below 10x the float spacing at its t fails, as in scipy's RK45.
-    Returns (z, accepted, rejected) with the counts per row."""
+    every row takes the step sequence it would take on its own. Each row
+    caches its first stage: _initial_step's f0, then each accepted step's
+    seventh, so an attempt evaluates six. A row whose step falls below 10x
+    the float spacing at its t fails, as in scipy's RK45. Returns
+    (z, accepted, rejected) with the counts per row."""
     n = z.shape[0]
-    h = _initial_step(v, z, t, t[0] - t_end, cfg.atol, cfg.rtol)
+    h, k1 = _initial_step(v, z, t, t[0] - t_end, cfg.atol, cfg.rtol)
     steps = np.zeros(n, dtype=np.int64)
     accepted = np.zeros(n, dtype=np.int64)
     rows = np.arange(n)
@@ -252,21 +253,23 @@ def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
         tr, zr = t[rows], z[rows]
         hr = np.minimum(h[rows], tr - t_end)
         last = hr == tr - t_end
-        ks = []
-        for i in range(7):
+        ks = [k1[rows]]
+        for i in range(1, 6):
             zi = zr
             for j, a in enumerate(_DP_A[i]):
                 zi = zi - (hr * a)[:, None] * ks[j]
             ks.append(v(zi, tr - _DP_C[i] * hr, rows))
         # elementwise stage sums, so each row's bits are its own
         z5 = zr - hr[:, None] * sum(b * k for b, k in zip(_DP_B5, ks))
-        z4 = zr - hr[:, None] * sum(b * k for b, k in zip(_DP_B4, ks))
         _check_finite(z5, rows, steps[rows])
+        ks.append(v(z5, tr - hr, rows))
+        z4 = zr - hr[:, None] * sum(b * k for b, k in zip(_DP_B4, ks))
         ratio = _error_ratio(z5 - z4, zr, z5, cfg.atol, cfg.rtol)
         ok = ratio <= 1.0
         done = rows[ok]
         t[done] = np.where(last[ok], t_end, tr[ok] - hr[ok])
         z[done] = z5[ok]
+        k1[done] = ks[6][ok]
         accepted[done] += 1
         if chunks is not None:
             chunks.append((done, t[done], z[done]))

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import os
 import shutil
@@ -237,7 +238,6 @@ class TestRunCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 1
         assert manifest["artifacts"]
-        import hashlib
         for art in manifest["artifacts"]:
             blob = (out / art["name"]).read_bytes()
             assert hashlib.sha256(blob).hexdigest() == art["sha256"]
@@ -467,17 +467,39 @@ class TestTrainSampleDiagnose:
                 capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    # foe's region-decoupled nets and cfg-gap's class-conditional one are
+    # trained only by `sulab run`
     @pytest.mark.parametrize("experiment", ["pat", "rstar-profile",
-                                            "overlap-curve", "scaling-line"])
+                                            "overlap-curve", "scaling-line",
+                                            "foe", "cfg-gap"])
     def test_train_without_one_net_exits_2(self, tmp_path, capsys,
                                            experiment):
         cfg_path = write_config(tmp_path / "c.json",
                                 {"experiment": experiment})
         out = tmp_path / "out"
         assert run_cli(["train", "--config", cfg_path, "--out", str(out)]) == 2
-        assert f"error: experiment: {experiment} has no single net" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: experiment: {experiment} has no single net" in err
+        assert "`sulab run`" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment", cli.TRAINABLE)
+    def test_train_checkpoint_equals_run_checkpoint(self, tmp_path, capsys,
+                                                    experiment):
+        tiny = dict(next(c for _, c in _FUZZ_CONFIGS
+                         if c["experiment"] == experiment),
+                    train={**_FUZZ_TRAIN, "iterations": 20})
+        if experiment == "gaussian":
+            tiny["train"]["eval_interval"] = 10
+        cfg_path = write_config(tmp_path / "c.json", tiny)
+        digests = []
+        for command in ("train", "run"):
+            out = tmp_path / command
+            assert run_cli([command, "--config", cfg_path, "--seed", "3",
+                            "--out", str(out)]) == 0
+            blob = (out / "model.ckpt").read_bytes()
+            digests.append(hashlib.sha256(blob).hexdigest())
+        assert digests[0] == digests[1]
 
     def test_sample_seed_changes_output(self, trained, capsys):
         ckpt, _, tmp_path = trained

@@ -133,7 +133,7 @@ def _direct_softmax_cdf(zs, points, ts):
     """Per-row normalized CDFs (B, N) of softmax(-|z - alpha x|^2 / (2 sigma^2))
     from direct differences: |z - alpha x|^2 = alpha^2 |z / alpha - x|^2."""
     a, s = 1.0 - ts, ts
-    sq = np.concatenate(list(sq_distance_blocks(zs / a[:, None], points)))
+    sq = np.concatenate(list(sq_distance_blocks(zs / a[:, None], points.T)))
     logits = -(a * a / (2.0 * s * s))[:, None] * sq
     logits -= logits.max(axis=1, keepdims=True)
     cdf = np.cumsum(np.exp(logits), axis=1)

@@ -111,25 +111,33 @@ class TestRStar:
                 assert (batch.r_star[b], batch.i_star[b]) == (one.r_star,
                                                               one.i_star)
 
-    @pytest.mark.parametrize("block", [1, 3, None])
-    def test_batch_matches_single_states_bitwise(self, monkeypatch, block):
-        ds = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0],
-                               [0.0, 3.0]]))
+    @pytest.mark.parametrize("block,bench_shape",
+                             [(1, False), (3, False), (None, False), (None, True)],
+                             ids=["1", "3", "None", "d16-N1024"])
+    def test_batch_matches_single_states_bitwise(self, monkeypatch, block,
+                                                 bench_shape):
         t = 0.5
-        zs = np.concatenate([
-            RngStream(2, 0).normal((7, 2)),
-            # equidistant from points 0, 1 and 2: the tie goes to index 0
-            [[0.0, 0.4], [0.0, -2.0]]])
+        if bench_shape:  # the oracle benchmark's points, 4 rows per block
+            ds = make_gaussian_dataset(16, 1024, seed=0)
+            zs = (1 - t) * ds.points[:70] + t * RngStream(2, 0).normal((70, 16))
+        else:
+            ds = Dataset(np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0],
+                                   [0.0, 3.0]]))
+            zs = np.concatenate([
+                RngStream(2, 0).normal((7, 2)),
+                # equidistant from points 0, 1 and 2: the tie goes to index 0
+                [[0.0, 0.4], [0.0, -2.0]]])
         if block is not None:  # rows per block
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", block * ds.points.size)
         batch = r_star(ds, zs, t)
-        assert batch.r_star.shape == batch.i_star.shape == (9,)
+        assert batch.r_star.shape == batch.i_star.shape == (len(zs),)
         for b, z in enumerate(zs):
             one = r_star(ds, z, t)
             assert type(one.r_star) is float and type(one.i_star) is int
             assert batch.r_star[b] == one.r_star
             assert batch.i_star[b] == one.i_star
-        assert batch.i_star[7] == 0 and batch.i_star[8] == 0
+        if not bench_shape:
+            assert batch.i_star[7] == 0 and batch.i_star[8] == 0
 
 
 class TestBhattacharyyaOverlap:

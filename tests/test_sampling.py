@@ -29,6 +29,18 @@ class ConstantVelocityField:
         return np.broadcast_to(self.c, np.shape(zs))
 
 
+class RowCountingField:
+    """Passes evaluate_batch through to field, counting the rows evaluated."""
+
+    def __init__(self, field):
+        self.field, self.rows = field, 0
+        self.prediction_kind, self.dim = field.prediction_kind, field.dim
+
+    def evaluate_batch(self, zs, ts, labels=None):
+        self.rows += len(zs)
+        return self.field.evaluate_batch(zs, ts, labels)
+
+
 class ExplodingField:
     prediction_kind = VELOCITY
     dim = 1
@@ -236,6 +248,21 @@ class TestBatchedIntegration:
             singles = np.concatenate([integrate(field, z0[i:i + 1], SolverConfig())[0]
                                       for i in range(7)])
             np.testing.assert_allclose(zs, singles, rtol=0, atol=1e-10)
+
+    def test_adaptive_evaluates_six_rows_per_attempt(self):
+        # first same as last: an attempt evaluates stages 2-7, its first
+        # stage being the initial step's f0 or the last accepted step's
+        # seventh; the initial step adds two rows
+        oracle = OracleField(EmpiricalScoreOracle(make_gaussian_dataset(3, 16, seed=2)))
+        z0 = np.random.default_rng(3).normal(size=(7, 3))
+        rejected = 0
+        for starts in (z0, *z0[:, None]):  # the batch, then each row alone
+            field = RowCountingField(oracle)
+            _, trajs = integrate(field, starts, SolverConfig(), record=True)
+            assert field.rows == sum(6 * (t.accepted + t.rejected) + 2
+                                     for t in trajs)
+            rejected += sum(t.rejected for t in trajs)
+        assert rejected > 0  # so a rejected row's cached stage is reused
 
     def test_failures_name_the_row(self):
         z0 = np.array([[0.0], [0.0], [1.0]])
