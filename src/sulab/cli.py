@@ -13,7 +13,6 @@ import argparse
 import copy
 import hashlib
 import json
-import os
 import resource
 import sys
 import time
@@ -313,15 +312,6 @@ def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_context(args) -> RunContext:
-    """The run context of --threads, else of SUL_THREADS, else of 1."""
-    where, value = ("threads", str(args.threads)) if args.threads is not None \
-        else ("SUL_THREADS", os.environ.get("SUL_THREADS") or "1")
-    if not value.isdecimal() or int(value) < 1:
-        raise ConfigError(f"{where}: must be an integer >= 1, got {value!r}")
-    return RunContext(threads=int(value))
-
-
 def _out_dir(path) -> Path:
     """--out as a Path, refused unless its nearest existing ancestor (or
     itself) is a directory, so that no run starts whose output cannot land."""
@@ -342,7 +332,9 @@ def _run_config(args):
 
 def cmd_run(args) -> int:
     started = time.time()
-    ctx = _run_context(args)
+    if args.threads < 1:
+        raise ConfigError(f"--threads: must be >= 1, got {args.threads}")
+    ctx = RunContext(threads=args.threads)
     cfg, out_dir = _run_config(args)
     result = RUNNERS[cfg["experiment"]](cfg, ctx)
     emit_result(result, out_dir, cfg, args.format, started, ctx.threads)
@@ -375,6 +367,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     started = time.time()
+    if args.n < 1:
+        raise ConfigError(f"--n: must be >= 1, got {args.n}")
     out_dir = _out_dir(args.out)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.label is not None and net.num_classes == 0:
@@ -384,24 +378,21 @@ def cmd_sample(args) -> int:
     solver = SolverConfig(t_min=args.t_min)
     samples, _ = sample(net, args.n, solver, seed=args.seed, label=args.label)
     result = ExperimentResult(tables={"samples": samples_table(samples)})
-    cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": args.seed}
+    cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": args.seed,
+           "label": args.label, "t_min": args.t_min,
+           "raw_params": args.raw_params}
     emit_result(result, out_dir, cfg, args.format, started)
     print(f"wrote {args.n} samples to {out_dir}")
     return EXIT_OK
 
 
-DIAGNOSE_METRICS = ("rstar", "supervision-loss", "overlap", "memorization")
-
-
 def cmd_diagnose(args) -> int:
-    if args.metric not in DIAGNOSE_METRICS:
-        raise ConfigError(
-            f"metric: unknown {args.metric!r}; valid: "
-            + ", ".join(DIAGNOSE_METRICS))
-    for flag, value in (("--grid", args.grid),
+    for flag, value in (("--n", args.n), ("--grid", args.grid),
                         ("--calibration-n", args.calibration_n)):
         if value < 1:
             raise ConfigError(f"{flag}: must be >= 1, got {value}")
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(f"--threshold: must lie in (0, 1), got {args.threshold}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
@@ -474,11 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("--config", required=True)
-    p_run.add_argument("--threads", type=int,
+    p_run.add_argument("--threads", type=int, default=1,
                        help="worker processes for sweep members (foe, pat, "
                             "scaling-line), not for one training run; output "
-                            "is byte-identical at any value; default "
-                            "SUL_THREADS, else 1")
+                            "is byte-identical at any value")
     common(p_run)
     p_run.set_defaults(fn=cmd_run)
 
@@ -500,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="run one diagnostic metric")
     p_diag.add_argument("checkpoint")
     p_diag.add_argument("dataset")
-    p_diag.add_argument("metric")
+    p_diag.add_argument("metric", choices=["rstar", "supervision-loss",
+                                           "overlap", "memorization"])
     p_diag.add_argument("--dataset-format", choices=["csv", "raw-f64"],
                         default="csv")
     p_diag.add_argument("--n", type=int, default=100)

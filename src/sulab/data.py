@@ -147,12 +147,12 @@ def supervision_draws(ds: Dataset, n: int, rng: RngStream):
 
 
 def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> SubsetPair:
-    """Draw nested score/region subsets.
+    """Draw nested score/region subsets, stratified by class (an unlabeled
+    dataset is one class).
 
-    score_idx: n_score indices uniformly without replacement. region_idx adds
-    n_region - n_score more from the complement. When the dataset is labeled,
-    both draws are stratified so each class contributes an (as even as
-    possible) share of the quota.
+    score_idx: n_score indices without replacement, each class contributing
+    an (as even as its size permits) share. region_idx adds n_region -
+    n_score more, drawn the same way from the points not yet taken.
     """
     n = ds.size
     if not (1 <= n_score <= n_region <= n):
@@ -160,41 +160,25 @@ def split_score_region(ds: Dataset, n_score: int, n_region: int, seed: int) -> S
             f"need 1 <= n_score ({n_score}) <= n_region ({n_region}) <= N ({n})"
         )
     rng = RngStream(seed, stream=0)
-    if ds.labels is None:
-        perm = rng.permutation(n)
-        score = perm[:n_score]
-        region = perm[:n_region]
-    else:
-        score = _stratified_from_pools(
-            [ds.class_indices(c) for c in range(ds.num_classes)], n_score, rng)
-        extra_quota = n_region - n_score
-        if extra_quota > 0:  # each class's members not yet taken, in order
-            pools = [np.setdiff1d(ds.class_indices(c), score)
-                     for c in range(ds.num_classes)]
-            extra = _stratified_from_pools(pools, extra_quota, rng)
-            region = np.concatenate([score, extra])
-        else:
-            region = score
+    classes = [np.arange(n)] if ds.labels is None else \
+        [ds.class_indices(c) for c in range(ds.num_classes)]
+    score = _stratified_from_pools(classes, n_score, rng)
+    region = score
+    if n_region > n_score:  # each class's members not yet taken, in order
+        pools = [np.setdiff1d(pool, score) for pool in classes]
+        region = np.concatenate(
+            [score, _stratified_from_pools(pools, n_region - n_score, rng)])
     return SubsetPair(score, region)
 
 
 def _stratified_from_pools(pools, quota: int, rng: RngStream) -> np.ndarray:
-    # Fill per-class quotas as evenly as the pools permit, round-robin for the
-    # remainder, in class order for determinism.
-    counts = [0] * len(pools)
-    remaining = quota
-    capacity = [len(p) for p in pools]
-    while remaining > 0:
-        progressed = False
-        for c in range(len(pools)):
-            if remaining == 0:
-                break
-            if counts[c] < capacity[c]:
-                counts[c] += 1
-                remaining -= 1
-                progressed = True
-        if not progressed:
-            raise InvalidArgumentError("quota exceeds available points")
+    # Round r offers one slot to each class with more than r points, in class
+    # order; the first `quota` slots set each class's count. The caller's size
+    # check keeps quota within the pools' total.
+    k = len(pools)
+    slots = np.sort(np.concatenate(
+        [np.arange(len(pool)) * k + c for c, pool in enumerate(pools)]))
+    counts = np.bincount(slots[:quota] % k, minlength=k)
     picks = []
     for c, pool in enumerate(pools):
         if counts[c] > 0:

@@ -30,7 +30,6 @@ def velocity_weight(t):
 @dataclass(frozen=True)
 class RegionEstimate:
     value: float
-    curve: list  # (t, mean weighted value) per timestep
     stderr: float
 
 
@@ -85,9 +84,7 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
         total = 0.0
         for v in per_t:
             total += float(np.sum(v))
-        mean = total / count
-        curve = [(float(t), float(np.mean(v))) for t, v in zip(ts, per_t)]
-        return RegionEstimate(mean, curve,
+        return RegionEstimate(total / count,
                               float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
 
     return [summary(v) for v in vals]

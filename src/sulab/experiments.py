@@ -86,6 +86,15 @@ def build_solver(cfg: dict) -> SolverConfig:
         raise InvalidArgumentError(f"solver: {exc}") from None
 
 
+def check_t_grid(cfg: dict, key: str, allow_one: bool = True) -> None:
+    """Refuse a timestep of cfg[key] outside (0, 1], or outside (0, 1) when
+    not `allow_one`, before any net trains; the error names the key."""
+    for t in cfg[key]:
+        if not (0.0 < t < 1.0 or (allow_one and t == 1.0)):
+            raise InvalidArgumentError(
+                f"{key}: {t} outside (0, 1{']' if allow_one else ')'}")
+
+
 def loss_curve_table(report: TrainReport) -> Table:
     return [["iteration", "loss"], *[[it, ls] for it, ls in report.loss_curve]]
 
@@ -235,6 +244,7 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
 def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed, solver = cfg["seed"], build_solver(cfg)
+    check_t_grid(cfg, "t_grid", allow_one=False)
     ds = build_dataset(cfg["dataset"], seed)
     net = MlpScoreNetwork(ds.dim, **cfg["model"], num_classes=ds.num_classes,
                           seed=seed)
@@ -295,6 +305,7 @@ def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
     if not 1 <= cfg["calibration_n"] <= ds.size:  # checked before training
         raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
                                    f"outside [1, {ds.size}] (dataset size)")
+    check_t_grid(cfg, "t_from_grid")
     solver = build_solver(cfg)
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
     report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
@@ -321,6 +332,7 @@ def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
 def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
+    check_t_grid(cfg, "t_grid")
     ds = build_dataset(cfg["dataset"], seed)
     field = OracleField(EmpiricalScoreOracle(ds))
     _, trajectories = sample(field, cfg["n_samples"], build_solver(cfg),

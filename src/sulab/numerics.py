@@ -46,9 +46,6 @@ class RngStream:
     def choice(self, n, size, replace=False) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=replace)
 
-    def permutation(self, n) -> np.ndarray:
-        return self._gen.permutation(n)
-
 
 def log_sum_exp(values) -> float:
     """log(sum(exp(v))) via max subtraction; never overflows for finite input."""

@@ -23,7 +23,11 @@ from sulab.models import MlpScoreNetwork
 
 
 def run_cli(args):
-    return main(list(args))
+    """The exit code the shell sees: main's, or that of argparse's SystemExit."""
+    try:
+        return main(list(args))
+    except SystemExit as exc:
+        return exc.code
 
 
 def write_config(path, cfg):
@@ -174,7 +178,10 @@ class TestExitCodes:
         ("gaussian", {"diagnostics": {"timesteps": 0}}, "diagnostics.timesteps"),
         ("scaling-line", {"diagnostics": {"timesteps": 0}},
          "diagnostics.timesteps"),
-        ("foe", {"seed": -1}, "seed")])
+        ("foe", {"seed": -1}, "seed"),
+        ("cfg-gap", {"t_grid": [0.5, 1.0]}, "t_grid"),
+        ("memorize-from-t", {"t_from_grid": [1.5]}, "t_from_grid"),
+        ("rstar-profile", {"t_grid": [0.0]}, "t_grid")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
@@ -314,23 +321,6 @@ class TestRunCommand:
         manifest = json.loads((alt / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
 
-    def test_threads_env_fallback(self, tmp_path, monkeypatch):
-        cfg_path = self._overlap_cfg(tmp_path)
-        monkeypatch.setenv("SUL_THREADS", "2")
-        assert run_cli(["run", "--config", cfg_path]) == 0
-        manifest = json.loads(
-            (tmp_path / "out" / "manifest.json").read_text())
-        assert manifest["threads"] == 2
-
-    def test_threads_env_not_an_integer_exits_2(self, tmp_path, monkeypatch,
-                                                capsys):
-        cfg_path = self._overlap_cfg(tmp_path)
-        for value in ("abc", "1.5", "0"):
-            monkeypatch.setenv("SUL_THREADS", value)
-            assert run_cli(["run", "--config", cfg_path]) == 2
-            assert "SUL_THREADS" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("command", ["run", "train"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
     def test_out_that_cannot_be_a_directory_exits_2_before_running(
@@ -459,10 +449,8 @@ class TestTrainSampleDiagnose:
         cfg_path = write_config(tmp_path / "c.json", {"experiment": "gaussian"})
         for argv in (["train", "--config", cfg_path],
                      ["sample", "--checkpoint", str(ckpt)]):
-            with pytest.raises(SystemExit) as exc:
-                run_cli([*argv, "--threads", "1",
-                         "--out", str(tmp_path / "out")])
-            assert exc.value.code == 2
+            assert run_cli([*argv, "--threads", "1",
+                            "--out", str(tmp_path / "out")]) == 2
             assert "unrecognized arguments: --threads 1" in \
                 capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -545,11 +533,46 @@ class TestTrainSampleDiagnose:
 
     @pytest.mark.parametrize("threshold", ["0", "1", "1.5", "-0.2"])
     def test_memorization_threshold_outside_unit_interval_exits_2(
-            self, trained, capsys, threshold):
+            self, trained, capsys, monkeypatch, threshold):
+        monkeypatch.setattr(cli, "sample", _refuse)
         ckpt, ds_path, _ = trained
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "memorization",
                         "--n", "5", "--threshold", threshold]) == 2
-        assert "threshold" in capsys.readouterr().err
+        assert "error: --threshold: must lie in (0, 1)" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_n_below_1_names_its_flag(self, trained, capsys, monkeypatch,
+                                      command):
+        monkeypatch.setattr(cli, "sample", _refuse)
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        ckpt, ds_path, tmp_path = trained
+        out = tmp_path / "out"
+        argv = {"sample": ["sample", "--checkpoint", str(ckpt),
+                           "--out", str(out)],
+                "diagnose": ["diagnose", str(ckpt), str(ds_path),
+                             "memorization", "--out", str(out / "x.csv")]}
+        assert run_cli([*argv[command], "--n", "0"]) == 2
+        assert "error: --n: must be >= 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_manifest_records_every_flag(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "c.json", {
+            **next(c for _, c in _FUZZ_CONFIGS
+                   if c["experiment"] == "cfg-gap"),
+            "out": str(tmp_path / "run")})
+        assert run_cli(["run", "--config", cfg_path]) == 0
+        ckpt = str(tmp_path / "run" / "model.ckpt")
+        digests = set()
+        for i, flags in enumerate([["--label", "0"], ["--label", "1"],
+                                   ["--label", "0", "--t-min", "0.01"],
+                                   ["--label", "0", "--raw-params"]]):
+            out = tmp_path / f"s{i}"
+            assert run_cli(["sample", "--checkpoint", ckpt, "--n", "2",
+                            *flags, "--out", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            digests.add(manifest["config_sha256"])
+        assert len(digests) == 4
 
     def test_diagnose_to_file(self, trained, capsys):
         ckpt, ds_path, tmp_path = trained
@@ -640,6 +663,7 @@ class TestTrainSampleDiagnose:
     def test_diagnose_unknown_metric_exits_2(self, trained, capsys):
         ckpt, ds_path, _ = trained
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "bogus"]) == 2
+        assert "metric" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "extended", "header"])
     def test_sample_corrupt_checkpoint_exits_2(self, trained, capsys, damage):

@@ -9,6 +9,7 @@ from sulab.data import (Dataset, SubsetPair, load_points, make_class_mixture,
                         make_gaussian_dataset, make_pat_toy_dataset,
                         save_points, split_score_region)
 from sulab.errors import FormatError, InvalidArgumentError, SulabError
+from sulab.numerics import RngStream
 
 
 class TestDataset:
@@ -127,6 +128,43 @@ class TestSplitScoreRegion:
         a = split_score_region(ds, 8, 16, seed=7)
         b = split_score_region(ds, 8, 16, seed=7)
         np.testing.assert_array_equal(a.region_idx, b.region_idx)
+
+    @pytest.mark.parametrize("n_score, n_region, score_counts, region_counts", [
+        (10, 25, [3, 4, 3], [3, 15, 7]),  # class 0 fills in round 2
+        (4, 30, [2, 1, 1], [3, 20, 7]),
+        (21, 21, [3, 11, 7], [3, 11, 7]),  # class 2 fills in round 6
+        (1, 29, [1, 0, 0], [3, 19, 7])])
+    def test_uneven_class_pools_match_round_robin(
+            self, n_score, n_region, score_counts, region_counts):
+        labels = np.repeat([0, 1, 2], [3, 20, 7])
+        np.random.default_rng(0).shuffle(labels)
+        ds = Dataset(np.zeros((labels.size, 2)), labels)
+        pair = split_score_region(ds, n_score, n_region, seed=5)
+
+        def round_robin(pools, quota, rng):
+            # one point per class per round, in class order, until the quota
+            counts = [0] * len(pools)
+            while quota > 0:
+                for c, pool in enumerate(pools):
+                    if quota > 0 and counts[c] < len(pool):
+                        counts[c] += 1
+                        quota -= 1
+            picks = [pool[np.sort(rng.choice(len(pool), k))]
+                     for pool, k in zip(pools, counts) if k > 0]
+            return counts, np.concatenate(picks)
+
+        rng = RngStream(5, stream=0)
+        classes = [np.flatnonzero(labels == c) for c in range(3)]
+        counts, score = round_robin(classes, n_score, rng)
+        region = score
+        if n_region > n_score:
+            _, extra = round_robin([np.setdiff1d(p, score) for p in classes],
+                                   n_region - n_score, rng)
+            region = np.concatenate([score, extra])
+        assert counts == score_counts
+        assert np.bincount(labels[region], minlength=3).tolist() == region_counts
+        np.testing.assert_array_equal(pair.score_idx, np.sort(score))
+        np.testing.assert_array_equal(pair.region_idx, np.sort(region))
 
     def test_rejects_bad_sizes(self):
         ds = make_gaussian_dataset(2, 10, seed=0)

@@ -15,15 +15,18 @@ from sulab.schedule import VELOCITY
 
 
 class ConstantScoreField:
-    """Score field that always predicts a fixed vector."""
+    """Score field that always predicts a fixed vector, and keeps the
+    timestep of every batch it is asked for."""
 
     from sulab.schedule import SCORE as prediction_kind
 
     def __init__(self, c):
         self.c = np.asarray(c, dtype=float)
         self.dim = self.c.size
+        self.ts = []
 
     def evaluate_batch(self, zs, t, labels=None):
+        self.ts.append(t)
         return np.tile(self.c, (np.atleast_2d(zs).shape[0], 1))
 
     def evaluate(self, z, t, label=None):
@@ -52,11 +55,16 @@ class TestVelocityWeight:
 class TestEstimateRegion:
     def test_constant_quantity_plain_mean(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
-        est, = estimate_region(lambda zs, t: np.full((1, zs.shape[0]), 3.0),
-                               SUPERVISION, ds, n=10, timesteps=5, seed=0)
+        ts = []
+
+        def q(zs, t):
+            ts.append(t)
+            return np.full((1, zs.shape[0]), 3.0)
+
+        est, = estimate_region(q, SUPERVISION, ds, n=10, timesteps=5, seed=0)
         assert est.value == pytest.approx(3.0)
         assert est.stderr == pytest.approx(0.0)
-        assert len(est.curve) == 5
+        assert len(ts) == 5
 
     def test_stderr_from_per_sample_means(self):
         # Sample i is the same (x, eps) pair at every timestep, so a quantity
@@ -88,20 +96,36 @@ class TestEstimateRegion:
 
     def test_deterministic(self):
         ds = make_gaussian_dataset(3, 16, seed=0)
-        q = lambda zs, t: np.sum(zs * zs, axis=1)[None]
-        a, = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
-        b, = estimate_region(q, SUPERVISION, ds, n=20, timesteps=10, seed=7)
-        assert a.value == b.value and a.curve == b.curve
+
+        def run():  # the estimates, and each call's timestep and inputs
+            calls = []
+
+            def q(zs, t):
+                calls.append((t, zs.tobytes()))
+                return np.sum(zs * zs, axis=1)[None]
+
+            return estimate_region(q, SUPERVISION, ds, n=20, timesteps=10,
+                                   seed=7), calls
+
+        first = run()
+        assert len(first[1]) == 10 and first == run()
 
     def test_extrapolation_inputs_track_trajectories(self):
         # With the exact Gaussian field, trajectory states have norm scaling
         # sqrt(V(t)); the mean squared norm over inputs should match d * V(t).
         ds = make_gaussian_dataset(4, 8, seed=0)
         field = GaussianGroundTruthField(4)
-        est, = estimate_region(lambda zs, t: np.sum(zs * zs, axis=1)[None],
-                               EXTRAPOLATION, ds, field=field, n=40,
-                               timesteps=12, seed=3)
-        for t, mean_sq in est.curve:
+        curve = []  # (t, mean squared norm of the inputs at t)
+
+        def q(zs, t):
+            sq = np.sum(zs * zs, axis=1)
+            curve.append((t, float(np.mean(sq))))
+            return sq[None]
+
+        estimate_region(q, EXTRAPOLATION, ds, field=field, n=40, timesteps=12,
+                        seed=3)
+        assert len(curve) == 12
+        for t, mean_sq in curve:
             v = (1 - t) ** 2 + t**2
             expected = 4 * v / ((1 - 1e-3) ** 2 + 1e-3**2)
             # slack: 40 samples of a chi-square-like statistic
@@ -133,10 +157,11 @@ class TestScoreError:
         # velocity weight over the drawn timesteps: the weight lives here,
         # not in estimate_region.
         ds = make_gaussian_dataset(2, 8, seed=0)
-        est, = score_error(ConstantScoreField([1.0, 0.0]),
-                           [ConstantScoreField([0.0, 0.0])], SUPERVISION, ds,
-                           n=4, timesteps=50, seed=1)
-        ts = np.array([t for t, _ in est.curve])
+        field = ConstantScoreField([1.0, 0.0])
+        est, = score_error(field, [ConstantScoreField([0.0, 0.0])],
+                           SUPERVISION, ds, n=4, timesteps=50, seed=1)
+        ts = np.array(field.ts)
+        assert ts.size == 50
         assert est.value == pytest.approx(np.mean(velocity_weight(ts)))
 
     def test_constant_offset_closed_form(self):
@@ -146,7 +171,8 @@ class TestScoreError:
         a = ConstantScoreField([1.0, 0.0, 0.0])
         b = ConstantScoreField([0.0, 2.0, 0.0])
         est, = score_error(a, [b], SUPERVISION, ds, n=5, timesteps=40, seed=2)
-        ts = np.array([t for t, _ in est.curve])
+        ts = np.array(a.ts)
+        assert ts.size == 40
         expected = np.mean(velocity_weight(ts) * 5.0)
         assert est.value == pytest.approx(expected, rel=1e-10)
 
