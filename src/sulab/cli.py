@@ -369,13 +369,19 @@ def cmd_sample(args) -> int:
     started = time.time()
     if args.n < 1:
         raise ConfigError(f"--n: must be >= 1, got {args.n}")
+    if not 0.0 < args.t_min < 0.5:  # the run starts at t = 1 - t_min
+        raise ConfigError(f"--t-min: must lie in (0, 0.5), got {args.t_min}")
+    solver = SolverConfig(t_min=args.t_min)
     out_dir = _out_dir(args.out)
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.label is not None and net.num_classes == 0:
         raise ConfigError("--label: the checkpoint's net is unconditional")
+    if args.label is not None and not 0 <= args.label <= net.num_classes:
+        raise ConfigError(f"--label: must lie in [0, {net.num_classes}] "
+                          f"({net.num_classes} is the null token), got "
+                          f"{args.label}")
     if ema is not None and not args.raw_params:
         net.set_params(ema)
-    solver = SolverConfig(t_min=args.t_min)
     samples, _ = sample(net, args.n, solver, seed=args.seed, label=args.label)
     result = ExperimentResult(tables={"samples": samples_table(samples)})
     cfg = {"checkpoint": str(args.checkpoint), "n": args.n, "seed": args.seed,

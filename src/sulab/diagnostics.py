@@ -33,17 +33,18 @@ class RegionEstimate:
     stderr: float
 
 
-def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
-                   rng: RngStream, solver: SolverConfig, labels_for_traj=None):
-    """Per-timestep query batches (T, n, d) for a region, plus per-sample
-    labels or None: supervision, the forward-process states of n fixed
-    supervision_draws from rng, varied only in timestep; extrapolation, the
-    states at the same timesteps along n inference trajectories of field,
-    integrated as one batch with labels_for_traj, trajectory i starting
-    from the RNG stream (rng.seed, 1000 + i)."""
+def _region_inputs(region: str, ds: Dataset, field, n: int, rng: RngStream,
+                   solver: SolverConfig, labels_for_traj=None):
+    """(inputs_at, labels): inputs_at(t) gives a region's (n, d) queries at
+    one timestep t, built when asked for, and labels holds per-sample labels
+    or None. Supervision: the forward-process states of n fixed
+    supervision_draws from rng, varied only in timestep. Extrapolation: the
+    states at t along n inference trajectories of field, integrated once as
+    one batch with labels_for_traj, trajectory i starting from the RNG stream
+    (rng.seed, 1000 + i)."""
     if region == SUPERVISION:
         x, eps, labels = supervision_draws(ds, n, rng)
-        return forward_process(x[None], eps[None], ts), labels
+        return (lambda t: forward_process(x, eps, t)), labels
     if region != EXTRAPOLATION:
         raise InvalidArgumentError(f"unknown region {region!r}")
     if field is None:
@@ -51,7 +52,7 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, ts: np.ndarray,
     z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
                    for i in range(n)])
     _, trajs = integrate(field, z0, solver, record=True, label=labels_for_traj)
-    return states_at(trajs, ts), labels_for_traj
+    return (lambda t: states_at(trajs, [t])[0]), labels_for_traj
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,
@@ -66,28 +67,31 @@ def estimate_region(quantity, region: str, ds: Dataset, field=None,
     Extrapolation trajectories come from the default solver. Sample i is the
     same (x, eps) pair, or the same trajectory, at every timestep, so the
     standard error comes from the n per-sample means.
+    The timesteps are read one at a time: only one timestep's queries and
+    values are held, beside an (m, n) running sum per sample, so memory is
+    O(n d + m n) whatever T is.
     """
     if n < 1 or timesteps < 1:
         raise InvalidArgumentError("n and timesteps must be >= 1")
     rng = RngStream(seed, stream=0)
     ts = rng.uniform(_T_MIN, 1.0 - _T_MIN, timesteps)
-    inputs, _ = _region_inputs(region, ds, field, n, ts,
-                               RngStream(seed, stream=1), SolverConfig())
-    vals = np.stack([np.asarray(quantity(inputs[j], float(t)), dtype=float)
-                     for j, t in enumerate(ts)], axis=1)  # (m, T, n)
-    if vals.ndim != 3:
-        raise InvalidArgumentError(f"quantity must return an (m, {n}) array")
-
-    count = n * timesteps
-
-    def summary(per_t):
-        total = 0.0
-        for v in per_t:
-            total += float(np.sum(v))
-        return RegionEstimate(total / count,
-                              float(np.std(per_t.mean(axis=0)) / np.sqrt(n)))
-
-    return [summary(v) for v in vals]
+    inputs_at, _ = _region_inputs(region, ds, field, n,
+                                  RngStream(seed, stream=1), SolverConfig())
+    totals, per_sample = None, None  # sums over timesteps, added in t order
+    for t in map(float, ts):
+        vals = np.asarray(quantity(inputs_at(t), t), dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != n or (
+                per_sample is not None and vals.shape != per_sample.shape):
+            raise InvalidArgumentError(f"quantity must return an (m, {n}) array")
+        if per_sample is None:
+            totals, per_sample = [0.0] * len(vals), vals.copy()
+        else:
+            per_sample += vals
+        totals = [tot + float(np.sum(v)) for tot, v in zip(totals, vals)]
+    means = per_sample / timesteps
+    return [RegionEstimate(total / (n * timesteps),
+                           float(np.std(mean) / np.sqrt(n)))
+            for total, mean in zip(totals, means)]
 
 
 def score_error(field, references, region: str, ds: Dataset, n: int = 1000,
@@ -127,7 +131,8 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
     cond_scores(zs, t, labels) and uncond_scores(zs, t) must return scores.
     Supervision inputs are forward draws (each sample keeps its own class);
     extrapolation inputs are states along inference trajectories of field
-    sampled with uniformly drawn class labels. Returns rows
+    sampled with uniformly drawn class labels. The grid is walked one
+    timestep at a time, holding one (n, d) batch of queries. Returns rows
     (t, median, p10, p90).
     """
     if ds.labels is None:
@@ -138,15 +143,14 @@ def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,
     rng = RngStream(seed, stream=0)
     labels = (rng.integers(0, ds.num_classes, n) if region == EXTRAPOLATION
               else None)
-    inputs, labels = _region_inputs(region, ds, field, n, t_grid, rng,
-                                    solver or SolverConfig(), labels)
+    inputs_at, labels = _region_inputs(region, ds, field, n, rng,
+                                       solver or SolverConfig(), labels)
     rows = []
-    for j, t in enumerate(t_grid):
-        gaps = np.linalg.norm(
-            cond_scores(inputs[j], float(t), labels)
-            - uncond_scores(inputs[j], float(t)), axis=1)
-        rows.append((float(t), float(np.median(gaps)),
-                     float(np.percentile(gaps, 10)),
+    for t in map(float, t_grid):
+        zs = inputs_at(t)
+        gaps = np.linalg.norm(cond_scores(zs, t, labels) - uncond_scores(zs, t),
+                              axis=1)
+        rows.append((t, float(np.median(gaps)), float(np.percentile(gaps, 10)),
                      float(np.percentile(gaps, 90))))
     return rows
 

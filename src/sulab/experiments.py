@@ -87,8 +87,11 @@ def build_solver(cfg: dict) -> SolverConfig:
 
 
 def check_t_grid(cfg: dict, key: str, allow_one: bool = True) -> None:
-    """Refuse a timestep of cfg[key] outside (0, 1], or outside (0, 1) when
-    not `allow_one`, before any net trains; the error names the key."""
+    """Refuse an empty cfg[key], or a timestep of it outside (0, 1], or
+    outside (0, 1) when not `allow_one`, before any net trains; the error
+    names the key."""
+    if not cfg[key]:
+        raise InvalidArgumentError(f"{key}: need at least one timestep, got []")
     for t in cfg[key]:
         if not (0.0 < t < 1.0 or (allow_one and t == 1.0)):
             raise InvalidArgumentError(

@@ -80,9 +80,10 @@ def r_star(ds: Dataset, z, t: float) -> RStar:
 
 
 def rstar_by_t(ds: Dataset, trajs, t_grid) -> list:
-    """(t, r* (B,) of every recorded trajectory's state at t) for each t."""
-    return [(float(t), r_star(ds, zs, float(t)).r_star)
-            for t, zs in zip(t_grid, states_at(trajs, t_grid))]
+    """(t, r* (B,) of every recorded trajectory's state at t) for each t,
+    reading the states one timestep at a time."""
+    return [(t, r_star(ds, states_at(trajs, [t])[0], t).r_star)
+            for t in map(float, t_grid)]
 
 
 def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None) -> float:

@@ -181,7 +181,13 @@ class TestExitCodes:
         ("foe", {"seed": -1}, "seed"),
         ("cfg-gap", {"t_grid": [0.5, 1.0]}, "t_grid"),
         ("memorize-from-t", {"t_from_grid": [1.5]}, "t_from_grid"),
-        ("rstar-profile", {"t_grid": [0.0]}, "t_grid")])
+        ("rstar-profile", {"t_grid": [0.0]}, "t_grid"),
+        pytest.param("cfg-gap", {"t_grid": []}, "t_grid",
+                     id="cfg-gap-t_grid-empty"),
+        pytest.param("memorize-from-t", {"t_from_grid": []}, "t_from_grid",
+                     id="memorize-from-t-t_from_grid-empty"),
+        pytest.param("rstar-profile", {"t_grid": []}, "t_grid",
+                     id="rstar-profile-t_grid-empty")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
@@ -555,6 +561,31 @@ class TestTrainSampleDiagnose:
         assert run_cli([*argv[command], "--n", "0"]) == 2
         assert "error: --n: must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("t_min", ["0", "0.7", "-0.1", "nan"])
+    def test_bad_t_min_names_its_flag(self, trained, capsys, monkeypatch,
+                                      t_min):
+        # refused before the checkpoint is read or the output made
+        monkeypatch.setattr(cli, "sample", _refuse)
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        ckpt, _, tmp_path = trained
+        out = tmp_path / "out"
+        assert run_cli(["sample", "--checkpoint", str(ckpt), "--out", str(out),
+                        "--t-min", t_min]) == 2
+        assert (f"error: --t-min: must lie in (0, 0.5), got {float(t_min)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["5", "3", "-1"])
+    def test_label_outside_the_nets_range_names_its_flag(
+            self, tmp_path, capsys, monkeypatch, label):
+        monkeypatch.setattr(cli, "sample", _refuse)
+        ckpt = tmp_path / "two_classes.ckpt"
+        _tiny_checkpoint(ckpt)
+        assert run_cli(["sample", "--checkpoint", str(ckpt), "--label", label,
+                        "--out", str(tmp_path / "out")]) == 2
+        assert (f"error: --label: must lie in [0, 2] (2 is the null token), "
+                f"got {label}") in capsys.readouterr().err
 
     def test_sample_manifest_records_every_flag(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "c.json", {

@@ -1,17 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from sulab import geometry
-from sulab.data import Dataset, make_gaussian_dataset
-from sulab.diagnostics import (EXTRAPOLATION, SUPERVISION, calibrated_l2_values,
-                               cfg_gap_curve,
+from sulab.data import Dataset, make_gaussian_dataset, supervision_draws
+from sulab.diagnostics import (_T_MIN, EXTRAPOLATION, SUPERVISION,
+                               calibrated_l2_values, cfg_gap_curve,
                                estimate_region, fit_quality_line,
                                memorization_ratio, pat_quality,
                                regress_to_origin_ratio, score_error,
                                supervision_loss, velocity_weight)
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
-from sulab.models import GaussianGroundTruthField
-from sulab.schedule import VELOCITY
+from sulab.models import GaussianGroundTruthField, MlpScoreNetwork
+from sulab.numerics import RngStream
+from sulab.sampling import FIXED_HEUN, SolverConfig, integrate, states_at
+from sulab.schedule import SCORE, VELOCITY, convert_value, forward_process
 
 
 class ConstantScoreField:
@@ -142,6 +146,105 @@ class TestEstimateRegion:
                                  SUPERVISION, ds, n=20, timesteps=10,
                                  seed=7)[0] for q in qs]
         assert both == alone
+
+
+def _stacked_inputs(region, ds, field, n, ts, rng, solver, labels=None):
+    """Every timestep's (T, n, d) queries at once, and the per-sample labels:
+    the whole-grid reading that the per-timestep sources of the region
+    estimators must match."""
+    if region == SUPERVISION:
+        x, eps, labels = supervision_draws(ds, n, rng)
+        return forward_process(x[None], eps[None], ts), labels
+    z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
+                   for i in range(n)])
+    _, trajs = integrate(field, z0, solver, record=True, label=labels)
+    return states_at(trajs, ts), labels
+
+
+def _stacked_estimates(quantity, region, ds, field, n, timesteps, seed):
+    """estimate_region's (value, stderr) pairs from an (m, T, n) value
+    stack over the whole grid."""
+    ts = RngStream(seed, stream=0).uniform(_T_MIN, 1.0 - _T_MIN, timesteps)
+    inputs, _ = _stacked_inputs(region, ds, field, n, ts,
+                                RngStream(seed, stream=1), SolverConfig())
+    vals = np.stack([quantity(inputs[j], float(t)) for j, t in enumerate(ts)],
+                    axis=1)
+    out = []
+    for per_t in vals:
+        total = 0.0
+        for v in per_t:
+            total += float(np.sum(v))
+        out.append((total / (n * timesteps),
+                    float(np.std(per_t.mean(axis=0)) / np.sqrt(n))))
+    return out
+
+
+def _score_errors(field, references):
+    """score_error's quantity: one row per reference field."""
+    def q(zs, t):
+        own = convert_value(field.evaluate_batch(zs, t), field.prediction_kind,
+                            SCORE, zs, t)
+        return velocity_weight(t) * np.stack([
+            np.sum((own - convert_value(ref.evaluate_batch(zs, t),
+                                        ref.prediction_kind, SCORE, zs, t))
+                   ** 2, axis=1) for ref in references])
+    return q
+
+
+class TestStreamedMatchesStacked:
+    """The estimators read one timestep at a time, and give, bit for bit,
+    what the whole-grid stack gives."""
+
+    @pytest.mark.parametrize("region", [SUPERVISION, EXTRAPOLATION])
+    @pytest.mark.parametrize("n, timesteps", [(30, 7), (64, 25)])
+    def test_region_estimates_and_stderrs(self, region, n, timesteps):
+        ds = make_gaussian_dataset(3, 16, seed=0)
+        net = MlpScoreNetwork(3, width=8, hidden_layers=1, time_freqs=2,
+                              seed=1)
+        q = _score_errors(net, [GaussianGroundTruthField(3), net])
+        got = estimate_region(q, region, ds, field=net, n=n,
+                              timesteps=timesteps, seed=5)
+        want = _stacked_estimates(q, region, ds, net, n, timesteps, seed=5)
+        assert [(e.value, e.stderr) for e in got] == want
+        assert got[0].stderr > 0.0
+
+    @pytest.mark.parametrize("region", [SUPERVISION, EXTRAPOLATION])
+    def test_cfg_gap_rows(self, region):
+        ds = Dataset(points=np.random.default_rng(0).normal(size=(10, 2)),
+                     labels=np.array([0, 1] * 5))
+        net = MlpScoreNetwork(2, width=8, hidden_layers=1, time_freqs=2,
+                              num_classes=2, seed=3)
+        cond = lambda zs, t, lab: net.evaluate_batch(zs, t, lab)
+        uncond = lambda zs, t: net.evaluate_batch(zs, t)
+        solver = SolverConfig(kind=FIXED_HEUN, fixed_steps=8)
+        grid = [0.2, 0.5, 0.8, 0.95]
+        rows = cfg_gap_curve(cond, uncond, ds, region, grid, n=40, seed=2,
+                             field=net, solver=solver)
+        rng = RngStream(2, stream=0)
+        labels = rng.integers(0, 2, 40) if region == EXTRAPOLATION else None
+        inputs, labels = _stacked_inputs(region, ds, net, 40, np.asarray(grid),
+                                         rng, solver, labels)
+        want = []
+        for t, zs in zip(grid, inputs):
+            gaps = np.linalg.norm(cond(zs, t, labels) - uncond(zs, t), axis=1)
+            want.append((t, float(np.median(gaps)),
+                         float(np.percentile(gaps, 10)),
+                         float(np.percentile(gaps, 90))))
+        assert rows == want
+
+    def test_score_error_memory_does_not_grow_with_the_grid(self):
+        # A (T, n, d) query stack alone would take 32 MB here; one
+        # timestep's queries take 0.32 MB.
+        ds = make_gaussian_dataset(20, 300, seed=0)
+        field = GaussianGroundTruthField(20)
+        tracemalloc.start()
+        try:
+            score_error(field, [field], SUPERVISION, ds, n=2000,
+                        timesteps=100, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
 
 class TestScoreError:

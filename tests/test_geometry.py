@@ -6,7 +6,7 @@ from sulab import geometry
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.errors import InvalidArgumentError, SingularTimeError
 from sulab.geometry import (bhattacharyya_overlap,
-                            in_supervision_region_batch, r_star)
+                            in_supervision_region_batch, r_star, rstar_by_t)
 from sulab.numerics import RngStream
 from sulab.models import GaussianGroundTruthField
 from sulab.sampling import SolverConfig, integrate, states_at
@@ -97,6 +97,21 @@ class TestRStar:
         # z on the shell of point 1 (radius sigma*sqrt(2) around alpha*x_1)
         z = np.array([5.0, t * np.sqrt(2)])
         assert r_star(ds, z, t).i_star == 1
+
+    def test_profile_matches_whole_grid_reading(self):
+        # rstar_by_t reads one timestep at a time; the rows equal, bit for
+        # bit, those of the (T, B, d) states read over the whole grid
+        ds = make_gaussian_dataset(3, 12, seed=2)
+        _, trajs = integrate(GaussianGroundTruthField(3),
+                             RngStream(4, 0).normal((16, 3)), SolverConfig(),
+                             record=True)
+        grid = [0.9995, 0.8, 0.5, 0.31, 0.1, 5e-4]  # both ends clamp
+        want = [(t, r_star(ds, zs, t).r_star)
+                for t, zs in zip(grid, states_at(trajs, grid))]
+        got = rstar_by_t(ds, trajs, np.asarray(grid))
+        assert [t for t, _ in got] == grid
+        for (_, r), (_, ref) in zip(got, want):
+            assert r.tobytes() == ref.tobytes()
 
     def test_profile_runs_over_trajectory(self):
         # r* read along recorded trajectories, as rstar-profile does
