@@ -23,11 +23,11 @@ import numpy as np
 from . import __version__
 from .data import load_points
 from .diagnostics import SUPERVISION, calibrated_l2_values, memorization_ratio, \
-    supervision_loss
+    score_error
 from .empirical import EmpiricalScoreOracle
 from .errors import SulabError, NumericFailureError
 from .experiments import RUNNERS, ExperimentResult, RunContext, \
-    build_dataset, loss_curve_table, samples_table
+    build_dataset, checked, loss_curve_table, samples_table
 from .geometry import bhattacharyya_overlap, rstar_by_t
 from .models import MlpScoreNetwork, OracleField
 from .sampling import SolverConfig, sample
@@ -91,8 +91,7 @@ DEFAULTS: dict[str, dict] = {
                    "t_min": 0.01, "fixed_steps": 96},
         "variants": ["baseline", "polar", "krr", "equivariant"],
         "n_samples": 1000,
-        "krr": {"n_draws": 1024, "gamma": 4.0, "ridge": 1e-4,
-                "time_scale": 1.0},
+        "krr": {"n_draws": 1024, "gamma": 4.0, "ridge": 1e-4},
     },
     "cfg-gap": {
         "experiment": "cfg-gap", "seed": 0, "out": "runs/cfg-gap",
@@ -353,9 +352,10 @@ def cmd_train(args) -> int:
         raise ConfigError(f"experiment: {cfg['experiment']} has no single net for train; "
                           f"train takes {', '.join(TRAINABLE)}; run it with `sulab run`")
     ds = build_dataset(cfg["dataset"], cfg["seed"])
-    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=cfg["seed"])
-    report = train(net, TrainConfig(**cfg["train"], seed=cfg["seed"]),
-                   dataset=ds)
+    net = checked("model", MlpScoreNetwork, ds.dim, **cfg["model"],
+                  seed=cfg["seed"])
+    report = train(net, checked("train", TrainConfig, **cfg["train"],
+                                seed=cfg["seed"]), dataset=ds)
     result = ExperimentResult(
         tables={"loss_curve": loss_curve_table(report)},
         checkpoints={"model": (net, report.ema_params)})
@@ -400,6 +400,10 @@ def cmd_diagnose(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"--threshold: must lie in (0, 1), got {args.threshold}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
+    if args.class_id is not None and not 0 <= args.class_id < ds.num_classes:
+        raise ConfigError(f"--class-id: must name one of the dataset's "
+                          f"{ds.num_classes} classes (none when unlabeled), "
+                          f"got {args.class_id}")
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
         raise ConfigError(f"checkpoint {args.checkpoint} is {net.dim}-D but "
@@ -410,10 +414,10 @@ def cmd_diagnose(args) -> int:
     table = [["metric", "region", "t", "value", "n", "seed"]]
     if args.metric == "supervision-loss":
         oracle = OracleField(EmpiricalScoreOracle(ds))
-        value = supervision_loss(net, oracle, ds, n=args.n,
-                                 timesteps=args.grid, seed=args.seed)
-        table.append(["supervision-loss", SUPERVISION, "all", value, args.n,
-                      args.seed])
+        loss, = score_error(net, [oracle], SUPERVISION, ds, n=args.n,
+                            timesteps=args.grid, seed=args.seed)
+        table.append(["supervision-loss", SUPERVISION, "all", loss.value,
+                      args.n, args.seed])
     elif args.metric == "overlap":
         for t in ts:
             value = bhattacharyya_overlap(ds, float(t),

@@ -211,15 +211,17 @@ def save_points(ds: Dataset, path, fmt: str = "csv") -> None:
 
 
 def load_points(path, fmt: str = "csv") -> Dataset:
-    """Load a dataset written by :func:`save_points`."""
+    """Load a dataset written by :func:`save_points`; points or labels that
+    no Dataset holds raise FormatError naming the file."""
     path = Path(path)
     if not path.exists():
         raise FormatError(f"no such file: {path}")
-    if fmt == "csv":
-        return _load_csv(path)
-    if fmt == "raw-f64":
-        return _load_raw(path)
-    raise InvalidArgumentError(f"unknown format {fmt!r}")
+    if fmt not in ("csv", "raw-f64"):
+        raise InvalidArgumentError(f"unknown format {fmt!r}")
+    try:
+        return _load_csv(path) if fmt == "csv" else _load_raw(path)
+    except InvalidArgumentError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:

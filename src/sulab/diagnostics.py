@@ -1,6 +1,6 @@
 """Measurements: region-conditional Monte Carlo estimators, score errors,
-supervision loss, conditional/unconditional gap curves, memorization metrics,
-2D sample-quality classification, and the loss-to-quality line fit."""
+conditional/unconditional gap curves, memorization metrics, 2D sample-quality
+classification, and the loss-to-quality line fit."""
 
 from __future__ import annotations
 
@@ -12,19 +12,12 @@ from .data import Dataset, supervision_draws
 from .errors import InvalidArgumentError, RankDeficiencyError
 from .geometry import sq_distance_blocks
 from .numerics import RngStream
-from .schedule import SCORE, convert_value, forward_process
+from .schedule import SCORE, convert_value, forward_process, velocity_weight
 from .sampling import SolverConfig, integrate, states_at
 
 SUPERVISION = "supervision"
 EXTRAPOLATION = "extrapolation"
 _T_MIN = 1e-3  # estimator timesteps are drawn on [_T_MIN, 1 - _T_MIN]
-
-
-def velocity_weight(t):
-    """Timestep weighting t^2 / (1 - t)^2: converts squared score error into
-    squared velocity error under the linear schedule."""
-    t = np.asarray(t, dtype=float)
-    return (t * t) / ((1.0 - t) ** 2)
 
 
 @dataclass(frozen=True)
@@ -114,13 +107,6 @@ def score_error(field, references, region: str, ds: Dataset, n: int = 1000,
 
     return estimate_region(q, region, ds, field=field, n=n,
                            timesteps=timesteps, seed=seed)
-
-
-def supervision_loss(field, reference, ds: Dataset, n: int = 1000,
-                     timesteps: int = 100, seed: int = 0) -> float:
-    """The supervision-region, velocity-weighted score error scalar."""
-    return score_error(field, [reference], SUPERVISION, ds, n=n,
-                       timesteps=timesteps, seed=seed)[0].value
 
 
 def cfg_gap_curve(cond_scores, uncond_scores, ds: Dataset, region: str,

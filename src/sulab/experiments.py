@@ -9,7 +9,7 @@ deterministic for a fixed seed, at any `threads`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import partial
 
 import numpy as np
@@ -18,7 +18,7 @@ from .data import Dataset, make_class_mixture, make_gaussian_dataset, \
     make_pat_toy_dataset, split_score_region, supervision_draws
 from .diagnostics import EXTRAPOLATION, SUPERVISION, calibrated_l2_values, \
     cfg_gap_curve, memorization_ratio, pat_quality, regress_to_origin_ratio, \
-    score_error, supervision_loss, fit_quality_line
+    score_error, fit_quality_line
 from .empirical import EmpiricalScoreOracle
 from .errors import InvalidArgumentError
 from .geometry import bhattacharyya_overlap, rstar_by_t
@@ -69,21 +69,23 @@ class RunContext:
 # ---------------------------------------------------------------------------
 # shared builders
 
+def checked(where: str, make, *args, **kwargs):
+    """make(*args, **kwargs), called before any net trains, with its
+    InvalidArgumentError prefixed by `where`: the config section (solver,
+    model, train, dataset) or key its settings come from."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"{where}: {exc}") from None
+
+
 def build_dataset(dcfg: dict, seed: int) -> Dataset:
     """The dataset of a config's `dataset` section: `kind` (gaussian or
     class-mixture) picks the maker, the other keys are its keywords."""
     make = make_gaussian_dataset if dcfg["kind"] == "gaussian" \
         else make_class_mixture
-    return make(**{k: v for k, v in dcfg.items() if k != "kind"}, seed=seed)
-
-
-def build_solver(cfg: dict) -> SolverConfig:
-    """The config's `solver` section, checked before any net trains; its
-    errors name the section."""
-    try:
-        return SolverConfig(**cfg["solver"])
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"solver: {exc}") from None
+    return checked("dataset", make,
+                   **{k: v for k, v in dcfg.items() if k != "kind"}, seed=seed)
 
 
 def check_t_grid(cfg: dict, key: str, allow_one: bool = True) -> None:
@@ -114,7 +116,8 @@ def samples_table(samples: np.ndarray) -> Table:
 def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
-    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
+    net = checked("model", MlpScoreNetwork, ds.dim, **cfg["model"], seed=seed)
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
     oracle_field = OracleField(EmpiricalScoreOracle(ds))
     gt_field = GaussianGroundTruthField(ds.dim)
     diag = cfg["diagnostics"]
@@ -138,8 +141,7 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
             return {**raw, **{f"ema_{k}": v for k, v in raw.items()}}
         return {**raw, **errors(ema_net, "ema_")}
 
-    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
-                   eval_hooks=[hook])
+    report = train(net, tcfg, dataset=ds, eval_hooks=[hook])
 
     names = ["sup_vs_empirical", "sup_vs_gt", "ambient_vs_gt",
              "ema_sup_vs_empirical", "ema_sup_vs_gt", "ema_ambient_vs_gt"]
@@ -154,12 +156,12 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # foe: region-decoupled training sweep over the region-subset size
 
-def _foe_member(cfg: dict, solver: SolverConfig, ds: Dataset, pair) -> tuple:
+def _foe_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
+                ds: Dataset, pair) -> tuple:
     """One region size: the net, its EMA and the EMA net's samples."""
     seed = cfg["seed"]
     net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
-    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds,
-                   subset_pair=pair)
+    report = train(net, tcfg, dataset=ds, subset_pair=pair)
     samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
                         solver, seed=seed + 2)
     return net, report.ema_params, samples
@@ -176,10 +178,11 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
     for thr in cfg["thresholds"]:
         if not 0.0 < thr < 1.0:
             raise InvalidArgumentError(f"thresholds: {thr} outside (0, 1)")
-    solver = build_solver(cfg)
+    solver = checked("solver", SolverConfig, **cfg["solver"])
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
     pairs = [split_score_region(ds, n_score, n_score * factor, seed=seed)
              for factor in factors]
-    members = ctx.map(partial(_foe_member, cfg, solver, ds), pairs)
+    members = ctx.map(partial(_foe_member, cfg, tcfg, solver, ds), pairs)
     rows = []
     result = ExperimentResult()
     for factor, pair, (net, ema, samples) in zip(factors, pairs, members):
@@ -204,19 +207,17 @@ _PAT_INPUT_MAPS = {"baseline": IDENTITY, "polar": POLAR,
                    "equivariant": RADIAL_EQUIVARIANT}
 
 
-def _pat_member(cfg: dict, solver: SolverConfig, variant: str) -> tuple:
+def _pat_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
+                variant: str) -> tuple:
     """One variant: its samples and its (net, ema), None for the KRR field."""
     ds, seed, ckpt = make_pat_toy_dataset(), cfg["seed"], None
     if variant == "krr":
-        k = cfg["krr"]
-        field = fit_krr_denoiser_field(
-            ds, n_draws=k["n_draws"], gamma=k["gamma"], ridge=k["ridge"],
-            seed=seed, input_map=POLAR, time_scale=k["time_scale"],
-            t_min=solver.t_min)
+        field = fit_krr_denoiser_field(ds, **cfg["krr"], seed=seed,
+                                       input_map=POLAR, t_min=solver.t_min)
     else:
         net = MlpScoreNetwork(ds.dim, **cfg["model"],
                               input_map=_PAT_INPUT_MAPS[variant], seed=seed)
-        report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
+        report = train(net, tcfg, dataset=ds)
         ckpt = (net, report.ema_params)
         field = ema_network(*ckpt)
     samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2)
@@ -224,13 +225,20 @@ def _pat_member(cfg: dict, solver: SolverConfig, variant: str) -> tuple:
 
 
 def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
-    for variant in cfg["variants"]:  # all checked before any member trains
+    k = cfg["krr"]  # every setting is checked before any member starts
+    for variant in cfg["variants"]:
         if variant not in PAT_VARIANTS:
             raise InvalidArgumentError(f"unknown pat variant {variant!r}")
+    for key, bad, need in (("n_draws", k["n_draws"] < 1, ">= 1"),
+                           ("gamma", k["gamma"] <= 0, "> 0"),
+                           ("ridge", k["ridge"] < 0, ">= 0")):
+        if bad:
+            raise InvalidArgumentError(f"krr.{key}: must be {need}, got {k[key]}")
+    solver = checked("solver", SolverConfig, **cfg["solver"])
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=cfg["seed"])
     result = ExperimentResult()
     quality_rows = []
-    members = ctx.map(partial(_pat_member, cfg, build_solver(cfg)),
-                      cfg["variants"])
+    members = ctx.map(partial(_pat_member, cfg, tcfg, solver), cfg["variants"])
     for variant, (samples, ckpt) in zip(cfg["variants"], members):
         quality_rows.append([variant, *pat_quality(samples)])
         result.tables[f"samples_{variant}"] = samples_table(samples)
@@ -246,13 +254,14 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # cfg-gap: conditional/unconditional score gap by region
 
 def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
-    seed, solver = cfg["seed"], build_solver(cfg)
+    seed, solver = cfg["seed"], checked("solver", SolverConfig, **cfg["solver"])
     check_t_grid(cfg, "t_grid", allow_one=False)
     ds = build_dataset(cfg["dataset"], seed)
-    net = MlpScoreNetwork(ds.dim, **cfg["model"], num_classes=ds.num_classes,
-                          seed=seed)
-    tcfg = TrainConfig(**cfg["train"], class_dropout=cfg["class_dropout"],
-                       seed=seed)
+    net = checked("model", MlpScoreNetwork, ds.dim, **cfg["model"],
+                  num_classes=ds.num_classes, seed=seed)
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
+    tcfg = checked("class_dropout", replace, tcfg,
+                   class_dropout=cfg["class_dropout"])
     report = train(net, tcfg, dataset=ds)
     model = ema_network(net, report.ema_params)
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
@@ -309,9 +318,10 @@ def run_memorize_from_t(cfg: dict, ctx: RunContext) -> ExperimentResult:
         raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
                                    f"outside [1, {ds.size}] (dataset size)")
     check_t_grid(cfg, "t_from_grid")
-    solver = build_solver(cfg)
-    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
-    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
+    solver = checked("solver", SolverConfig, **cfg["solver"])
+    net = checked("model", MlpScoreNetwork, ds.dim, **cfg["model"], seed=seed)
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
+    report = train(net, tcfg, dataset=ds)
     model = ema_network(net, report.ema_params)
     rng = RngStream(seed, stream=3)
     idx = np.tile(np.arange(ds.size), reps)
@@ -337,9 +347,10 @@ def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     check_t_grid(cfg, "t_grid")
     ds = build_dataset(cfg["dataset"], seed)
+    solver = checked("solver", SolverConfig, **cfg["solver"])
     field = OracleField(EmpiricalScoreOracle(ds))
-    _, trajectories = sample(field, cfg["n_samples"], build_solver(cfg),
-                             seed=seed, record=True)
+    _, trajectories = sample(field, cfg["n_samples"], solver, seed=seed,
+                             record=True)
     rows = [[t, float(np.mean(vals)), float(np.percentile(vals, 10)),
              float(np.percentile(vals, 90))]
             for t, vals in rstar_by_t(ds, trajectories, cfg["t_grid"])]
@@ -353,6 +364,7 @@ def run_rstar_profile(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
 def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
+    check_t_grid(cfg, "t_grid")
     ds = build_dataset(cfg["dataset"], seed)
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
     rows = [[float(t), "all", bhattacharyya_overlap(ds, float(t))]
@@ -368,17 +380,17 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # scaling-line: supervision loss versus sample quality across model widths
 
-def _scaling_member(cfg: dict, solver: SolverConfig, ds: Dataset,
-                    net: MlpScoreNetwork) -> tuple:
+def _scaling_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
+                    ds: Dataset, net: MlpScoreNetwork) -> tuple:
     """One width: the net, its EMA, its supervision loss and its samples."""
     seed, diag = cfg["seed"], cfg["diagnostics"]
-    report = train(net, TrainConfig(**cfg["train"], seed=seed), dataset=ds)
+    report = train(net, tcfg, dataset=ds)
     model = ema_network(net, report.ema_params)
-    loss = supervision_loss(model, OracleField(EmpiricalScoreOracle(ds)), ds,
-                            n=diag["n"], timesteps=diag["timesteps"],
-                            seed=seed)
+    loss, = score_error(model, [OracleField(EmpiricalScoreOracle(ds))],
+                        SUPERVISION, ds, n=diag["n"],
+                        timesteps=diag["timesteps"], seed=seed)
     samples, _ = sample(model, cfg["n_samples"], solver, seed=seed + 2)
-    return net, report.ema_params, loss, samples
+    return net, report.ema_params, loss.value, samples
 
 
 def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
@@ -389,12 +401,15 @@ def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
     if len(cfg["widths"]) < 2 or len(set(cfg["widths"])) < len(cfg["widths"]):
         raise InvalidArgumentError(
             f"widths: need at least two, all distinct; got {cfg['widths']}")
-    nets = [MlpScoreNetwork(ds.dim, width=width, **cfg["model"], seed=seed)
-            for width in cfg["widths"]]
+    if min(cfg["widths"]) < 1:
+        raise InvalidArgumentError(f"widths: {min(cfg['widths'])} is below 1")
+    solver = checked("solver", SolverConfig, **cfg["solver"])
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
+    nets = [checked("model", MlpScoreNetwork, ds.dim, width=width,
+                    **cfg["model"], seed=seed) for width in cfg["widths"]]
     rows = []
     result = ExperimentResult()
-    members = ctx.map(partial(_scaling_member, cfg, build_solver(cfg), ds),
-                      nets)
+    members = ctx.map(partial(_scaling_member, cfg, tcfg, solver, ds), nets)
     for width, (net, ema, loss, samples) in zip(cfg["widths"], members):
         quality = sliced_wasserstein(samples, reference, seed=seed)
         rows.append([width, loss, quality])

@@ -284,13 +284,7 @@ class MlpScoreNetwork:
     # -- checkpoint format --------------------------------------------------
 
     def descriptor(self) -> dict:
-        return {
-            "dim": self.dim, "width": self.width,
-            "hidden_layers": self.hidden_layers,
-            "prediction_kind": self.prediction_kind,
-            "input_map": self.input_map, "time_freqs": self.time_freqs,
-            "num_classes": self.num_classes, "class_emb_dim": self.class_emb_dim,
-        }
+        return {k: getattr(self, k) for k in _CKPT_KEYS if k != "has_ema"}
 
     def __getstate__(self):
         # a plain pickle would copy the views in `params` apart from `flat`
@@ -386,19 +380,18 @@ class KrrScoreField:
     """Gaussian-kernel ridge regression from noisy states to clean points, as
     a ScoreField (x-prediction parameterization).
 
-    Features are input_map(z) with t appended, scaled by time_scale. The
-    coefficients C solve (K + ridge I) C = targets over the features of the
-    training states zs at ts, with k(a, b) = exp(-gamma |a - b|^2).
+    Features are input_map(z) with t appended. The coefficients C solve
+    (K + ridge I) C = targets over the features of the training states zs at
+    ts, with k(a, b) = exp(-gamma |a - b|^2).
     """
 
     prediction_kind = XPRED
 
     def __init__(self, zs, ts, targets, gamma: float, ridge: float,
-                 input_map: str = IDENTITY, time_scale: float = 1.0):
+                 input_map: str = IDENTITY):
         if input_map not in (IDENTITY, POLAR):
             raise InvalidArgumentError("KRR field supports identity or polar features")
         self.input_map = input_map
-        self.time_scale = float(time_scale)
         self.inputs = self.features(zs, ts)
         self.dim = np.shape(zs)[-1]
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -415,7 +408,7 @@ class KrrScoreField:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
         zf = zs if self.input_map == IDENTITY else _polar_features_batch(zs)
-        return np.concatenate([zf, (self.time_scale * ts)[:, None]], axis=1)
+        return np.concatenate([zf, ts[:, None]], axis=1)
 
     def evaluate_batch(self, zs, ts, labels=None):
         queries = self.features(zs, ts)
@@ -426,12 +419,11 @@ class KrrScoreField:
 
 def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float,
                            seed: int, input_map: str = IDENTITY,
-                           time_scale: float = 1.0,
                            t_min: float = 1e-3) -> KrrScoreField:
     """Build KRR training pairs from the forward process over ds and fit.
 
     Draws n_draws (x, eps, t) with t stratified over [t_min, 1 - t_min];
-    features are input_map(z_t) with scaled t appended, targets are clean x.
+    features are input_map(z_t) with t appended, targets are clean x.
     """
     if n_draws < 1:
         raise InvalidArgumentError("n_draws must be >= 1")
@@ -441,4 +433,4 @@ def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float
     bins = (np.arange(n_draws) + rng.uniform(size=n_draws)) / n_draws
     ts = t_min + (1.0 - 2.0 * t_min) * bins
     return KrrScoreField(forward_process(x, eps, ts), ts, x, gamma, ridge,
-                         input_map=input_map, time_scale=time_scale)
+                         input_map=input_map)

@@ -1,16 +1,16 @@
 """Probability-flow ODE integration over any ScoreField.
 
 Integrates dz/dt = v(z, t) from t_start down to t_min, where v is the field's
-prediction converted to the velocity parameterization. Three integrators:
-an adaptive Dormand-Prince 5(4) embedded pair, whose accepted steps hand
-their last stage on as the next step's first, fixed-step Heun, and fixed-step
-Euler. A run ends at t_min, and by default starts at 1 - t_min, because the
-parameterization conversions are singular at t in {0, 1}.
+prediction converted to the velocity parameterization. Two integrators: an
+adaptive Dormand-Prince 5(4) embedded pair, whose accepted steps hand their
+last stage on as the next step's first, and fixed-step Heun. A run ends at
+t_min, and by default starts at 1 - t_min, because the parameterization
+conversions are singular at t in {0, 1}.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .schedule import VELOCITY, convert_value
 
 ADAPTIVE_RK45 = "adaptive-rk45"
 FIXED_HEUN = "fixed-heun"
-FIXED_EULER = "fixed-euler"
-SOLVER_KINDS = (ADAPTIVE_RK45, FIXED_HEUN, FIXED_EULER)
+SOLVER_KINDS = (ADAPTIVE_RK45, FIXED_HEUN)
 
 # Dormand-Prince 5(4) tableau. It is first same as last: stage 7 is taken at
 # the fifth-order solution (B5 is its row of A), so it is the next stage 1
@@ -41,32 +40,27 @@ _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
 _SAFETY = 0.9
 _GROW = 5.0
 _SHRINK = 0.2
+_MAX_STEPS = 100_000  # adaptive attempts per row before DivergenceError
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """A config's `solver` section. A run ends at t_min, and by default
+    starts at 1 - t_min, so t_min lies in (0, 0.5)."""
+
     kind: str = ADAPTIVE_RK45
     atol: float = 1e-6
     rtol: float = 1e-3
-    max_steps: int = 100_000
     t_min: float = 1e-3
-    t_start: float | None = None  # default 1 - t_min; a run ends at t_min
-    fixed_steps: int = 100        # step count for the fixed-step kinds
+    fixed_steps: int = 100  # step count for fixed-heun
 
     def __post_init__(self):
         if self.kind not in SOLVER_KINDS:
             raise InvalidArgumentError(f"unknown solver kind {self.kind!r}")
         if self.atol <= 0 or self.rtol <= 0:
             raise InvalidArgumentError("tolerances must be positive")
-        if self.t_min <= 0 or self.fixed_steps < 1:
-            raise InvalidArgumentError("t_min and fixed_steps must be positive")
-        start, end = self.resolve_span()
-        if not start > end:
-            raise InvalidArgumentError(f"need t_start ({start}) > t_min ({end})")
-
-    def resolve_span(self) -> tuple[float, float]:
-        start = 1.0 - self.t_min if self.t_start is None else self.t_start
-        return float(start), float(self.t_min)
+        if self.fixed_steps < 1 or not 0.0 < self.t_min < 0.5:
+            raise InvalidArgumentError("need fixed_steps >= 1 and t_min in (0, 0.5)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +177,10 @@ def _initial_step(v, z0: np.ndarray, t0: np.ndarray, span: float,
 
 
 def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
-              record: bool = False, label=None):
+              record: bool = False, label=None, t_start: float | None = None):
     """Integrate the probability-flow ODE for a batch of states z_init (B, d)
-    down from t_start to t_min; label is None, shared, or one per row.
+    down from t_start (default 1 - cfg.t_min, else above cfg.t_min) to
+    cfg.t_min; label is None, shared, or one per row.
 
     Returns (z_final (B, d), a TrajectoryRecord of the B rows or None). A
     non-finite state raises NumericFailureError naming its row.
@@ -193,8 +188,11 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
     z = np.array(z_init, dtype=float)
     if z.ndim != 2:
         raise InvalidArgumentError("z_init must be a (B, d) batch of states")
+    t_end = float(cfg.t_min)
+    t_start = 1.0 - t_end if t_start is None else float(t_start)
+    if not t_start > t_end:
+        raise InvalidArgumentError(f"need t_start ({t_start}) > t_min ({t_end})")
     v = velocity_fn(score_field, label)
-    t_start, t_end = cfg.resolve_span()
     n = z.shape[0]
     every = np.arange(n)
     t = np.full(n, t_start)
@@ -206,13 +204,9 @@ def integrate(score_field, z_init, cfg: SolverConfig = SolverConfig(),
     else:
         hs = (t_start - t_end) / cfg.fixed_steps
         for k in range(cfg.fixed_steps):
-            f0 = v(z, t)
-            if cfg.kind == FIXED_EULER:
-                z = z - hs * f0
-            else:  # Heun
-                z_pred = z - hs * f0
-                f1 = v(z_pred, t - hs)
-                z = z - hs * 0.5 * (f0 + f1)
+            f0 = v(z, t)  # Heun
+            f1 = v(z - hs * f0, t - hs)
+            z = z - hs * 0.5 * (f0 + f1)
             t = np.full(n, t_end if k == cfg.fixed_steps - 1
                         else t_start - (k + 1) * hs)
             _check_finite(z, every, np.full(n, k))
@@ -236,11 +230,11 @@ def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
     accepted = np.zeros(n, dtype=np.int64)
     rows = np.arange(n)
     while rows.size:
-        over = rows[steps[rows] >= cfg.max_steps]
+        over = rows[steps[rows] >= _MAX_STEPS]
         if over.size:
             r = int(over[0])
             raise DivergenceError(
-                f"sample {r}: max steps ({cfg.max_steps}) exceeded at t={t[r]}",
+                f"sample {r}: max steps ({_MAX_STEPS}) exceeded at t={t[r]}",
                 iteration=int(steps[r]), state=z[r])
         min_step = 10 * np.abs(np.nextafter(t[rows], -np.inf) - t[rows])
         tiny = rows[~(h[rows] >= min_step)]  # a nan step fails too
@@ -283,7 +277,7 @@ def _integrate_dopri5(v, z, t, t_end, cfg, chunks):
 def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 0,
            record: bool = False, label=None):
     """Draw n probability-flow samples: z_init ~ N(0, I), integrated
-    t_start -> t_min as one batch.
+    1 - t_min -> t_min as one batch.
 
     Each sample's initial state comes from its own RNG stream (seed, sample
     index), so any prefix of samples starts from the same states whatever n
@@ -301,8 +295,9 @@ def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 
 
 def denoise_from(score_field, z_t, t_from: float,
                  cfg: SolverConfig = SolverConfig()) -> np.ndarray:
-    """Partial denoising: integrate states z_t (B, d) from t_from down to t_min."""
+    """Partial denoising: integrate states z_t (B, d) from t_from, capped at
+    1 - t_min, down to t_min; returned as given when t_from <= t_min."""
     if t_from <= cfg.t_min:
         return np.array(z_t, dtype=float)
-    sub = replace(cfg, t_start=min(t_from, 1.0 - cfg.t_min))
-    return integrate(score_field, z_t, sub)[0]
+    return integrate(score_field, z_t, cfg,
+                     t_start=min(t_from, 1.0 - cfg.t_min))[0]

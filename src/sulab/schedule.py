@@ -1,5 +1,5 @@
-"""The parameterization: forward process, DSM targets and the one conversion
-among score / velocity / x-prediction.
+"""The parameterization: forward process, DSM targets, the one conversion
+among score / velocity / x-prediction and the velocity weight.
 
 Only the linear interpolant alpha(t) = 1 - t, sigma(t) = t is built, and
 this module is the only one that knows it.
@@ -79,6 +79,13 @@ def convert_value(value, kind: str, target: str, z, t) -> np.ndarray:
     if target == VELOCITY:
         return -(t / (1.0 - t)) * s - z / (1.0 - t)
     return (t * t / (1.0 - t)) * s + z / (1.0 - t)
+
+
+def velocity_weight(t):
+    """Timestep weighting t^2 / (1 - t)^2: converts squared score error into
+    squared velocity error under the linear schedule."""
+    t = np.asarray(t, dtype=float)
+    return (t * t) / ((1.0 - t) ** 2)
 
 
 def marginal_gaussian_score(z, t) -> np.ndarray:

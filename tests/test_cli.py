@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -19,7 +20,9 @@ from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
                           InvalidArgumentError, NumericFailureError,
                           RankDeficiencyError, SingularTimeError)
 from sulab.experiments import RunContext
-from sulab.models import MlpScoreNetwork
+from sulab.models import MlpScoreNetwork, fit_krr_denoiser_field
+from sulab.sampling import SolverConfig
+from sulab.training import TrainConfig
 
 
 def run_cli(args):
@@ -118,6 +121,32 @@ class TestConfigMerging:
         assert not out.exists()
 
 
+def _keywords(fn) -> set:
+    return set(inspect.signature(fn).parameters)
+
+
+class TestConfigSurface:
+    """Every key of a config section is a keyword of what the section
+    builds, so that every key is read."""
+
+    @pytest.mark.parametrize("experiment", sorted(DEFAULTS))
+    def test_sections_are_keywords_of_what_they_build(self, experiment):
+        cfg = DEFAULTS[experiment]
+        if "solver" in cfg:
+            assert set(cfg["solver"]) == _keywords(SolverConfig)
+        if "train" in cfg:
+            assert set(cfg["train"]) <= _keywords(TrainConfig)
+        if "model" in cfg:
+            assert set(cfg["model"]) <= _keywords(MlpScoreNetwork)
+        if "krr" in cfg:
+            assert set(cfg["krr"]) <= _keywords(fit_krr_denoiser_field)
+
+    def test_every_section_is_somewhere(self):
+        for section in ("solver", "train", "model"):
+            assert sum(section in cfg for cfg in DEFAULTS.values()) >= 5
+        assert "krr" in DEFAULTS["pat"]
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (ConfigError("x"), 2), (InvalidArgumentError("x"), 2),
@@ -153,7 +182,7 @@ class TestExitCodes:
             "widths": widths, "n_samples": 4,
             "model": {"hidden_layers": 1, "time_freqs": 2},
             "train": {"iterations": 5},
-            "solver": {"kind": "fixed-euler", "fixed_steps": 4},
+            "solver": {"kind": "fixed-heun", "fixed_steps": 4},
             "diagnostics": {"n": 4, "timesteps": 2}})
         assert run_cli(["run", "--config", cfg_path, "--threads", "2",
                         "--out", str(tmp_path / "out")]) == 2
@@ -187,7 +216,37 @@ class TestExitCodes:
         pytest.param("memorize-from-t", {"t_from_grid": []}, "t_from_grid",
                      id="memorize-from-t-t_from_grid-empty"),
         pytest.param("rstar-profile", {"t_grid": []}, "t_grid",
-                     id="rstar-profile-t_grid-empty")])
+                     id="rstar-profile-t_grid-empty"),
+        # a bad section or key is named, and no member of a sweep starts
+        *[pytest.param(experiment, {"train": {"lr": -1}}, "train",
+                       id=f"{experiment}-train-lr")
+          for experiment in ("gaussian", "foe", "pat", "cfg-gap",
+                             "memorize-from-t", "scaling-line")],
+        *[pytest.param(experiment, {"model": {"width": 0}}, "model",
+                       id=f"{experiment}-model-width")
+          for experiment in ("gaussian", "cfg-gap", "memorize-from-t")],
+        pytest.param("scaling-line", {"model": {"hidden_layers": -1}},
+                     "model", id="scaling-line-model-hidden_layers"),
+        *[pytest.param(experiment, {"dataset": {"dim": 0}}, "dataset",
+                       id=f"{experiment}-dataset-dim")
+          for experiment in ("gaussian", "foe", "cfg-gap", "memorize-from-t",
+                             "rstar-profile", "overlap-curve",
+                             "scaling-line")],
+        pytest.param("cfg-gap", {"class_dropout": 1.5}, "class_dropout",
+                     id="cfg-gap-class_dropout"),
+        pytest.param("scaling-line", {"widths": [0, 8]}, "widths",
+                     id="scaling-line-widths-zero"),
+        pytest.param("pat", {"krr": {"ridge": -1}}, "krr.ridge",
+                     id="pat-krr-ridge"),
+        pytest.param("pat", {"krr": {"gamma": 0}}, "krr.gamma",
+                     id="pat-krr-gamma"),
+        pytest.param("pat", {"krr": {"n_draws": 0}}, "krr.n_draws",
+                     id="pat-krr-n_draws"),
+        *[pytest.param("overlap-curve", {"t_grid": grid}, "t_grid",
+                       id=f"overlap-curve-t_grid-{grid}")
+          for grid in ([], [1.5], [0.0])],
+        pytest.param("foe", {"solver": {"kind": "fixed-euler"}}, "solver",
+                     id="foe-solver-fixed-euler")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
@@ -646,7 +705,7 @@ class TestTrainSampleDiagnose:
     def test_diagnose_dimension_mismatch_exits_2_before_sampling(
             self, trained, capsys, monkeypatch, metric, code):
         monkeypatch.setattr(cli, "sample", _refuse)
-        monkeypatch.setattr(cli, "supervision_loss", _refuse)
+        monkeypatch.setattr(cli, "score_error", _refuse)
         ckpt, _, tmp_path = trained
         flat = tmp_path / "flat.csv"
         save_points(Dataset(points=np.eye(8, 2)), flat)
@@ -662,6 +721,28 @@ class TestTrainSampleDiagnose:
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
                         "--grid", grid]) == 2
         assert "error: --grid:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("class_id, labels", [
+        ("0", None), ("-1", [0, 1] * 4), ("2", [0, 1] * 4)])
+    def test_diagnose_class_id_outside_the_classes_names_its_flag(
+            self, trained, capsys, class_id, labels):
+        ckpt, _, tmp_path = trained
+        ds_path = tmp_path / "classes.csv"
+        save_points(Dataset(np.random.default_rng(1).normal(size=(8, 3)),
+                            labels), ds_path)
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        "--class-id", class_id]) == 2
+        assert "error: --class-id: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,0.0,1.0", "1e400,0.0,1.0"])
+    def test_diagnose_non_finite_dataset_names_the_file(self, trained, capsys,
+                                                        row):
+        ckpt, _, tmp_path = trained
+        ds_path = tmp_path / "bad.csv"
+        ds_path.write_text(f"1.0,2.0,3.0\n{row}\n")
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap"]) == 2
+        assert f"error: {ds_path}: points contain non-finite values" in \
+            capsys.readouterr().err
 
     def test_diagnose_calibration_n_below_1_exits_2(self, trained, capsys,
                                                     monkeypatch):
@@ -720,7 +801,7 @@ class TestTrainSampleDiagnose:
 
 
 # One tiny config per experiment, and gaussian's for `train`.
-_FUZZ_SOLVER = {"kind": "fixed-euler", "fixed_steps": 4, "t_min": 0.01}
+_FUZZ_SOLVER = {"kind": "fixed-heun", "fixed_steps": 4, "t_min": 0.01}
 _FUZZ_MODEL = {"width": 4, "hidden_layers": 1, "time_freqs": 1}
 _FUZZ_TRAIN = {"iterations": 2, "batch_size": 4}
 _FUZZ_DATASET = {"dim": 2, "n_per_class": 4}

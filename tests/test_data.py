@@ -247,6 +247,27 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             load_points(path)
 
+    @pytest.mark.parametrize("text, meta, message", [
+        ("1.0,nan\n", None, "non-finite"),
+        ("1.0,2.0\n1e400,0.0\n", None, "non-finite"),
+        ("1.0,2.0,0\n3.0,4.0,-1\n", "labels=last\n", "nonnegative")])
+    def test_values_no_dataset_holds_name_the_file(self, tmp_path, text,
+                                                   meta, message):
+        path = tmp_path / "pts"
+        path.write_text(text)
+        if meta is not None:
+            (tmp_path / "pts.meta").write_text(meta)
+        with pytest.raises(FormatError, match=f"{re.escape(str(path))}: .*"
+                                              f"{message}"):
+            load_points(path)
+
+    def test_non_finite_raw_points_name_the_file(self, tmp_path):
+        path = tmp_path / "pts"
+        path.write_bytes(_raw_head(1, 2, 1)
+                         + np.array([1.0, np.inf], dtype="<f8").tobytes())
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_points(path, fmt="raw-f64")
+
     def test_unknown_format(self, tmp_path):
         ds = make_gaussian_dataset(2, 2, seed=0)
         with pytest.raises(InvalidArgumentError):

@@ -9,13 +9,13 @@ from sulab.diagnostics import (_T_MIN, EXTRAPOLATION, SUPERVISION,
                                calibrated_l2_values, cfg_gap_curve,
                                estimate_region, fit_quality_line,
                                memorization_ratio, pat_quality,
-                               regress_to_origin_ratio, score_error,
-                               supervision_loss, velocity_weight)
+                               regress_to_origin_ratio, score_error)
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
 from sulab.models import GaussianGroundTruthField, MlpScoreNetwork
 from sulab.numerics import RngStream
 from sulab.sampling import FIXED_HEUN, SolverConfig, integrate, states_at
-from sulab.schedule import SCORE, VELOCITY, convert_value, forward_process
+from sulab.schedule import (SCORE, VELOCITY, convert_value, forward_process,
+                            velocity_weight)
 
 
 class ConstantScoreField:
@@ -278,14 +278,6 @@ class TestScoreError:
         assert ts.size == 40
         expected = np.mean(velocity_weight(ts) * 5.0)
         assert est.value == pytest.approx(expected, rel=1e-10)
-
-    def test_supervision_loss_is_value(self):
-        ds = make_gaussian_dataset(2, 8, seed=0)
-        a = ConstantScoreField([1.0, 0.0])
-        b = ConstantScoreField([0.0, 0.0])
-        scalar = supervision_loss(a, b, ds, n=6, timesteps=9, seed=4)
-        est, = score_error(a, [b], SUPERVISION, ds, n=6, timesteps=9, seed=4)
-        assert scalar == est.value
 
 
 class TestCfgGap:
