@@ -399,6 +399,9 @@ def cmd_diagnose(args) -> int:
             raise ConfigError(f"{flag}: must be >= 1, got {value}")
     if not 0.0 < args.threshold < 1.0:
         raise ConfigError(f"--threshold: must lie in (0, 1), got {args.threshold}")
+    if args.class_id is not None and args.metric != "overlap":
+        raise ConfigError(f"--class-id: read only by the overlap metric, "
+                          f"not by {args.metric}")
     ds = load_points(args.dataset, fmt=args.dataset_format)
     if args.class_id is not None and not 0 <= args.class_id < ds.num_classes:
         raise ConfigError(f"--class-id: must name one of the dataset's "

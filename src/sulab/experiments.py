@@ -100,6 +100,29 @@ def check_t_grid(cfg: dict, key: str, allow_one: bool = True) -> None:
                 f"{key}: {t} outside (0, 1{']' if allow_one else ')'}")
 
 
+def check_sweep(cfg: dict, key: str, least: int = 1) -> None:
+    """Refuse fewer than `least` (1 or 2) values in the sweep list cfg[key],
+    or a repeated one, before any net trains: each value names artifacts."""
+    if len(cfg[key]) < least or len(set(cfg[key])) < len(cfg[key]):
+        raise InvalidArgumentError(
+            f"{key}: need at least {('one', 'two')[least - 1]}, all distinct; "
+            f"got {cfg[key]}")
+
+
+def _fit_and_sample(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
+                    job: tuple) -> tuple:
+    """One sweep member; job is (field, dataset, subset pair or None). A net
+    is trained (by foe's loss given a pair) and replaced by its EMA net.
+    Returns ((net, ema) or None, cfg["n_samples"] samples at seed + 2)."""
+    field, ds, pair = job
+    ckpt = None
+    if isinstance(field, MlpScoreNetwork):
+        ckpt = field, train(field, tcfg, ds, pair).ema_params
+        field = ema_network(*ckpt)
+    samples, _ = sample(field, cfg["n_samples"], solver, seed=cfg["seed"] + 2)
+    return ckpt, samples
+
+
 def loss_curve_table(report: TrainReport) -> Table:
     return [["iteration", "loss"], *[[it, ls] for it, ls in report.loss_curve]]
 
@@ -125,28 +148,25 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     # training set: reuse the supervision-region estimator over fresh draws.
     ambient_ds = make_gaussian_dataset(ds.dim, diag["n"], seed=seed + 1)
 
-    def errors(field, tag):
+    def errors(field):
         kw = dict(n=diag["n"], timesteps=diag["timesteps"], seed=seed)
         # both supervision errors read the same inputs: one pass, one forward
         emp, gt = score_error(field, [oracle_field, gt_field], SUPERVISION,
                               ds, **kw)
         ambient, = score_error(field, [gt_field], SUPERVISION, ambient_ds, **kw)
-        return {f"{tag}sup_vs_empirical": emp.value,
-                f"{tag}sup_vs_gt": gt.value,
-                f"{tag}ambient_vs_gt": ambient.value}
+        return [emp.value, gt.value, ambient.value]
+
+    rows = []
 
     def hook(iteration, raw_net, ema_net):
-        raw = errors(raw_net, "")
-        if np.array_equal(raw_net.flat, ema_net.flat):  # iteration 0: same bits
-            return {**raw, **{f"ema_{k}": v for k, v in raw.items()}}
-        return {**raw, **errors(ema_net, "ema_")}
+        raw = errors(raw_net)
+        same = np.array_equal(raw_net.flat, ema_net.flat)  # iteration 0: same bits
+        rows.append([iteration, *raw, *(raw if same else errors(ema_net))])
 
     report = train(net, tcfg, dataset=ds, eval_hooks=[hook])
 
     names = ["sup_vs_empirical", "sup_vs_gt", "ambient_vs_gt",
              "ema_sup_vs_empirical", "ema_sup_vs_gt", "ema_ambient_vs_gt"]
-    rows = [[it, *[values[n] for n in names]]
-            for it, values in report.eval_records]
     return ExperimentResult(
         tables={"loss_curve": loss_curve_table(report),
                 "error_curves": [["iteration", *names], *rows]},
@@ -156,22 +176,15 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # foe: region-decoupled training sweep over the region-subset size
 
-def _foe_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
-                ds: Dataset, pair) -> tuple:
-    """One region size: the net, its EMA and the EMA net's samples."""
-    seed = cfg["seed"]
-    net = MlpScoreNetwork(ds.dim, **cfg["model"], seed=seed)
-    report = train(net, tcfg, dataset=ds, subset_pair=pair)
-    samples, _ = sample(ema_network(net, report.ema_params), cfg["n_samples"],
-                        solver, seed=seed + 2)
-    return net, report.ema_params, samples
-
-
 def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     n_score, factors = cfg["n_score"], cfg["region_factors"]
     # checked before any member trains: these settings, each split as drawn
+    check_sweep(cfg, "region_factors")
+    if not 1 <= n_score <= ds.size:
+        raise InvalidArgumentError(
+            f"n_score: {n_score} outside [1, {ds.size}] (dataset size)")
     if not 1 <= cfg["calibration_n"] <= n_score:
         raise InvalidArgumentError(f"calibration_n: {cfg['calibration_n']} "
                                    f"outside [1, n_score={n_score}]")
@@ -180,12 +193,14 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
             raise InvalidArgumentError(f"thresholds: {thr} outside (0, 1)")
     solver = checked("solver", SolverConfig, **cfg["solver"])
     tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
-    pairs = [split_score_region(ds, n_score, n_score * factor, seed=seed)
-             for factor in factors]
-    members = ctx.map(partial(_foe_member, cfg, tcfg, solver, ds), pairs)
+    jobs = [(checked("model", MlpScoreNetwork, ds.dim, **cfg["model"],
+                     seed=seed), ds,
+             checked("region_factors", split_score_region, ds, n_score,
+                     n_score * factor, seed=seed)) for factor in factors]
+    members = ctx.map(partial(_fit_and_sample, cfg, tcfg, solver), jobs)
     rows = []
     result = ExperimentResult()
-    for factor, pair, (net, ema, samples) in zip(factors, pairs, members):
+    for factor, (_, _, pair), (ckpt, samples) in zip(factors, jobs, members):
         n_region = n_score * factor
         score_pts = ds.points[pair.score_idx]
         cal = calibrated_l2_values(samples, score_pts, n=cfg["calibration_n"])
@@ -193,7 +208,7 @@ def run_foe(cfg: dict, ctx: RunContext) -> ExperimentResult:
             rows.append([factor, n_region, thr, memorization_ratio(cal, thr)])
         rows.append([factor, n_region, "mean_calibrated", float(np.mean(cal))])
         result.tables[f"samples_factor{factor}"] = samples_table(samples)
-        result.checkpoints[f"model_factor{factor}"] = (net, ema)
+        result.checkpoints[f"model_factor{factor}"] = ckpt
     result.tables["foe_sweep"] = [
         ["region_factor", "n_region", "threshold", "value"], *rows]
     return result
@@ -207,39 +222,29 @@ _PAT_INPUT_MAPS = {"baseline": IDENTITY, "polar": POLAR,
                    "equivariant": RADIAL_EQUIVARIANT}
 
 
-def _pat_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
-                variant: str) -> tuple:
-    """One variant: its samples and its (net, ema), None for the KRR field."""
-    ds, seed, ckpt = make_pat_toy_dataset(), cfg["seed"], None
-    if variant == "krr":
-        field = fit_krr_denoiser_field(ds, **cfg["krr"], seed=seed,
-                                       input_map=POLAR, t_min=solver.t_min)
-    else:
-        net = MlpScoreNetwork(ds.dim, **cfg["model"],
-                              input_map=_PAT_INPUT_MAPS[variant], seed=seed)
-        report = train(net, tcfg, dataset=ds)
-        ckpt = (net, report.ema_params)
-        field = ema_network(*ckpt)
-    samples, _ = sample(field, cfg["n_samples"], solver, seed=seed + 2)
-    return samples, ckpt
-
-
 def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
     k = cfg["krr"]  # every setting is checked before any member starts
+    check_sweep(cfg, "variants")
     for variant in cfg["variants"]:
         if variant not in PAT_VARIANTS:
-            raise InvalidArgumentError(f"unknown pat variant {variant!r}")
+            raise InvalidArgumentError(f"variants: unknown pat variant {variant!r}")
     for key, bad, need in (("n_draws", k["n_draws"] < 1, ">= 1"),
                            ("gamma", k["gamma"] <= 0, "> 0"),
                            ("ridge", k["ridge"] < 0, ">= 0")):
         if bad:
             raise InvalidArgumentError(f"krr.{key}: must be {need}, got {k[key]}")
+    seed, ds = cfg["seed"], make_pat_toy_dataset()
     solver = checked("solver", SolverConfig, **cfg["solver"])
-    tcfg = checked("train", TrainConfig, **cfg["train"], seed=cfg["seed"])
+    tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
+    jobs = [(fit_krr_denoiser_field(ds, **k, seed=seed, input_map=POLAR,
+                                    t_min=solver.t_min) if variant == "krr"
+             else checked("model", MlpScoreNetwork, ds.dim, **cfg["model"],
+                          input_map=_PAT_INPUT_MAPS[variant], seed=seed),
+             ds, None) for variant in cfg["variants"]]
+    members = ctx.map(partial(_fit_and_sample, cfg, tcfg, solver), jobs)
     result = ExperimentResult()
     quality_rows = []
-    members = ctx.map(partial(_pat_member, cfg, tcfg, solver), cfg["variants"])
-    for variant, (samples, ckpt) in zip(cfg["variants"], members):
+    for variant, (ckpt, samples) in zip(cfg["variants"], members):
         quality_rows.append([variant, *pat_quality(samples)])
         result.tables[f"samples_{variant}"] = samples_table(samples)
         if ckpt is not None:
@@ -380,40 +385,29 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # scaling-line: supervision loss versus sample quality across model widths
 
-def _scaling_member(cfg: dict, tcfg: TrainConfig, solver: SolverConfig,
-                    ds: Dataset, net: MlpScoreNetwork) -> tuple:
-    """One width: the net, its EMA, its supervision loss and its samples."""
-    seed, diag = cfg["seed"], cfg["diagnostics"]
-    report = train(net, tcfg, dataset=ds)
-    model = ema_network(net, report.ema_params)
-    loss, = score_error(model, [OracleField(EmpiricalScoreOracle(ds))],
-                        SUPERVISION, ds, n=diag["n"],
-                        timesteps=diag["timesteps"], seed=seed)
-    samples, _ = sample(model, cfg["n_samples"], solver, seed=seed + 2)
-    return net, report.ema_params, loss.value, samples
-
-
 def run_scaling_line(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     ds = build_dataset(cfg["dataset"], seed)
     reference = build_dataset(cfg["dataset"], seed + 9).points
     # every width and net is checked before any member trains
-    if len(cfg["widths"]) < 2 or len(set(cfg["widths"])) < len(cfg["widths"]):
-        raise InvalidArgumentError(
-            f"widths: need at least two, all distinct; got {cfg['widths']}")
+    check_sweep(cfg, "widths", least=2)
     if min(cfg["widths"]) < 1:
         raise InvalidArgumentError(f"widths: {min(cfg['widths'])} is below 1")
     solver = checked("solver", SolverConfig, **cfg["solver"])
     tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
-    nets = [checked("model", MlpScoreNetwork, ds.dim, width=width,
-                    **cfg["model"], seed=seed) for width in cfg["widths"]]
+    jobs = [(checked("model", MlpScoreNetwork, ds.dim, width=width,
+                     **cfg["model"], seed=seed), ds, None)
+            for width in cfg["widths"]]
+    members = ctx.map(partial(_fit_and_sample, cfg, tcfg, solver), jobs)
+    oracle = OracleField(EmpiricalScoreOracle(ds))
     rows = []
     result = ExperimentResult()
-    members = ctx.map(partial(_scaling_member, cfg, tcfg, solver, ds), nets)
-    for width, (net, ema, loss, samples) in zip(cfg["widths"], members):
+    for width, (ckpt, samples) in zip(cfg["widths"], members):
+        loss, = score_error(ema_network(*ckpt), [oracle], SUPERVISION, ds,
+                            **cfg["diagnostics"], seed=seed)
         quality = sliced_wasserstein(samples, reference, seed=seed)
-        rows.append([width, loss, quality])
-        result.checkpoints[f"model_width{width}"] = (net, ema)
+        rows.append([width, loss.value, quality])
+        result.checkpoints[f"model_width{width}"] = ckpt
     slope, intercept, rms = fit_quality_line([r[1] for r in rows],
                                              [r[2] for r in rows])
     result.tables["scaling_points"] = [

@@ -48,6 +48,8 @@ class TrainConfig:
             raise InvalidArgumentError("class dropout must lie in [0, 1]")
         if self.iterations < 0 or self.batch_size < 1:
             raise InvalidArgumentError("bad iterations or batch size")
+        if self.eval_interval < 0:  # 0: no periodic evaluation
+            raise InvalidArgumentError("eval_interval must be >= 0")
         if not 0.0 < self.t_min < 0.5:
             raise InvalidArgumentError("t_min must lie in (0, 0.5)")
 
@@ -144,8 +146,8 @@ def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
 
 @dataclass
 class TrainReport:
+    """The loss curve and the final EMA; eval hooks keep their own rows."""
     loss_curve: list = dc_field(default_factory=list)   # (iteration, loss)
-    eval_records: list = dc_field(default_factory=list)  # (iteration, {name: value})
     ema_params: np.ndarray | None = None  # flat vector, as clone_params gives
 
 
@@ -162,10 +164,10 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
 
     Without subset_pair the loss is dsm on dataset. With it the loss is foe:
     inputs from the pair's region subset of dataset, targets drawn from its
-    score subset. Hooks are callables
-    (iteration, net, ema_net) -> dict of metric values; they run on frozen
-    snapshots, and each round's merged dict lands in the report.
-    Deterministic for a fixed cfg.seed.
+    score subset. Hooks are callables (iteration, net, ema_net), called at
+    iteration 0 and, unless eval_interval is 0, every eval_interval steps,
+    with the live net and a snapshot of its EMA. They keep what they record;
+    train ignores their return values. Deterministic for a fixed cfg.seed.
     """
     target = _denoising_target
     if subset_pair is not None:
@@ -183,12 +185,9 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
     report = TrainReport()
 
     def run_hooks(iteration):
-        if not eval_hooks:
-            return
-        ema_net = ema_network(net, ema)
-        report.eval_records.append((iteration, {
-            name: float(value) for hook in eval_hooks
-            for name, value in hook(iteration, net, ema_net).items()}))
+        ema_net = ema_network(net, ema) if eval_hooks else None
+        for hook in eval_hooks:
+            hook(iteration, net, ema_net)
 
     run_hooks(0)
     for it in range(1, cfg.iterations + 1):

@@ -20,7 +20,7 @@ from sulab.cli import DEFAULTS, main
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset, \
     split_score_region
 from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
-from sulab.experiments import RUNNERS, RunContext
+from sulab.experiments import PAT_VARIANTS, RUNNERS, RunContext
 from sulab.geometry import bhattacharyya_overlap, in_supervision_region_batch
 from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.numerics import RngStream, log_sum_exp
@@ -492,10 +492,12 @@ _DETERMINISM_CONFIGS = {
 }
 
 
-def _run_digests(experiment, out, threads):
-    """SHA-256 of every CSV and checkpoint of one determinism-config run."""
+def _run_digests(experiment, out, threads, override=None):
+    """SHA-256 of every CSV and checkpoint of one determinism-config run,
+    with the top-level keys of override replacing the config's."""
     cfg = {"experiment": experiment, "seed": 0, "out": str(out),
-           **copy.deepcopy(_DETERMINISM_CONFIGS[experiment])}
+           **copy.deepcopy(_DETERMINISM_CONFIGS[experiment]),
+           **(override or {})}
     cfg_path = out.with_suffix(".json")
     cfg_path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(cfg_path), "--threads", threads]) == 0
@@ -510,9 +512,14 @@ class TestDeterministicReruns:
                    for tag in ("a", "b")]
         assert digests[0] and digests[0] == digests[1]
 
-    @pytest.mark.parametrize("experiment", ["foe", "pat", "scaling-line"])
+    @pytest.mark.parametrize("experiment, override", [
+        *[pytest.param(e, None, id=e) for e in ("foe", "pat", "scaling-line")],
+        # the runner-built polar and equivariant nets, pickled to workers
+        pytest.param("pat", {"variants": list(PAT_VARIANTS)},
+                     id="pat-all-variants")])
     def test_sweep_members_in_workers_bit_identical(self, experiment,
-                                                    tmp_path):
+                                                    override, tmp_path):
         digests = [_run_digests(experiment, tmp_path / f"threads{threads}",
-                                threads) for threads in ("1", "2")]
+                                threads, override)
+                   for threads in ("1", "2")]
         assert digests[0] and digests[0] == digests[1]

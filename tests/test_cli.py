@@ -246,9 +246,38 @@ class TestExitCodes:
                        id=f"overlap-curve-t_grid-{grid}")
           for grid in ([], [1.5], [0.0])],
         pytest.param("foe", {"solver": {"kind": "fixed-euler"}}, "solver",
-                     id="foe-solver-fixed-euler")])
+                     id="foe-solver-fixed-euler"),
+        # a sweep list that is empty, repeats a value, or splits badly
+        *[pytest.param("foe", {"region_factors": factors}, "region_factors",
+                       id=f"foe-region_factors-{factors}")
+          for factors in ([], [1, 1], [0], [100])],
+        pytest.param("foe", {"n_score": 0}, "n_score", id="foe-n_score-zero"),
+        *[pytest.param("pat", {"variants": variants}, "variants",
+                       id=f"pat-variants-{variants}")
+          for variants in ([], ["krr", "krr"], ["nope"])],
+        *[pytest.param(experiment, {"train": {"eval_interval": -1}}, "train",
+                       id=f"{experiment}-train-eval_interval")
+          for experiment in ("gaussian", "foe")]])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
+        self._refused(tmp_path, capsys, monkeypatch, experiment, override,
+                      field)
+
+    # every experiment with a `model` section builds and checks its nets in
+    # the runner; the cases come from DEFAULTS, so a new runner is covered
+    @pytest.mark.parametrize("experiment, override", [
+        pytest.param(experiment, {"model": {key: bad}},
+                     id=f"{experiment}-model-{key}")
+        for experiment, cfg in sorted(DEFAULTS.items()) if "model" in cfg
+        for key, bad in (("width", 0), ("hidden_layers", -1))
+        if key in cfg["model"]])
+    def test_bad_model_refused_before_any_member(
+            self, tmp_path, capsys, monkeypatch, experiment, override):
+        self._refused(tmp_path, capsys, monkeypatch, experiment, override,
+                      "model")
+
+    @staticmethod
+    def _refused(tmp_path, capsys, monkeypatch, experiment, override, field):
         monkeypatch.setattr(experiments, "train", _refuse)
         monkeypatch.setattr(experiments, "sample", _refuse)
         monkeypatch.setattr(RunContext, "map", _refuse)
@@ -439,9 +468,10 @@ class TestSweepMembers:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, code, message", [
-        # a net the member cannot build: 16-D data under a 2-D input map
+        # a net the runner refuses before any member starts: 16-D data
+        # under a 2-D input map
         ({"model": {**_TINY["model"], "input_map": "polar"}}, 2,
-         "error: polar input map requires dim=2\n"),
+         "error: model: polar input map requires dim=2\n"),
         ({"train": {**_TINY["train"], "lr": 1e200}}, 3,
          "numeric failure: non-finite training loss (iteration 2)\n"),
     ], ids=["exit-2", "exit-3"])
@@ -733,6 +763,18 @@ class TestTrainSampleDiagnose:
         assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
                         "--class-id", class_id]) == 2
         assert "error: --class-id: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["rstar", "supervision-loss",
+                                        "memorization"])
+    def test_diagnose_class_id_only_for_overlap(self, trained, capsys,
+                                                monkeypatch, metric):
+        monkeypatch.setattr(cli, "load_points", _refuse)
+        monkeypatch.setattr(MlpScoreNetwork, "load", _refuse)
+        ckpt, ds_path, _ = trained
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), metric,
+                        "--class-id", "0"]) == 2
+        assert (f"error: --class-id: read only by the overlap metric, not by "
+                f"{metric}") in capsys.readouterr().err
 
     @pytest.mark.parametrize("row", ["nan,0.0,1.0", "1e400,0.0,1.0"])
     def test_diagnose_non_finite_dataset_names_the_file(self, trained, capsys,

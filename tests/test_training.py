@@ -26,6 +26,9 @@ class TestTrainConfig:
             TrainConfig(t_min=0.5)
         with pytest.raises(InvalidArgumentError):
             TrainConfig(batch_size=0)
+        with pytest.raises(InvalidArgumentError, match="eval_interval"):
+            TrainConfig(eval_interval=-1)
+        TrainConfig(eval_interval=0)  # 0 means no periodic evaluation
 
 
 class TestAdam:
@@ -268,18 +271,14 @@ class TestTrainLoop:
     def test_eval_hooks_schedule_and_records(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
         net = MlpScoreNetwork(2, width=4, seed=0)
-        seen = []
+        records = []
 
-        def hook(it, raw, ema):
-            seen.append(it)
-            return {"const": 1.0, "width": raw.width}
+        def hook(it, raw, ema):  # a hook keeps its own rows
+            records.append((it, raw is net, ema is not net, ema.width))
 
-        report = train(net, TrainConfig(iterations=10, batch_size=4,
-                                        eval_interval=5, seed=0),
-                       dataset=ds, eval_hooks=(hook,))
-        assert seen == [0, 5, 10]
-        assert report.eval_records == [
-            (it, {"const": 1.0, "width": 4.0}) for it in (0, 5, 10)]
+        train(net, TrainConfig(iterations=10, batch_size=4, eval_interval=5,
+                               seed=0), dataset=ds, eval_hooks=(hook,))
+        assert records == [(it, True, True, 4) for it in (0, 5, 10)]
 
     def test_class_dropout_uses_null_token(self):
         # With dropout 1.0 every label becomes the null token, which must
