@@ -138,7 +138,7 @@ def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
     one matrix product, so a row's bits depend on its batch (drawn whole)."""
     a, s = alpha_sigma(ts)
     aug = _augmented(score_points) if aug is None else aug
-    e = _shifted_exp(np.matmul, zs, aug, a[:, None], s[:, None])
+    e = _shifted_exp(zs, aug, a[:, None], s[:, None])
     cdf = np.cumsum(e, axis=1, out=e)
     u = rng.uniform(size=zs.shape[0])
     return (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)

@@ -10,12 +10,17 @@ suites; run them with plain `pytest`.
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate as scipy_integrate
 from scipy import stats
 
+import sulab
 from sulab.cli import DEFAULTS, main
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset, \
     split_score_region
@@ -523,3 +528,37 @@ class TestDeterministicReruns:
                                 threads, override)
                    for threads in ("1", "2")]
         assert digests[0] and digests[0] == digests[1]
+
+    def test_bits_same_at_one_and_two_blas_threads(self, tmp_path):
+        # a per-row score_batch and the rstar-profile determinism run, each
+        # in a fresh process at OPENBLAS_NUM_THREADS 1 and 2
+        cfg = {"experiment": "rstar-profile", "seed": 0,
+               **_DETERMINISM_CONFIGS["rstar-profile"]}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        code = (
+            "import sys\n"
+            "from sulab.cli import main\n"
+            "from sulab.data import make_gaussian_dataset\n"
+            "from sulab.empirical import EmpiricalScoreOracle\n"
+            "from sulab.numerics import RngStream\n"
+            "out, cfg = sys.argv[1:]\n"
+            "assert main(['run', '--config', cfg, '--out', out]) == 0\n"
+            "oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 1024, seed=2))\n"
+            "rng = RngStream(3, 0)\n"
+            "zs, ts = rng.normal((101, 16)), rng.uniform(0.05, 0.95, 101)\n"
+            "oracle.score_batch(zs, ts).tofile(out + '/score.bin')\n")
+        src = str(Path(sulab.__file__).resolve().parents[1])
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out = tmp_path / threads
+            proc = subprocess.run([sys.executable, "-c", code, str(out),
+                                   str(tmp_path / "cfg.json")],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outs.append([(out / f).read_bytes()
+                         for f in ("score.bin", "rstar_profile.csv")])
+        assert outs[0] == outs[1]

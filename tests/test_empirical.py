@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sulab import empirical
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
 from sulab.errors import (EmptyClassError, InvalidArgumentError,
                           SingularTimeError)
-from sulab.geometry import sq_distance_blocks
+from sulab.geometry import _BLOCK_ELEMENTS, sq_distance_blocks
 from sulab.numerics import RngStream
 from sulab.schedule import forward_process
 from sulab.training import sample_softmax_points
@@ -99,34 +100,58 @@ class TestBatchPath:
             oracle.score_batch(zs, np.full(3, 0.3))
 
 
-class TestRowBlocks:
-    """Per-row t runs in row blocks of bounded size (64 rows at N = 1,024)."""
+def _height(n):
+    """Rows per per-row-t block of an oracle over n points."""
+    return max(1, min(empirical._ROW_BLOCK, _BLOCK_ELEMENTS // n))
 
-    def test_rows_independent_of_batch_and_block(self):
-        oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 1024, seed=2))
+
+_SIZES = [(1, 1), (5, 1), (16, 2), (1024, 16), (4096, 16), (70_000, 2)]
+
+
+class TestRowBlocks:
+    """Per-row t runs in row blocks of one fixed height (32 rows at
+    N = 1,024), a scalar t in blocks of at most 2^16 weights."""
+
+    @pytest.mark.parametrize("n, d", _SIZES,
+                             ids=[f"N{n}-d{d}" for n, d in _SIZES])
+    @pytest.mark.parametrize("per_block, extra",
+                             [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
+                             ids=["1", "H-1", "H", "H+1", "3H+5"])
+    def test_rows_independent_of_batch_and_block(self, n, d, per_block, extra):
+        # N = 1 or d = 1 makes one of the two products a matrix-vector
+        # product; N = 70,000 gives one-row blocks
+        oracle = EmpiricalScoreOracle(make_gaussian_dataset(d, n, seed=2))
+        b = max(1, per_block * _height(n) + extra)
         rng = RngStream(3, 0)
-        zs = rng.normal((70, 16))
-        ts = rng.uniform(0.05, 0.95, 70)
+        zs = rng.normal((b, d))
+        ts = rng.uniform(0.05, 0.95, b)
         batch = oracle.score_batch(zs, ts)
         singles = np.concatenate([oracle.score_batch(zs[i:i + 1], ts[i:i + 1])
-                                  for i in range(70)])
+                                  for i in range(b)])
         np.testing.assert_array_equal(batch, singles)
-        np.testing.assert_array_equal(batch[:40],
-                                      oracle.score_batch(zs[:40], ts[:40]))
+        half = (b + 1) // 2
+        np.testing.assert_array_equal(batch[:half],
+                                      oracle.score_batch(zs[:half], ts[:half]))
 
-    def test_memory_bounded(self):
+    @staticmethod
+    def _peak_bytes(per_row):
         # (256, 4096) float64 weights alone would take 8 MB
         oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 4096, seed=2))
         rng = RngStream(4, 0)
         zs = rng.normal((256, 16))
-        ts = rng.uniform(0.05, 0.95, 256)
+        ts = rng.uniform(0.05, 0.95, 256) if per_row else 0.5
         tracemalloc.start()
         try:
             oracle.score_batch(zs, ts)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 << 20
+
+    def test_memory_bounded(self):
+        assert self._peak_bytes(per_row=True) < 2 << 20
+
+    def test_memory_bounded_scalar_t(self):
+        assert self._peak_bytes(per_row=False) < 2 << 20
 
 
 def _direct_softmax_cdf(zs, points, ts):
