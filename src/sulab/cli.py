@@ -3,8 +3,9 @@
 Subcommands: run, diagnose, sample, train, print-defaults. Configs are JSON
 with per-experiment defaults (see `print-defaults`); unknown keys are
 rejected with their field path, as are values whose type does not fit the
-default's. Exit codes: 0 success, 3 numeric failure during a run, 2 any
-other library error (configuration, validation, malformed files).
+default's, NaN and infinities, and a seed outside [0, 2**63). Exit codes:
+0 success, 3 numeric failure during a run, 2 any other library error
+(configuration, validation, malformed files).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import copy
 import hashlib
 import json
+import math
 import resource
 import sys
 import time
@@ -147,9 +149,17 @@ def _same_type(default, value) -> bool:
     return type(default) is type(value)
 
 
+def _finite(value) -> bool:
+    """No NaN or infinity in value or, for a list, in any of its elements
+    (Python's json reads them, though JSON has no such numbers)."""
+    if isinstance(value, list):
+        return all(map(_finite, value))
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def merge_config(defaults: dict, override: dict, path: str = "") -> dict:
-    """Deep-merge override into defaults, rejecting unknown keys and leaves
-    whose type does not fit the default's, by path."""
+    """Deep-merge override into defaults, rejecting unknown keys, leaves
+    whose type does not fit the default's and non-finite numbers, by path."""
     out = copy.deepcopy(defaults)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -162,9 +172,18 @@ def merge_config(defaults: dict, override: dict, path: str = "") -> dict:
         elif not _same_type(defaults[key], value):
             raise ConfigError(f"{where}: expected {type(defaults[key]).__name__}"
                               f", got {json.dumps(value)}")
+        elif not _finite(value):
+            raise ConfigError(f"{where}: must be finite, got {json.dumps(value)}")
         else:
             out[key] = value
     return out
+
+
+def _check_seed(where: str, seed: int) -> None:
+    """Refuse a seed outside [0, 2**63): runners add up to 9 to it, and each
+    sum keys a uint64 Philox stream."""
+    if not 0 <= seed < 2 ** 63:
+        raise ConfigError(f"{where}: must lie in [0, 2**63), got {seed}")
 
 
 def resolve_config(raw: dict) -> dict:
@@ -179,9 +198,9 @@ def resolve_config(raw: dict) -> dict:
     if kind is not None and cfg["dataset"]["kind"] != kind:
         raise ConfigError(f"dataset.kind: {experiment} takes only {kind!r}")
     # checked before any work starts: the seed and every sample or draw count
+    _check_seed("seed", cfg["seed"])
     diag = cfg.get("diagnostics", {})
-    lows = {"seed": (cfg["seed"], 0),
-            **{k: (cfg[k], 1) for k in ("n_samples", "noise_draws") if k in cfg},
+    lows = {**{k: (cfg[k], 1) for k in ("n_samples", "noise_draws") if k in cfg},
             **{f"diagnostics.{k}": (v, 1) for k, v in diag.items()}}
     for where, (value, low) in lows.items():
         if value < low:
@@ -527,8 +546,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "seed", None) is not None and args.seed < 0:
-            raise ConfigError(f"--seed: must be >= 0, got {args.seed}")
+        if getattr(args, "seed", None) is not None:
+            _check_seed("--seed", args.seed)
         return args.fn(args)
     except NumericFailureError as exc:  # DivergenceError too
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -30,13 +30,6 @@ def sq_distance_blocks(a: np.ndarray, b_t: np.ndarray):
         yield np.add.reduce(np.square(diff, out=diff), axis=1)
 
 
-def expanded_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(B, N) squared distances as |a|^2 - 2 a.b + |b|^2: no (B, N, d)
-    tensor, but it cancels (even below 0) where rows nearly coincide."""
-    return (np.einsum("ij,ij->i", a, a)[:, None] - 2.0 * a @ b.T
-            + np.einsum("ij,ij->i", b, b)[None, :])
-
-
 @dataclass(frozen=True)
 class RStar:
     r_star: float | np.ndarray  # arrays of shape (B,) for a batch of states
@@ -96,7 +89,10 @@ def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None
     a, s = map(float, alpha_sigma(t))
     if s <= 0.0:
         raise SingularTimeError(f"overlap undefined at t={t} (sigma=0)")
-    sq = expanded_sq_distances(pts, pts)
-    np.fill_diagonal(sq, np.inf)
-    min_sq = max(float(sq.min()), 0.0)  # expansion can go slightly negative on duplicates
+    min_sq, k = np.inf, 0
+    for sq in sq_distance_blocks(pts, np.ascontiguousarray(pts.T)):
+        rows = np.arange(sq.shape[0])
+        sq[rows, k + rows] = np.inf  # self-pairs
+        min_sq = min(min_sq, float(sq.min()))
+        k += sq.shape[0]
     return float(np.exp(-(a * a) * min_sq / (8.0 * s * s)))

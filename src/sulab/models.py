@@ -20,7 +20,6 @@ import numpy as np
 
 from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
-from .geometry import expanded_sq_distances
 from .numerics import RngStream, cholesky_solve
 from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
                        forward_process, marginal_gaussian_score)
@@ -343,7 +342,12 @@ class MlpScoreNetwork:
 
 
 def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    return np.exp(-gamma * np.maximum(expanded_sq_distances(a, b), 0.0))
+    """exp(-gamma |a_i - b_j|^2), the squared distances expanded as
+    |a|^2 - 2 a.b + |b|^2 to stay on one matrix product; the expansion can
+    cancel below 0 where rows nearly coincide, so it is floored at 0."""
+    sq = (np.einsum("ij,ij->i", a, a)[:, None] - 2.0 * a @ b.T
+          + np.einsum("ij,ij->i", b, b)[None, :])
+    return np.exp(-gamma * np.maximum(sq, 0.0))
 
 
 # -- ScoreField wrappers ----------------------------------------------------

@@ -1,5 +1,5 @@
-"""The parameterization: forward process, DSM targets, the one conversion
-among score / velocity / x-prediction and the velocity weight.
+"""The parameterization: forward process, the one conversion among score /
+velocity / x-prediction (training targets too) and the velocity weight.
 
 Only the linear interpolant alpha(t) = 1 - t, sigma(t) = t is built, and
 this module is the only one that knows it.
@@ -34,16 +34,6 @@ def forward_process(x, eps, t) -> np.ndarray:
         a = a.reshape(s.shape + (1,) * (x.ndim - s.ndim))
         s = s.reshape(s.shape + (1,) * (x.ndim - s.ndim))
     return a * x + s * eps
-
-
-def dsm_target(kind: str, x: np.ndarray, eps: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """The denoising regression target for z_t = forward_process(x, eps, ts)
-    in closed form: score -eps/t, velocity eps - x (dz/dt), x-pred x."""
-    if kind == SCORE:
-        return -eps / ts[:, None]
-    if kind == VELOCITY:
-        return eps - x
-    return x  # XPRED
 
 
 def convert_value(value, kind: str, target: str, z, t) -> np.ndarray:

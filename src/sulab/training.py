@@ -1,16 +1,18 @@
 """Training losses and the optimizer loop.
 
 One optimizer step, dsm_step, serves two losses, which differ only in the
-input points and the regression target:
-  dsm - standard denoising regression on forward-process draws,
+input points and the clean point y that each input regresses onto:
+  dsm - standard denoising regression on forward-process draws; y is the
+        point x that made z_t,
   foe - region-decoupled importance-sampled loss: inputs come from the
-        region subset's forward process, targets from a single point y
-        drawn with softmax responsibilities over the score subset.
-train runs foe when it is given a subset pair and dsm otherwise. Targets
-are always expressed in the network's prediction kind. Timesteps are clamped
-to [t_min, 1 - t_min] to keep every conversion finite. Parameters, gradients,
-the Adam moments and the EMA are each one flat float64 vector; one blocked
-pass per step updates all of them but the gradients.
+        region subset's forward process, y is one point drawn with softmax
+        responsibilities over the score subset.
+train runs foe when it is given a subset pair and dsm otherwise. The target
+is y converted from x-prediction into the network's prediction kind.
+Timesteps are clamped to [t_min, 1 - t_min] to keep every conversion
+finite. Parameters, gradients, the Adam moments and the EMA are each one
+flat float64 vector; one blocked pass per step updates all of them but the
+gradients.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from .empirical import _augmented, _shifted_exp
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
-from .schedule import (XPRED, alpha_sigma, convert_value, dsm_target,
-                       forward_process)
+from .schedule import XPRED, alpha_sigma, convert_value, forward_process
 
 
 @dataclass(frozen=True)
@@ -101,27 +102,24 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
     return params
 
 
-def _denoising_target(kind: str, x, eps, zs, ts, rng) -> np.ndarray:
-    """The dsm target: the closed form for the noise that made zs."""
-    return dsm_target(kind, x, eps, ts)
-
-
 def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream,
              adam: AdamState, ema: np.ndarray | None = None,
-             target=_denoising_target) -> float:
+             clean=None) -> float:
     """One optimizer step of either loss.
 
     Draws x from ds, noise and time (then class dropout onto the null
-    token), forms z_t, and regresses the net onto target(kind, x, eps, zs,
-    ts, rng), which may draw last. Adam then updates the flat parameters, and
-    the EMA, when given, in the same pass.
+    token) and forms z_t. The clean point y is x, or clean(zs, ts, rng),
+    which may draw last; the net regresses onto y converted from
+    x-prediction into its prediction kind. Adam then updates the flat
+    parameters, and the EMA, when given, in the same pass.
     """
     x, eps, lab = supervision_draws(ds, cfg.batch_size, rng)
     ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
     zs = forward_process(x, eps, ts)
     if lab is not None and cfg.class_dropout > 0.0:
         lab[rng.uniform(size=len(lab)) < cfg.class_dropout] = ds.num_classes
-    targets = target(net.prediction_kind, x, eps, zs, ts, rng)
+    y = x if clean is None else clean(zs, ts, rng)
+    targets = convert_value(y, XPRED, net.prediction_kind, zs, ts)
     loss, grads = net.loss_and_grads(zs, ts, targets, lab)
     if not np.isfinite(loss):
         raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
@@ -163,22 +161,22 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
     """Run cfg.iterations optimizer steps and invoke hooks at eval_interval.
 
     Without subset_pair the loss is dsm on dataset. With it the loss is foe:
-    inputs from the pair's region subset of dataset, targets drawn from its
-    score subset. Hooks are callables (iteration, net, ema_net), called at
-    iteration 0 and, unless eval_interval is 0, every eval_interval steps,
-    with the live net and a snapshot of its EMA. They keep what they record;
-    train ignores their return values. Deterministic for a fixed cfg.seed.
+    inputs from the pair's region subset of dataset, each regressing onto a
+    clean point drawn from its score subset. Hooks are callables (iteration,
+    net, ema_net), called at iteration 0 and, unless eval_interval is 0,
+    every eval_interval steps, with the live net and a snapshot of its EMA.
+    They keep what they record; train ignores their return values.
+    Deterministic for a fixed cfg.seed.
     """
-    target = _denoising_target
+    clean = None
     if subset_pair is not None:
         score_pts = dataset.points[subset_pair.score_idx]
         score_aug = _augmented(score_pts)
         dataset = dataset.subset(subset_pair.region_idx)
 
-        def target(kind, x, eps, zs, ts, rng):
-            y = score_pts[sample_softmax_points(score_pts, zs, ts, rng,
-                                                aug=score_aug)]
-            return convert_value(y, XPRED, kind, zs, ts)
+        def clean(zs, ts, rng):
+            return score_pts[sample_softmax_points(score_pts, zs, ts, rng,
+                                                   aug=score_aug)]
     rng = RngStream(cfg.seed, stream=0)
     adam = AdamState(net.params)
     ema = net.clone_params()
@@ -191,7 +189,7 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
 
     run_hooks(0)
     for it in range(1, cfg.iterations + 1):
-        loss = dsm_step(net, dataset, cfg, rng, adam, ema, target)
+        loss = dsm_step(net, dataset, cfg, rng, adam, ema, clean)
         report.loss_curve.append((it, loss))
         if cfg.eval_interval > 0 and it % cfg.eval_interval == 0:
             run_hooks(it)

@@ -64,6 +64,27 @@ class TestConfigMerging:
         assert cfg["dataset"]["n_points"] == \
             DEFAULTS["gaussian"]["dataset"]["n_points"]
 
+    @pytest.mark.parametrize("text, shown", [
+        ('{"solver": {"atol": NaN}}', "solver.atol: must be finite, got NaN"),
+        ('{"train": {"lr": Infinity}}', "train.lr: must be finite, got Infinity"),
+        ('{"t_grid": [0.5, -Infinity]}',
+         "t_grid: must be finite, got [0.5, -Infinity]")])
+    def test_non_finite_number_named_by_path(self, text, shown):
+        # Python's json reads NaN and infinities, though JSON has none
+        with pytest.raises(ConfigError) as info:
+            merge_config(DEFAULTS["cfg-gap"], json.loads(text))
+        assert str(info.value) == shown
+
+    def test_seed_range(self):
+        # runners add up to 9 to the seed, which keys a uint64 Philox stream
+        for seed in (-1, 2 ** 63, 2 ** 64):
+            with pytest.raises(ConfigError) as info:
+                resolve_config({"experiment": "overlap-curve", "seed": seed})
+            assert str(info.value) == \
+                f"seed: must lie in [0, 2**63), got {seed}"
+        assert resolve_config({"experiment": "overlap-curve",
+                               "seed": 2 ** 63 - 1})["seed"] == 2 ** 63 - 1
+
     def test_defaults_not_mutated(self):
         before = json.dumps(DEFAULTS["gaussian"], sort_keys=True)
         merge_config(DEFAULTS["gaussian"], {"dataset": {"dim": 99}})
@@ -173,6 +194,19 @@ class TestExitCodes:
                                                     monkeypatch, widths):
         self._scaling_line_refused(tmp_path, capsys, monkeypatch, widths)
 
+    def test_largest_seed_runs(self, tmp_path):
+        # scaling-line draws its reference set at seed + 9 and its samples
+        # at seed + 2
+        cfg_path = write_config(tmp_path / "c.json", {
+            "experiment": "scaling-line", "dataset": {"n_per_class": 8},
+            "widths": [4, 8], "n_samples": 4,
+            "model": {"hidden_layers": 1, "time_freqs": 2},
+            "train": {"iterations": 5},
+            "solver": {"kind": "fixed-heun", "fixed_steps": 4},
+            "diagnostics": {"n": 4, "timesteps": 2}})
+        assert run_cli(["run", "--config", cfg_path, "--seed", str(2 ** 63 - 1),
+                        "--out", str(tmp_path / "out")]) == 0
+
     @staticmethod
     def _scaling_line_refused(tmp_path, capsys, monkeypatch, widths):
         monkeypatch.setattr(experiments, "train", _refuse)
@@ -257,7 +291,19 @@ class TestExitCodes:
           for variants in ([], ["krr", "krr"], ["nope"])],
         *[pytest.param(experiment, {"train": {"eval_interval": -1}}, "train",
                        id=f"{experiment}-train-eval_interval")
-          for experiment in ("gaussian", "foe")]])
+          for experiment in ("gaussian", "foe")],
+        # JSON has no NaN or infinities, though Python's json reads them
+        pytest.param("rstar-profile", {"solver": {"atol": float("nan")}},
+                     "solver.atol", id="rstar-profile-solver-atol-NaN"),
+        pytest.param("memorize-from-t", {"train": {"lr": float("inf")}},
+                     "train.lr", id="memorize-from-t-train-lr-Infinity"),
+        pytest.param("pat", {"krr": {"gamma": float("-inf")}}, "krr.gamma",
+                     id="pat-krr-gamma--Infinity"),
+        pytest.param("foe", {"dataset": {"separation": float("nan")}},
+                     "dataset.separation", id="foe-dataset-separation-NaN"),
+        pytest.param("cfg-gap", {"t_grid": [float("nan")]}, "t_grid",
+                     id="cfg-gap-t_grid-[NaN]"),
+        pytest.param("foe", {"seed": 2 ** 63}, "seed", id="foe-seed-2**63")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         self._refused(tmp_path, capsys, monkeypatch, experiment, override,
@@ -810,9 +856,11 @@ class TestTrainSampleDiagnose:
                            "--out", str(out)],
                 "diagnose": ["diagnose", str(ckpt), str(ds_path), "overlap",
                              "--out", str(out / "x.csv")]}[command]
-        assert run_cli([*argv, "--seed", "-1"]) == 2
-        assert "error: --seed: must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
+        for seed in (-1, 2 ** 63):
+            assert run_cli([*argv, "--seed", str(seed)]) == 2
+            assert (f"error: --seed: must lie in [0, 2**63), got {seed}"
+                    in capsys.readouterr().err)
+            assert not out.exists()
 
     def test_diagnose_unknown_metric_exits_2(self, trained, capsys):
         ckpt, ds_path, _ = trained

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -195,6 +197,29 @@ class TestBhattacharyyaOverlap:
     def test_identical_points_overlap_one(self):
         ds = Dataset(np.array([[1.0, 1.0], [1.0, 1.0]]))
         assert bhattacharyya_overlap(ds, 0.5) == pytest.approx(1.0)
+
+    def test_matches_direct_pairwise_minimum_over_blocks(self):
+        # 300 points in 8-D span 12 row blocks; a near-duplicate pair sits
+        # in a late one, where the expanded form would cancel
+        pts = np.random.default_rng(4).normal(size=(300, 8))
+        pts[251] = pts[250] + 1e-6
+        sq = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        np.fill_diagonal(sq, np.inf)
+        for t in (0.1, 0.5, 0.9):
+            a, s = 1 - t, t
+            assert bhattacharyya_overlap(Dataset(pts), t) == pytest.approx(
+                np.exp(-a * a * sq.min() / (8 * s * s)), rel=1e-12)
+
+    def test_memory_bounded(self):
+        # row blocks of the direct differences, never an N x N array
+        ds = Dataset(np.random.default_rng(5).normal(size=(4096, 2)))
+        tracemalloc.start()
+        try:
+            bhattacharyya_overlap(ds, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_class_filter(self):
         ds = make_class_mixture(2, 8, seed=2, num_classes=2)

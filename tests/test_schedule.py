@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, SingularTimeError
 from sulab.schedule import (SCORE, VELOCITY, XPRED, alpha_sigma,
-                            convert_value, dsm_target, forward_process,
+                            convert_value, forward_process,
                             marginal_gaussian_score)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
@@ -27,8 +27,7 @@ class TestLinearSchedule:
         h = 1e-6
         fd = (forward_process(x, eps, ts + h)
               - forward_process(x, eps, ts - h)) / (2 * h)
-        np.testing.assert_allclose(fd, dsm_target(VELOCITY, x, eps, ts),
-                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(fd, eps - x, rtol=1e-6, atol=1e-8)
 
     def test_alpha_plus_sigma_is_one(self):
         a, s = alpha_sigma(np.linspace(0, 1, 11))

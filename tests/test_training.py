@@ -8,8 +8,8 @@ from sulab.empirical import EmpiricalScoreOracle, _augmented
 from sulab.errors import InvalidArgumentError, NumericFailureError
 from sulab.models import MlpScoreNetwork
 from sulab.numerics import RngStream
-from sulab.schedule import (SCORE, VELOCITY, XPRED, convert_value, dsm_target,
-                            forward_process)
+from sulab.schedule import (SCORE, VELOCITY, XPRED, PREDICTION_KINDS,
+                            convert_value, forward_process)
 from sulab.training import (AdamState, TrainConfig, adam_step, dsm_step,
                             ema_network, sample_softmax_points, train)
 
@@ -129,14 +129,21 @@ class TestEma:
 
 class TestTargets:
     def test_dsm_target_kinds(self):
+        # The dsm target is x converted from x-prediction at z_t: the closed
+        # forms -eps/t, eps - x and x, at both clamp ends and in between,
+        # to a relative error of the whole target (at t = 1 - 1e-3 the
+        # conversion cancels at the scale of z / (1 - t), so a component
+        # much smaller than its row may lose more digits than its row)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(4, 3))
         eps = rng.normal(size=(4, 3))
-        ts = rng.uniform(0.1, 0.9, 4)
-        np.testing.assert_allclose(dsm_target(SCORE, x, eps, ts),
-                                   -eps / ts[:, None])
-        np.testing.assert_allclose(dsm_target(VELOCITY, x, eps, ts), eps - x)
-        np.testing.assert_allclose(dsm_target(XPRED, x, eps, ts), x)
+        for t in (1e-3, 0.5, 1 - 1e-3):
+            ts = np.full(4, t)
+            zs = forward_process(x, eps, ts)
+            for kind, closed in ((SCORE, -eps / t), (VELOCITY, eps - x),
+                                 (XPRED, x)):
+                err = convert_value(x, XPRED, kind, zs, ts) - closed
+                assert np.linalg.norm(err) <= 1e-12 * np.linalg.norm(closed)
 
     def test_point_targets_consistent_kinds(self):
         # The foe target is a single point y, an x-prediction; converted, it
@@ -160,29 +167,47 @@ class TestTargets:
 
 class TestDsmStep:
     def test_draw_order_and_target_inputs(self):
-        # index, noise, time, class dropout, then whatever the target draws
+        # index, noise, time, class dropout, then whatever the clean hook draws
         ds = make_class_mixture(2, 8, seed=0)
         cfg = TrainConfig(batch_size=6, class_dropout=0.5, t_min=0.01)
         net = MlpScoreNetwork(2, width=4, num_classes=2, seed=0)
         seen = {}
 
-        def target(kind, x, eps, zs, ts, rng):
-            seen.update(kind=kind, x=x, eps=eps, zs=zs, ts=ts,
-                        u=rng.uniform(size=1))
-            return x
+        def clean(zs, ts, rng):
+            seen.update(zs=zs, ts=ts, u=rng.uniform(size=1))
+            return zs
 
         dsm_step(net, ds, cfg, RngStream(3), AdamState(net.params),
-                 target=target)
+                 clean=clean)
         ref = RngStream(3)
-        assert seen["kind"] == net.prediction_kind
-        np.testing.assert_array_equal(
-            seen["x"], ds.points[ref.integers(0, ds.size, 6)])
-        np.testing.assert_array_equal(seen["eps"], ref.normal((6, 2)))
+        x = ds.points[ref.integers(0, ds.size, 6)]
+        eps = ref.normal((6, 2))
         np.testing.assert_array_equal(seen["ts"], ref.uniform(0.01, 0.99, 6))
         ref.uniform(size=6)  # class dropout
         np.testing.assert_array_equal(seen["u"], ref.uniform(size=1))
         np.testing.assert_array_equal(
-            seen["zs"], forward_process(seen["x"], seen["eps"], seen["ts"]))
+            seen["zs"], forward_process(x, eps, seen["ts"]))
+
+    @pytest.mark.parametrize("kind", PREDICTION_KINDS)
+    def test_targets_are_the_clean_point_converted(self, kind, monkeypatch):
+        # both losses form their targets by the one conversion; for dsm the
+        # clean point is the x that made z_t
+        ds = make_gaussian_dataset(3, 16, seed=0)
+        net = MlpScoreNetwork(3, width=8, prediction_kind=kind, seed=0)
+        seen = {}
+        loss_and_grads = net.loss_and_grads
+
+        def spy(zs, ts, targets, labels=None):
+            seen.update(zs=zs, ts=ts, targets=targets)
+            return loss_and_grads(zs, ts, targets, labels)
+
+        monkeypatch.setattr(net, "loss_and_grads", spy)
+        dsm_step(net, ds, TrainConfig(batch_size=32), RngStream(4),
+                 AdamState(net.params))
+        x = ds.points[RngStream(4).integers(0, ds.size, 32)]
+        np.testing.assert_array_equal(
+            seen["targets"],
+            convert_value(x, XPRED, kind, seen["zs"], seen["ts"]))
 
 
 class TestSoftmaxSampling:
