@@ -31,17 +31,26 @@ def _augmented(points: np.ndarray) -> np.ndarray:
     return np.vstack([points.T, np.einsum("ij,ij->i", points, points)])
 
 
+# Shifted logits are raised to this floor before the exp. Below about -708
+# the exp underflows to subnormals or 0, which slows both the exp and the
+# products that read its weights; exp(-600) ~ 1e-261 vanishes beside a row's
+# largest weight, 1, in any sum of order one.
+_LOGIT_FLOOR = -600.0
+
+
 def _shifted_exp(zs: np.ndarray, aug: np.ndarray, a, s, height=None) -> np.ndarray:
-    """(height, N) exp(logit - row max) of zs (B, d) against aug, with a and s
-    (B, 1) or (1, 1), from one matrix product. The augmented query is written
-    in place into one (height, d + 1) array; height defaults to B, and rows
-    past B are zero queries, whose weights are all 1."""
+    """(height, N) exp(max(logit - row max, _LOGIT_FLOOR)) of zs (B, d)
+    against aug, with a and s (B, 1) or (1, 1), from one matrix product. The
+    augmented query is written in place into one (height, d + 1) array;
+    height defaults to B, and rows past B are zero queries, whose weights are
+    all 1."""
     c = a / (s * s)
     q = np.zeros((height or len(zs), zs.shape[1] + 1))
     np.multiply(zs, c, out=q[:len(zs), :-1])
     q[:len(zs), -1:] = -0.5 * a * c
     e = q @ aug
     e -= e.max(axis=1, keepdims=True)
+    np.maximum(e, _LOGIT_FLOOR, out=e)
     return np.exp(e, out=e)
 
 

@@ -7,6 +7,9 @@ and three input maps: identity, polar, and radial-equivariant. The KRR
 score field fits a Gaussian-kernel ridge regression from noisy features to
 clean targets. Both (plus oracle and analytic wrappers) share the ScoreField
 interface: evaluate_batch(zs, ts, labels) -> predictions in prediction_kind.
+The parameters and checkpoints are float64, and so is every evaluation.
+loss_and_grads runs its forward and backward in the dtype it is given,
+float32 for training steps, and returns its loss and gradient in float64.
 """
 
 from __future__ import annotations
@@ -170,41 +173,50 @@ class MlpScoreNetwork:
 
     # -- forward / backward -------------------------------------------------
 
-    def _work(self, i: int, n: int) -> np.ndarray:
-        """Rows [:n] of work array i, a (rows, width) array that grows to the
-        largest batch seen, so forwards and backwards reuse their pages. There
-        are three per hidden layer (see _forward), then the backward's scratch."""
-        if self._bufs[i].shape[0] < n:
-            self._bufs[i] = np.empty((n, self.width))
-        return self._bufs[i][:n]
+    def _work(self, i: int, n: int, dtype) -> np.ndarray:
+        """Rows [:n] of work array i, a (rows, width) array of dtype that grows
+        to the largest batch seen, so forwards and backwards reuse their pages;
+        it is made anew when its dtype is not the one asked for. There are
+        three per hidden layer (see _forward), then the backward's scratch."""
+        buf = self._bufs[i]
+        if buf.shape[0] < n or buf.dtype != dtype:
+            self._bufs[i] = buf = np.empty((n, self.width), dtype)
+        return buf[:n]
 
-    def _forward(self, feats: np.ndarray, keep: bool = False) -> np.ndarray:
-        """The output, a fresh array. Hidden layer li writes its pre-activation,
+    def _forward(self, feats: np.ndarray, keep: bool = False,
+                 params=None) -> np.ndarray:
+        """The output, a fresh array in the dtype of feats, which params (by
+        default self.params) share. Hidden layer li writes its pre-activation,
         GELU phi and activation into work arrays 3li, 3li+1 and 3li+2 when
         keep (for the backward), else into arrays 0, 1 and, over phi, 1."""
-        n, h = feats.shape[0], feats
+        n, h, dtype = feats.shape[0], feats, feats.dtype
+        params = self.params if params is None else params
         for li in range(self._n_layers - 1):
-            w, b, k = self.params[2 * li], self.params[2 * li + 1], 3 * li * keep
-            a = np.matmul(h, w.T, out=self._work(k, n))
+            w, b, k = params[2 * li], params[2 * li + 1], 3 * li * keep
+            a = np.matmul(h, w.T, out=self._work(k, n, dtype))
             a += b
-            phi = np.multiply(a, a, out=self._work(k + 1, n))
+            phi = np.multiply(a, a, out=self._work(k + 1, n, dtype))
             phi *= _GELU_C * _GELU_K
             phi += _GELU_C
             phi *= a
             np.tanh(phi, out=phi)
             phi += 1.0
             phi *= 0.5
-            h = np.multiply(a, phi, out=self._work(k + 2, n) if keep else phi)
-        w, b = self.params[2 * self._n_layers - 2], self.params[2 * self._n_layers - 1]
+            h = np.multiply(a, phi,
+                            out=self._work(k + 2, n, dtype) if keep else phi)
+        w, b = params[2 * self._n_layers - 2], params[2 * self._n_layers - 1]
         return h @ w.T + b
 
-    def _predict(self, zs, ts, labels, keep=False):
-        """(prediction, resolved labels, frame or None, features)."""
+    def _predict(self, zs, ts, labels, keep=False, params=None):
+        """(prediction, resolved labels, frame or None, features). The
+        features and the arithmetic take the dtype of params, by default
+        self.params; a frame's rotation is float64."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
         lab = self._resolve_labels(labels, zs.shape[0])
-        feats = self._features(zs, ts, lab)
-        out = self._forward(feats, keep)
+        params = self.params if params is None else params
+        feats = self._features(zs, ts, lab).astype(params[0].dtype, copy=False)
+        out = self._forward(feats, keep, params)
         frame = self._frame(zs) if self.input_map == RADIAL_EQUIVARIANT else None
         if frame is not None:
             out = np.einsum("bk,bkj->bj", out, frame)
@@ -219,11 +231,14 @@ class MlpScoreNetwork:
         return self.evaluate_batch(np.asarray(z)[None, :], float(t),
                                    None if label is None else [label])[0]
 
-    def loss_and_grads(self, zs, ts, targets, labels=None):
+    def loss_and_grads(self, zs, ts, targets, labels=None, dtype=np.float64):
         """Mean squared-error loss over the batch and exact parameter gradients.
 
         loss = mean_b || prediction_b - target_b ||^2.
-        Returns (loss, grads) with grads one vector aligned to self.flat.
+        The forward and backward run in dtype, over one copy of self.flat in
+        it: training passes float32 (see dsm_step), everything else float64.
+        Returns (loss, grads), both float64, with grads one vector aligned to
+        self.flat.
         """
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
@@ -232,25 +247,29 @@ class MlpScoreNetwork:
         n = zs.shape[0]
         if n == 0:
             raise InvalidArgumentError("empty batch")
-        pred, lab, frame, feats = self._predict(zs, ts, labels, keep=True)
+        shapes = [p.shape for p in self.params]
+        flat = self.flat.astype(dtype, copy=False)
+        params = _views(flat, shapes)
+        pred, lab, frame, feats = self._predict(zs, ts, labels, True, params)
         diff = pred - targets
         loss = float(np.mean(np.sum(diff * diff, axis=1)))
         dpred = 2.0 * diff / n
         dout = dpred if frame is None else np.einsum("bj,bkj->bk", dpred, frame)
 
-        flat_grads = np.empty_like(self.flat)
-        grads = _views(flat_grads, [p.shape for p in self.params])
-        delta = dout
+        flat_grads = np.empty_like(self.flat)  # written in dtype, kept in float64
+        grads = _views(flat_grads, shapes)
+        delta = dout.astype(dtype, copy=False)
         for li in range(self._n_layers - 1, -1, -1):
-            w = self.params[2 * li]
-            post = self._work(3 * li - 1, n) if li > 0 else feats  # layer input
+            w = params[2 * li]
+            post = self._work(3 * li - 1, n, dtype) if li > 0 else feats  # layer input
             np.matmul(delta.T, post, out=grads[2 * li])
             np.sum(delta, axis=0, out=grads[2 * li + 1])
             if li > 0:
-                a, phi = self._work(3 * li - 3, n), self._work(3 * li - 2, n)
+                a = self._work(3 * li - 3, n, dtype)
+                phi = self._work(3 * li - 2, n, dtype)
                 # d gelu(a)/da = phi + 2 a phi (1 - phi) C (1 + 3 K a^2),
                 # reusing phi and post = a phi from the forward
-                act_grad = np.subtract(1.0, phi, out=self._work(-1, n))
+                act_grad = np.subtract(1.0, phi, out=self._work(-1, n, dtype))
                 act_grad *= post
                 scale = np.multiply(a, a, out=post)  # post is spent
                 scale *= 6.0 * _GELU_C * _GELU_K

@@ -19,15 +19,17 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        64-bit master seed.
+        64-bit master seed, in [0, 2**64).
     stream : int
-        Substream index; distinct indices give statistically independent
-        streams under the same seed.
+        Substream index, in [0, 2**64); distinct indices give statistically
+        independent streams under the same seed.
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if seed < 0 or stream < 0:
-            raise InvalidArgumentError("seed and stream must be nonnegative")
+        for name, value in (("seed", seed), ("stream", stream)):
+            if not 0 <= value < 2 ** 64:
+                raise InvalidArgumentError(
+                    f"{name} {value} outside [0, 2**64): it must fit a uint64")
         self.seed = int(seed)
         self.stream = int(stream)
         self._gen = np.random.Generator(

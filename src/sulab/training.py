@@ -10,9 +10,10 @@ input points and the clean point y that each input regresses onto:
 train runs foe when it is given a subset pair and dsm otherwise. The target
 is y converted from x-prediction into the network's prediction kind.
 Timesteps are clamped to [t_min, 1 - t_min] to keep every conversion
-finite. Parameters, gradients, the Adam moments and the EMA are each one
-flat float64 vector; one blocked pass per step updates all of them but the
-gradients.
+finite. A step's forward and backward run in float32 (mixed precision,
+Micikevicius et al. 2018). Parameters, gradients as returned, the Adam
+moments and the EMA are each one flat float64 vector; one blocked pass per
+step updates all of them but the gradients.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
     Draws x from ds, noise and time (then class dropout onto the null
     token) and forms z_t. The clean point y is x, or clean(zs, ts, rng),
     which may draw last; the net regresses onto y converted from
-    x-prediction into its prediction kind. Adam then updates the flat
-    parameters, and the EMA, when given, in the same pass.
+    x-prediction into its prediction kind, in float32 arithmetic. Adam then
+    updates the flat float64 parameters, and the EMA, when given, in the
+    same pass.
     """
     x, eps, lab = supervision_draws(ds, cfg.batch_size, rng)
     ts = rng.uniform(cfg.t_min, 1.0 - cfg.t_min, cfg.batch_size)
@@ -120,7 +122,7 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
         lab[rng.uniform(size=len(lab)) < cfg.class_dropout] = ds.num_classes
     y = x if clean is None else clean(zs, ts, rng)
     targets = convert_value(y, XPRED, net.prediction_kind, zs, ts)
-    loss, grads = net.loss_and_grads(zs, ts, targets, lab)
+    loss, grads = net.loss_and_grads(zs, ts, targets, lab, dtype=np.float32)
     if not np.isfinite(loss):
         raise NumericFailureError("non-finite training loss", iteration=adam.step + 1)
     adam_step(adam, net.flat, grads, cfg, ema)

@@ -530,19 +530,22 @@ class TestDeterministicReruns:
         assert digests[0] and digests[0] == digests[1]
 
     def test_bits_same_at_one_and_two_blas_threads(self, tmp_path):
-        # a per-row score_batch and the rstar-profile determinism run, each
-        # in a fresh process at OPENBLAS_NUM_THREADS 1 and 2
-        cfg = {"experiment": "rstar-profile", "seed": 0,
-               **_DETERMINISM_CONFIGS["rstar-profile"]}
-        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        # a per-row score_batch and the rstar-profile and gaussian (float32
+        # training) determinism runs, each in a fresh process at
+        # OPENBLAS_NUM_THREADS 1 and 2
+        for experiment in ("rstar-profile", "gaussian"):
+            cfg = {"experiment": experiment, "seed": 0,
+                   **_DETERMINISM_CONFIGS[experiment]}
+            (tmp_path / f"{experiment}.json").write_text(json.dumps(cfg))
         code = (
             "import sys\n"
             "from sulab.cli import main\n"
             "from sulab.data import make_gaussian_dataset\n"
             "from sulab.empirical import EmpiricalScoreOracle\n"
             "from sulab.numerics import RngStream\n"
-            "out, cfg = sys.argv[1:]\n"
-            "assert main(['run', '--config', cfg, '--out', out]) == 0\n"
+            "out, cfgs = sys.argv[1], sys.argv[2:]\n"
+            "for cfg in cfgs:\n"
+            "    assert main(['run', '--config', cfg, '--out', out]) == 0\n"
             "oracle = EmpiricalScoreOracle(make_gaussian_dataset(16, 1024, seed=2))\n"
             "rng = RngStream(3, 0)\n"
             "zs, ts = rng.normal((101, 16)), rng.uniform(0.05, 0.95, 101)\n"
@@ -556,9 +559,13 @@ class TestDeterministicReruns:
                            [src, os.environ.get("PYTHONPATH", "")]))
             out = tmp_path / threads
             proc = subprocess.run([sys.executable, "-c", code, str(out),
-                                   str(tmp_path / "cfg.json")],
+                                   str(tmp_path / "rstar-profile.json"),
+                                   str(tmp_path / "gaussian.json")],
                                   capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
-            outs.append([(out / f).read_bytes()
-                         for f in ("score.bin", "rstar_profile.csv")])
+            files = sorted([*out.glob("*.csv"), *out.glob("*.ckpt"),
+                            out / "score.bin"])
+            outs.append({f.name: f.read_bytes() for f in files})
+        assert {"score.bin", "rstar_profile.csv", "error_curves.csv",
+                "loss_curve.csv", "model.ckpt"} <= set(outs[0])
         assert outs[0] == outs[1]

@@ -165,6 +165,26 @@ def _direct_softmax_cdf(zs, points, ts):
     return cdf / cdf[:, -1:], logits
 
 
+class TestLogitFloor:
+    """Shifted logits are floored at -600 before the exp; where they lie
+    below -708 (subnormal or zero weights without the floor) the scores keep
+    the unfloored formula's bits."""
+
+    @pytest.mark.parametrize("per_row", [True, False], ids=["per-row", "scalar"])
+    def test_scores_equal_the_unfloored_formula(self, per_row, monkeypatch):
+        ds = make_gaussian_dataset(16, 1024, seed=2)
+        rng = RngStream(3, 0)
+        zs = rng.normal((101, 16))
+        ts = rng.uniform(0.05, 0.95, 101) if per_row else np.full(101, 0.15)
+        _, logits = _direct_softmax_cdf(zs, ds.points, ts)
+        assert np.mean(logits < -708.0) > 0.01
+        oracle = EmpiricalScoreOracle(ds)
+        t = ts if per_row else 0.15
+        floored = oracle.score_batch(zs, t)
+        monkeypatch.setattr(empirical, "_LOGIT_FLOOR", -np.inf)
+        np.testing.assert_array_equal(floored, oracle.score_batch(zs, t))
+
+
 class TestSoftmaxWeights:
     """foe's target draw: one pick per row from the softmax responsibilities,
     the logits one product against the augmented points."""

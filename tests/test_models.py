@@ -251,6 +251,56 @@ class TestGradients:
         assert _grad_check(net) < 1e-4
 
 
+# the gaussian experiment's net and the toy nets of cfg-gap and pat
+_FLOAT32_NETS = {
+    "gaussian-w256x4": dict(dim=20, width=256, hidden_layers=4),
+    "class-conditional": dict(dim=2, width=32, hidden_layers=2, num_classes=3),
+    "polar": dict(dim=2, width=32, hidden_layers=2, input_map=POLAR),
+    "radial-equivariant": dict(dim=2, width=32, hidden_layers=2,
+                               input_map=RADIAL_EQUIVARIANT),
+}
+
+
+class TestFloat32Arithmetic:
+    """Training runs the forward and backward in float32; the loss and the
+    gradient come back in float64, within float32 rounding of the float64
+    ones, and float64 calls keep their bits whatever ran before."""
+
+    @pytest.mark.parametrize("name", sorted(_FLOAT32_NETS))
+    def test_gradient_close_to_float64(self, name):
+        net = MlpScoreNetwork(**_FLOAT32_NETS[name], seed=0)
+        rng = RngStream(5, 0)
+        net.flat += 0.2 * rng.normal(net.flat.shape)  # a non-zero head
+        n = 128
+        zs, ts = rng.normal((n, net.dim)), rng.uniform(0.01, 0.99, n)
+        targets = rng.normal((n, net.dim))
+        labels = (rng.integers(0, net.num_classes + 1, n)
+                  if net.num_classes else None)  # with the null token
+        loss64, grads64 = net.loss_and_grads(zs, ts, targets, labels)
+        loss32, grads32 = net.loss_and_grads(zs, ts, targets, labels,
+                                             dtype=np.float32)
+        assert isinstance(loss32, float) and grads32.dtype == np.float64
+        assert abs(loss32 - loss64) <= 1e-5 * loss64
+        assert (np.linalg.norm(grads32 - grads64)
+                <= 1e-5 * np.linalg.norm(grads64))
+
+    def test_work_arrays_follow_the_dtype(self):
+        net = _work_net()
+        zs, ts, targets, labels = _work_batch(128, seed=1)
+        loss32, grads32 = net.loss_and_grads(zs, ts, targets, labels,
+                                             dtype=np.float32)
+        assert all(buf.dtype == np.float32 for buf in net._bufs)
+        fresh = _work_net()
+        np.testing.assert_array_equal(net.evaluate_batch(zs, ts, labels),
+                                      fresh.evaluate_batch(zs, ts, labels))
+        loss64, grads64 = net.loss_and_grads(zs, ts, targets, labels)
+        assert loss64 == fresh.loss_and_grads(zs, ts, targets, labels)[0]
+        again = net.loss_and_grads(zs, ts, targets, labels, dtype=np.float32)
+        assert again[0] == loss32
+        np.testing.assert_array_equal(again[1], grads32)
+        assert not np.array_equal(grads32, grads64)
+
+
 class TestRadialEquivariance:
     def test_rotating_input_rotates_output(self):
         net = MlpScoreNetwork(2, width=16, hidden_layers=2,

@@ -33,6 +33,19 @@ class TestRngStream:
         picks = RngStream(0, 0).choice(10, size=10)
         assert sorted(picks.tolist()) == list(range(10))
 
+    @pytest.mark.parametrize("seed, stream, name",
+                             [(2 ** 64, 0, "seed"), (0, 2 ** 64, "stream")])
+    def test_refuses_values_past_uint64(self, seed, stream, name):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"{name} {2 ** 64} outside"):
+            RngStream(seed, stream)
+
+    def test_accepts_largest_uint64(self):
+        top = 2 ** 64 - 1
+        draws = RngStream(top, top).normal(5)
+        np.testing.assert_array_equal(draws, RngStream(top, top).normal(5))
+        assert not np.array_equal(draws, RngStream(top, 0).normal(5))
+
     def test_uniform_bounds(self):
         u = RngStream(1, 1).uniform(0.2, 0.8, 1000)
         assert u.min() >= 0.2 and u.max() <= 0.8

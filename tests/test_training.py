@@ -197,9 +197,9 @@ class TestDsmStep:
         seen = {}
         loss_and_grads = net.loss_and_grads
 
-        def spy(zs, ts, targets, labels=None):
-            seen.update(zs=zs, ts=ts, targets=targets)
-            return loss_and_grads(zs, ts, targets, labels)
+        def spy(zs, ts, targets, labels=None, dtype=np.float64):
+            seen.update(zs=zs, ts=ts, targets=targets, dtype=dtype)
+            return loss_and_grads(zs, ts, targets, labels, dtype)
 
         monkeypatch.setattr(net, "loss_and_grads", spy)
         dsm_step(net, ds, TrainConfig(batch_size=32), RngStream(4),
@@ -208,6 +208,7 @@ class TestDsmStep:
         np.testing.assert_array_equal(
             seen["targets"],
             convert_value(x, XPRED, kind, seen["zs"], seen["ts"]))
+        assert seen["dtype"] == np.float32  # training's arithmetic
 
 
 class TestSoftmaxSampling:
