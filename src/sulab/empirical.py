@@ -19,10 +19,9 @@ from .errors import EmptyClassError, InvalidArgumentError, SingularTimeError
 from .geometry import _BLOCK_ELEMENTS, sq_distance_blocks
 from .schedule import alpha_sigma
 
-# Rows per product at per-row t. Over the oracle calls of one bench
-# oracle-memorize sampling (N = 1,024, d = 16, 1 BLAS thread), 32 rows were
-# as fast as any height from 8 to 64, and over twice as fast as one product
-# per row.
+# Rows per product. Over the oracle calls of one bench oracle-memorize
+# sampling (N = 1,024, d = 16, 1 BLAS thread), 32 rows were as fast as any
+# height from 8 to 64, and over twice as fast as one product per row.
 _ROW_BLOCK = 32
 
 
@@ -40,10 +39,9 @@ _LOGIT_FLOOR = -600.0
 
 def _shifted_exp(zs: np.ndarray, aug: np.ndarray, a, s, height=None) -> np.ndarray:
     """(height, N) exp(max(logit - row max, _LOGIT_FLOOR)) of zs (B, d)
-    against aug, with a and s (B, 1) or (1, 1), from one matrix product. The
-    augmented query is written in place into one (height, d + 1) array;
-    height defaults to B, and rows past B are zero queries, whose weights are
-    all 1."""
+    against aug, with a and s (B, 1), from one matrix product. The augmented
+    query is written in place into one (height, d + 1) array; height defaults
+    to B, and rows past B are zero queries, whose weights are all 1."""
     c = a / (s * s)
     q = np.zeros((height or len(zs), zs.shape[1] + 1))
     np.multiply(zs, c, out=q[:len(zs), :-1])
@@ -76,24 +74,22 @@ class EmpiricalScoreOracle:
     def score_batch(self, zs: np.ndarray, t) -> np.ndarray:
         """(1/sigma^2) * (-z + alpha * sum_i w_i x_i) over a batch of queries,
         with t a scalar or an array of one value or one per row. The means are
-        (e @ X) / sum(e) from the unnormalized weights e, in row blocks of at
-        most _BLOCK_ELEMENTS weights, so no (B, N) array is built. A scalar t
-        takes one matrix product per block. Per-row t takes blocks of one
-        fixed height, _ROW_BLOCK rows or fewer for large N, and zero-pads the
-        queries of a short last block: every product then has one shape, so a
-        row's bits depend neither on its neighbours nor on the batch size."""
+        (e @ X) / sum(e) from the unnormalized weights e, in row blocks of one
+        fixed height, _ROW_BLOCK rows or fewer so that no block passes
+        _BLOCK_ELEMENTS weights; no (B, N) array is built. The queries of a
+        short last block are zero-padded: every product then has one shape,
+        so a row's bits depend neither on its neighbours nor on the batch
+        size."""
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
         if np.any(np.asarray(t) <= 0.0):
             raise SingularTimeError("empirical score undefined at t=0")
         if np.ndim(t) and np.size(t) not in (1, len(zs)):
             raise InvalidArgumentError(f"t has {np.size(t)} values for {len(zs)} rows")
         a, s = (np.broadcast_to(np.ravel(v), len(zs))[:, None] for v in alpha_sigma(t))
-        block = max(1, _BLOCK_ELEMENTS // len(self._points))
-        height = min(block, _ROW_BLOCK) if np.ndim(t) else None
-        block = height or block
+        height = min(_ROW_BLOCK, max(1, _BLOCK_ELEMENTS // len(self._points)))
         means = np.empty_like(zs)
-        for k in range(0, len(zs), block):
-            rows = slice(k, k + block)
+        for k in range(0, len(zs), height):
+            rows = slice(k, k + height)
             z = zs[rows]
             e = _shifted_exp(z, self._aug, a[rows], s[rows], height)
             means[rows] = (e @ self._points / e.sum(axis=1, keepdims=True))[:len(z)]

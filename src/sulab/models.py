@@ -287,10 +287,8 @@ class MlpScoreNetwork:
         return self.flat.copy()
 
     def _vector(self, params) -> np.ndarray:
-        """A parameter set as one vector. It comes flat (as clone_params gives
-        it) or as per-tensor arrays in params order (as load gives the EMA)."""
-        if isinstance(params, (list, tuple)):
-            params = np.concatenate([np.ravel(p) for p in params])
+        """A parameter set: one flat vector of self.flat's length, as
+        clone_params and load give it."""
         params = np.asarray(params, dtype=float)
         if params.shape != self.flat.shape:
             raise InvalidArgumentError("parameter vector length mismatch")
@@ -329,9 +327,9 @@ class MlpScoreNetwork:
 
     @classmethod
     def load(cls, path):
-        """Returns (network, EMA per-tensor arrays or None), the EMA arrays
-        views of one vector. Anything but a checkpoint with a known header
-        and exactly its parameter bytes raises FormatError naming the file."""
+        """Returns (network, flat EMA vector or None). Anything but a
+        checkpoint with a known header and exactly its parameter bytes raises
+        FormatError naming the file."""
         try:
             blob = Path(path).read_bytes()
         except OSError as exc:
@@ -356,8 +354,7 @@ class MlpScoreNetwork:
             raise FormatError(f"bad checkpoint {path}: {exc}") from None
         body = np.frombuffer(blob, dtype="<f8", offset=12 + blob_len)
         net.flat[...] = body[:net.flat.size]
-        ema = body[net.flat.size:].copy() if has_ema else None
-        return net, ema if ema is None else _views(ema, [p.shape for p in net.params])
+        return net, body[net.flat.size:].copy() if has_ema else None
 
 
 def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:

@@ -101,23 +101,27 @@ class TestBatchPath:
 
 
 def _height(n):
-    """Rows per per-row-t block of an oracle over n points."""
+    """Rows per block of an oracle over n points."""
     return max(1, min(empirical._ROW_BLOCK, _BLOCK_ELEMENTS // n))
 
 
 _SIZES = [(1, 1), (5, 1), (16, 2), (1024, 16), (4096, 16), (70_000, 2)]
+# per-row ts (None), then a scalar t of 0.5 for every size
+_CASES = [(n, d, t) for t in (None, 0.5) for n, d in _SIZES]
 
 
 class TestRowBlocks:
-    """Per-row t runs in row blocks of one fixed height (32 rows at
-    N = 1,024), a scalar t in blocks of at most 2^16 weights."""
+    """Every call, at a scalar t or one t per row, runs in row blocks of one
+    fixed height: 32 rows at N = 1,024, fewer where 32 rows would pass 2^16
+    weights."""
 
-    @pytest.mark.parametrize("n, d", _SIZES,
-                             ids=[f"N{n}-d{d}" for n, d in _SIZES])
+    @pytest.mark.parametrize(
+        "n, d, t", _CASES,
+        ids=[f"N{n}-d{d}" + ("" if t is None else f"-t{t}") for n, d, t in _CASES])
     @pytest.mark.parametrize("per_block, extra",
                              [(0, 1), (1, -1), (1, 0), (1, 1), (3, 5)],
                              ids=["1", "H-1", "H", "H+1", "3H+5"])
-    def test_rows_independent_of_batch_and_block(self, n, d, per_block, extra):
+    def test_rows_independent_of_batch_and_block(self, n, d, t, per_block, extra):
         # N = 1 or d = 1 makes one of the two products a matrix-vector
         # product; N = 70,000 gives one-row blocks
         oracle = EmpiricalScoreOracle(make_gaussian_dataset(d, n, seed=2))
@@ -125,13 +129,14 @@ class TestRowBlocks:
         rng = RngStream(3, 0)
         zs = rng.normal((b, d))
         ts = rng.uniform(0.05, 0.95, b)
-        batch = oracle.score_batch(zs, ts)
-        singles = np.concatenate([oracle.score_batch(zs[i:i + 1], ts[i:i + 1])
-                                  for i in range(b)])
+
+        def score(rows):
+            return oracle.score_batch(zs[rows], ts[rows] if t is None else t)
+        batch = score(slice(None))
+        singles = np.concatenate([score(slice(i, i + 1)) for i in range(b)])
         np.testing.assert_array_equal(batch, singles)
         half = (b + 1) // 2
-        np.testing.assert_array_equal(batch[:half],
-                                      oracle.score_batch(zs[:half], ts[:half]))
+        np.testing.assert_array_equal(batch[:half], score(slice(half)))
 
     @staticmethod
     def _peak_bytes(per_row):

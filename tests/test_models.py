@@ -332,8 +332,7 @@ class TestCheckpoint:
         assert loaded.descriptor() == net.descriptor()
         for p, q in zip(loaded.params, net.params):
             np.testing.assert_array_equal(p, q)
-        for p, q in zip(loaded_ema, net.params):
-            np.testing.assert_array_equal(p, q + 0.5)
+        np.testing.assert_array_equal(loaded_ema, net.flat + 0.5)
         # save -> load -> save reproduces the file byte for byte
         again = tmp_path / "again.ckpt"
         loaded.save(again, ema_params=loaded_ema)
@@ -365,8 +364,6 @@ class TestCheckpoint:
 
     def test_set_params_length_checked(self):
         net = MlpScoreNetwork(2, width=4, seed=0)
-        with pytest.raises(InvalidArgumentError):
-            net.set_params(net.params[:-1])
         with pytest.raises(InvalidArgumentError):
             net.set_params(net.clone_params()[:-1])
 

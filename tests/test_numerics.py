@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
-from sulab.numerics import (RngStream, cholesky_solve, log_sum_exp,
-                            sliced_wasserstein)
+from sulab.numerics import (_PROJECTIONS, RngStream, cholesky_solve,
+                            log_sum_exp, sliced_wasserstein)
 from sulab.training import sample_softmax_points
 
 
@@ -134,7 +134,37 @@ class TestCholeskySolve:
             cholesky_solve(bad, np.ones(3))
 
 
+def _sliced_wasserstein_per_projection(a, b, seed=0):
+    """The definition, one projection at a time: the mean over _PROJECTIONS
+    directions, drawn in turn from stream (seed, 0), of the 1-Wasserstein
+    distance of the projected sets (on a midpoint quantile grid when their
+    sizes differ)."""
+    rng = RngStream(seed, stream=0)
+    total = 0.0
+    for _ in range(_PROJECTIONS):
+        u = rng.normal(a.shape[1])
+        u /= np.linalg.norm(u)
+        pa, pb = np.sort(a @ u), np.sort(b @ u)
+        if len(pa) != len(pb):
+            n = max(len(pa), len(pb))
+            q = (np.arange(n) + 0.5) / n
+            pa, pb = np.quantile(pa, q), np.quantile(pb, q)
+        total += float(np.mean(np.abs(pa - pb)))
+    return total / _PROJECTIONS
+
+
 class TestSlicedWasserstein:
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    @pytest.mark.parametrize("na, nb", [(64, 64), (128, 64), (30, 75)],
+                             ids=["equal", "128v64", "30v75"])
+    def test_equals_per_projection_definition(self, d, na, nb):
+        rng = np.random.default_rng(d)
+        for seed in range(3):
+            a = rng.normal(size=(na, d))
+            b = 1.5 * rng.normal(size=(nb, d)) + 0.3
+            assert sliced_wasserstein(a, b, seed=seed) == pytest.approx(
+                _sliced_wasserstein_per_projection(a, b, seed=seed), rel=1e-12)
+
     def test_identical_sets_zero(self):
         pts = np.random.default_rng(1).normal(size=(50, 3))
         assert sliced_wasserstein(pts, pts.copy()) == pytest.approx(0.0, abs=1e-12)
