@@ -426,6 +426,9 @@ def cmd_diagnose(args) -> int:
         raise ConfigError(f"--class-id: must name one of the dataset's "
                           f"{ds.num_classes} classes (none when unlabeled), "
                           f"got {args.class_id}")
+    if args.metric == "memorization" and args.calibration_n > ds.size:
+        raise ConfigError(f"--calibration-n: {args.calibration_n} exceeds the "
+                          f"dataset's {ds.size} points")
     net, ema = MlpScoreNetwork.load(args.checkpoint)
     if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
         raise ConfigError(f"checkpoint {args.checkpoint} is {net.dim}-D but "
@@ -441,11 +444,12 @@ def cmd_diagnose(args) -> int:
         table.append(["supervision-loss", SUPERVISION, "all", loss.value,
                       args.n, args.seed])
     elif args.metric == "overlap":
-        for t in ts:
-            value = bhattacharyya_overlap(ds, float(t),
-                                          class_filter=args.class_id)
-            table.append(["overlap", "all", float(t), value, ds.size,
-                          args.seed])
+        c = args.class_id
+        region, size = (("all", ds.size) if c is None
+                        else (str(c), ds.class_indices(c).size))
+        overlaps = bhattacharyya_overlap(ds, ts, class_filter=c)
+        table += [["overlap", region, float(t), value, size, args.seed]
+                  for t, value in zip(ts, overlaps)]
     elif args.metric == "rstar":
         _, trajectories = sample(net, args.n, seed=args.seed, record=True)
         for t, vals in rstar_by_t(ds, trajectories, ts):
@@ -453,8 +457,7 @@ def cmd_diagnose(args) -> int:
                           args.n, args.seed])
     else:  # memorization
         samples, _ = sample(net, args.n, seed=args.seed)
-        cal = calibrated_l2_values(samples, ds.points,
-                                   n=min(args.calibration_n, ds.size))
+        cal = calibrated_l2_values(samples, ds.points, n=args.calibration_n)
         ratio = memorization_ratio(cal, threshold=args.threshold)
         table += [["memorization-ratio", "all", "all", ratio, args.n, args.seed],
                   ["mean-calibrated-l2", "all", "all", float(np.mean(cal)),

@@ -45,7 +45,7 @@ def _region_inputs(region: str, ds: Dataset, field, n: int, rng: RngStream,
     z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
                    for i in range(n)])
     _, trajs = integrate(field, z0, solver, record=True, label=labels_for_traj)
-    return (lambda t: states_at(trajs, [t])[0]), labels_for_traj
+    return (lambda t: states_at(trajs, t)), labels_for_traj
 
 
 def estimate_region(quantity, region: str, ds: Dataset, field=None,

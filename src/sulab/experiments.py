@@ -372,12 +372,9 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
     check_t_grid(cfg, "t_grid")
     ds = build_dataset(cfg["dataset"], seed)
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    rows = [[float(t), "all", bhattacharyya_overlap(ds, float(t))]
-            for t in t_grid]
-    for c in range(ds.num_classes):
-        rows.extend([[float(t), str(c),
-                      bhattacharyya_overlap(ds, float(t), class_filter=c)]
-                     for t in t_grid])
+    rows = [[float(t), "all" if c is None else str(c), value]
+            for c in [None, *range(ds.num_classes)]
+            for t, value in zip(t_grid, bhattacharyya_overlap(ds, t_grid, c))]
     return ExperimentResult(
         tables={"overlap_curve": [["t", "class", "overlap"], *rows]})
 

@@ -75,19 +75,20 @@ def r_star(ds: Dataset, z, t: float) -> RStar:
 def rstar_by_t(ds: Dataset, trajs, t_grid) -> list:
     """(t, r* (B,) of every recorded trajectory's state at t) for each t,
     reading the states one timestep at a time."""
-    return [(t, r_star(ds, states_at(trajs, [t])[0], t).r_star)
+    return [(t, r_star(ds, states_at(trajs, t), t).r_star)
             for t in map(float, t_grid)]
 
 
-def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None) -> float:
+def bhattacharyya_overlap(ds: Dataset, t, class_filter: int | None = None):
     """Worst-case pairwise overlap of mixture components:
-    max over i != j of exp(-alpha^2 |x_i - x_j|^2 / (8 sigma^2))."""
+    max over i != j of exp(-alpha^2 |x_i - x_j|^2 / (8 sigma^2)), at a scalar
+    t (an np.float64) or over an array of timesteps (an array of their
+    overlaps). The closest pair is found once, for every t."""
     pts = ds.points if class_filter is None else ds.points[ds.class_indices(class_filter)]
-    n = pts.shape[0]
-    if n < 2:
+    if pts.shape[0] < 2:
         raise InvalidArgumentError("overlap needs at least two points")
-    a, s = map(float, alpha_sigma(t))
-    if s <= 0.0:
+    a, s = alpha_sigma(t)
+    if np.any(s <= 0.0):
         raise SingularTimeError(f"overlap undefined at t={t} (sigma=0)")
     min_sq, k = np.inf, 0
     for sq in sq_distance_blocks(pts, np.ascontiguousarray(pts.T)):
@@ -95,4 +96,4 @@ def bhattacharyya_overlap(ds: Dataset, t: float, class_filter: int | None = None
         sq[rows, k + rows] = np.inf  # self-pairs
         min_sq = min(min_sq, float(sq.min()))
         k += sq.shape[0]
-    return float(np.exp(-(a * a) * min_sq / (8.0 * s * s)))
+    return np.exp(-(a * a) * min_sq / (8.0 * s * s))

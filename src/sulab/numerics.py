@@ -61,26 +61,20 @@ def log_sum_exp(values) -> float:
 
 
 def cholesky_solve(matrix, rhs) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A by Cholesky factorization."""
+    """Solve A x = b for symmetric positive definite A by Cholesky
+    factorization; a matrix that is not raises RankDeficiencyError with the
+    order of its first leading minor that is not positive definite."""
     from scipy import linalg  # here, so only a KRR fit loads it
-    a = np.asarray(matrix, dtype=float)
+    a = np.asarray_chkfinite(matrix, dtype=float)
     b = np.asarray(rhs, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidArgumentError("matrix must be square")
     if b.shape[0] != a.shape[0]:
         raise InvalidArgumentError("rhs length does not match matrix")
-    try:
-        factor = linalg.cho_factor(a, lower=True)
-    except linalg.LinAlgError as exc:
-        # scipy reports the failing leading minor in its message; expose the index.
-        pivot = None
-        msg = str(exc)
-        for tok in msg.replace("-", " ").split():
-            if tok.isdigit():
-                pivot = int(tok)
-                break
-        raise RankDeficiencyError("matrix is not positive definite", pivot=pivot) from exc
-    return linalg.cho_solve(factor, b)
+    factor, info = linalg.lapack.dpotrf(a, lower=True, clean=False)
+    if info > 0:
+        raise RankDeficiencyError("matrix is not positive definite", pivot=info)
+    return linalg.cho_solve((factor, True), b)
 
 
 _PROJECTIONS = 64  # random directions per sliced_wasserstein call

@@ -82,7 +82,7 @@ class Trajectory:
 
     def state_at(self, t: float) -> np.ndarray:
         """The state at t, read as states_at reads it."""
-        return states_at(self, [t])[0, 0]
+        return states_at(self, t)[0]
 
 
 class TrajectoryRecord(list):
@@ -103,20 +103,20 @@ class TrajectoryRecord(list):
                              rejected.tolist()))
 
 
-def states_at(trajs, ts) -> np.ndarray:
-    """States (T, B, d) read at the times ts along every row of a
-    TrajectoryRecord (or along one Trajectory): linear interpolation between
-    the two recorded states around t, clamped to the first state for t at or
-    above a row's span and to the last for t at or below it. Every row holds
-    at least two states, as integrate records them."""
-    ts = np.asarray(ts, dtype=float)[:, None]
+def states_at(trajs, t: float) -> np.ndarray:
+    """States (B, d) read at the time t along every row of a TrajectoryRecord
+    (or along one Trajectory): linear interpolation between the two recorded
+    states around t, clamped to the first state for t at or above a row's
+    span and to the last for t at or below it. Every row holds at least two
+    states, as integrate records them. One timestep per call keeps memory at
+    O(B * d)."""
     times, states = trajs.times, trajs.states
     first, last = trajs.offsets[:-1], trajs.offsets[1:] - 1
     # times strictly decrease along a row, so j - first counts those above t
-    above = np.add.reduceat(times > ts, first, axis=1, dtype=np.intp)
+    above = np.add.reduceat(times > t, first, dtype=np.intp)
     j = np.minimum(np.maximum(first + above, first + 1), last)
     i = j - 1
-    w = np.clip((ts - times[j]) / (times[i] - times[j]), 0.0, 1.0)[..., None]
+    w = np.clip((t - times[j]) / (times[i] - times[j]), 0.0, 1.0)[:, None]
     return w * states[i] + (1.0 - w) * states[j]
 
 

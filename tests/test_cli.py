@@ -20,6 +20,7 @@ from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
                           InvalidArgumentError, NumericFailureError,
                           RankDeficiencyError, SingularTimeError)
 from sulab.experiments import RunContext
+from sulab.geometry import bhattacharyya_overlap
 from sulab.models import MlpScoreNetwork, fit_krr_denoiser_field
 from sulab.sampling import SolverConfig
 from sulab.training import TrainConfig
@@ -840,6 +841,33 @@ class TestTrainSampleDiagnose:
                         "--n", "4", "--calibration-n", "0"]) == 2
         assert "error: --calibration-n: must be >= 1, got 0" in \
             capsys.readouterr().err
+
+    def test_diagnose_calibration_n_above_dataset_size_exits_2(
+            self, trained, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sample", _refuse)
+        ckpt, ds_path, _ = trained
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "memorization",
+                        "--n", "4", "--calibration-n", "17"]) == 2
+        assert ("error: --calibration-n: 17 exceeds the dataset's 16 points"
+                in capsys.readouterr().err)
+
+    def test_diagnose_overlap_rows_name_the_class_and_its_size(
+            self, trained, capsys):
+        ckpt, _, tmp_path = trained
+        ds_path = tmp_path / "classes.csv"
+        pts = np.random.default_rng(2).normal(size=(24, 3))
+        labels = np.array([0] * 10 + [1] * 14)
+        save_points(Dataset(pts, labels), ds_path)
+        ts = np.linspace(0.05, 0.95, 3)
+        for flag, region, sub in (([], "all", pts),
+                                  (["--class-id", "1"], "1", pts[10:])):
+            assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                            "--grid", "3", *flag]) == 0
+            want = [["overlap", region, float(t),
+                     bhattacharyya_overlap(Dataset(sub), float(t)), len(sub),
+                     0] for t in ts]
+            assert capsys.readouterr().out.splitlines()[1:] == [
+                ",".join(map(format_cell, row)) for row in want]
 
     @pytest.mark.parametrize("command", ["run", "train", "sample", "diagnose"])
     def test_negative_seed_names_its_flag(self, trained, capsys, monkeypatch,

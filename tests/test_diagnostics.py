@@ -149,8 +149,8 @@ class TestEstimateRegion:
 
 
 def _stacked_inputs(region, ds, field, n, ts, rng, solver, labels=None):
-    """Every timestep's (T, n, d) queries at once, and the per-sample labels:
-    the whole-grid reading that the per-timestep sources of the region
+    """Every timestep's (T, n, d) queries in one stack, and the per-sample
+    labels: the whole-grid stack that the per-timestep sources of the region
     estimators must match."""
     if region == SUPERVISION:
         x, eps, labels = supervision_draws(ds, n, rng)
@@ -158,7 +158,7 @@ def _stacked_inputs(region, ds, field, n, ts, rng, solver, labels=None):
     z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
                    for i in range(n)])
     _, trajs = integrate(field, z0, solver, record=True, label=labels)
-    return states_at(trajs, ts), labels
+    return np.stack([states_at(trajs, t) for t in ts]), labels
 
 
 def _stacked_estimates(quantity, region, ds, field, n, timesteps, seed):

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from scipy.integrate import quad
 
 from sulab import geometry
+from sulab.cli import DEFAULTS
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.errors import InvalidArgumentError, SingularTimeError
+from sulab.experiments import RUNNERS, RunContext
 from sulab.geometry import (bhattacharyya_overlap,
                             in_supervision_region_batch, r_star, rstar_by_t)
 from sulab.numerics import RngStream
@@ -101,15 +104,14 @@ class TestRStar:
         assert r_star(ds, z, t).i_star == 1
 
     def test_profile_matches_whole_grid_reading(self):
-        # rstar_by_t reads one timestep at a time; the rows equal, bit for
-        # bit, those of the (T, B, d) states read over the whole grid
+        # rstar_by_t's rows over the whole grid equal, bit for bit, r_star
+        # of the (B, d) states read at each t in turn
         ds = make_gaussian_dataset(3, 12, seed=2)
         _, trajs = integrate(GaussianGroundTruthField(3),
                              RngStream(4, 0).normal((16, 3)), SolverConfig(),
                              record=True)
         grid = [0.9995, 0.8, 0.5, 0.31, 0.1, 5e-4]  # both ends clamp
-        want = [(t, r_star(ds, zs, t).r_star)
-                for t, zs in zip(grid, states_at(trajs, grid))]
+        want = [(t, r_star(ds, states_at(trajs, t), t).r_star) for t in grid]
         got = rstar_by_t(ds, trajs, np.asarray(grid))
         assert [t for t, _ in got] == grid
         for (_, r), (_, ref) in zip(got, want):
@@ -120,9 +122,8 @@ class TestRStar:
         ds = make_gaussian_dataset(3, 4, seed=1)
         _, trajs = integrate(GaussianGroundTruthField(3), np.eye(3),
                              SolverConfig(), record=True)
-        ts = [0.9, 0.5]
-        for t, zs in zip(ts, states_at(trajs, ts)):
-            batch = r_star(ds, zs, t)
+        for t in (0.9, 0.5):
+            batch = r_star(ds, states_at(trajs, t), t)
             for b, traj in enumerate(trajs):
                 one = r_star(ds, traj.state_at(t), t)
                 assert (batch.r_star[b], batch.i_star[b]) == (one.r_star,
@@ -220,6 +221,34 @@ class TestBhattacharyyaOverlap:
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
+
+    def test_grid_equals_scalar_calls_bitwise(self):
+        ds = make_class_mixture(3, 12, seed=6, num_classes=3)
+        grid = np.array([0.05, 0.1, 0.33, 0.5, 0.77, 0.95, 1.0])
+        for c in (None, 0, 1, 2):
+            got = bhattacharyya_overlap(ds, grid, class_filter=c)
+            assert got.shape == grid.shape
+            want = [bhattacharyya_overlap(ds, float(t), class_filter=c)
+                    for t in grid]
+            assert all(type(w) is np.float64 for w in want)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("grid_size", [1, 19])
+    def test_overlap_curve_searches_each_point_set_once(self, monkeypatch,
+                                                        grid_size):
+        passes = []
+        real = geometry.sq_distance_blocks
+
+        def counted(a, b_t):
+            passes.append(a.shape[0])
+            return real(a, b_t)
+
+        monkeypatch.setattr(geometry, "sq_distance_blocks", counted)
+        cfg = copy.deepcopy(DEFAULTS["overlap-curve"])
+        cfg["t_grid"] = list(np.linspace(0.05, 0.95, grid_size))
+        result = RUNNERS["overlap-curve"](cfg, RunContext())
+        assert len(result.tables["overlap_curve"]) == 1 + 3 * grid_size
+        assert passes == [64, 32, 32]  # all points, then each class
 
     def test_class_filter(self):
         ds = make_class_mixture(2, 8, seed=2, num_classes=2)

@@ -180,11 +180,11 @@ class TestTrajectory:
         # outside the span at both ends, on its ends, on recorded times, between
         ts = [0.95, 0.9, 0.1, 0.05, 0.5, 0.3, float(trajs[2].times[3]),
               float(trajs[0].times[-2])]
-        got = states_at(trajs, ts)
-        assert got.shape == (len(ts), 5, 2)
-        for b, traj in enumerate(trajs):
-            times, states = list(traj.times), traj.states
-            for k, t in enumerate(ts):
+        for t in ts:
+            got = states_at(trajs, t)
+            assert got.shape == (5, 2)
+            for b, traj in enumerate(trajs):
+                times, states = list(traj.times), traj.states
                 if t >= times[0]:
                     want = states[0]
                 elif t <= times[-1]:
@@ -193,7 +193,7 @@ class TestTrajectory:
                     j = next(i for i, ti in enumerate(times) if ti <= t)
                     w = (t - times[j]) / (times[j - 1] - times[j])
                     want = w * states[j - 1] + (1.0 - w) * states[j]
-                np.testing.assert_array_equal(got[k, b], want)
+                np.testing.assert_array_equal(got[b], want)
                 np.testing.assert_array_equal(traj.state_at(t), want)
 
 
