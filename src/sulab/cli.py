@@ -210,12 +210,12 @@ def resolve_config(raw: dict) -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        blob = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # ValueError: bad JSON, or bytes that are not UTF-8
+        raw = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return resolve_config(raw)
 
@@ -399,7 +399,7 @@ def cmd_sample(args) -> int:
         raise ConfigError(f"--label: must lie in [0, {net.num_classes}] "
                           f"({net.num_classes} is the null token), got "
                           f"{args.label}")
-    if ema is not None and not args.raw_params:
+    if not args.raw_params:
         net.set_params(ema)
     samples, _ = sample(net, args.n, solver, seed=args.seed, label=args.label)
     result = ExperimentResult(tables={"samples": samples_table(samples)})
@@ -433,8 +433,7 @@ def cmd_diagnose(args) -> int:
     if args.metric != "overlap" and net.dim != ds.dim:  # overlap reads no net
         raise ConfigError(f"checkpoint {args.checkpoint} is {net.dim}-D but "
                           f"dataset {args.dataset} is {ds.dim}-D")
-    if ema is not None:
-        net.set_params(ema)
+    net.set_params(ema)
     ts = np.linspace(0.05, 0.95, args.grid)
     table = [["metric", "region", "t", "value", "n", "seed"]]
     if args.metric == "supervision-loss":

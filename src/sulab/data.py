@@ -222,6 +222,8 @@ def load_points(path, fmt: str = "csv") -> Dataset:
         return _load_csv(path) if fmt == "csv" else _load_raw(path)
     except InvalidArgumentError as exc:
         raise FormatError(f"{path}: {exc}") from None
+    except OSError as exc:  # names the file: the data or its .meta sidecar
+        raise FormatError(f"cannot read {path}: {exc}") from None
 
 
 def _read_text(path: Path) -> str:

@@ -236,8 +236,8 @@ def run_pat(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed, ds = cfg["seed"], make_pat_toy_dataset()
     solver = checked("solver", SolverConfig, **cfg["solver"])
     tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
-    jobs = [(fit_krr_denoiser_field(ds, **k, seed=seed, input_map=POLAR,
-                                    t_min=solver.t_min) if variant == "krr"
+    jobs = [(fit_krr_denoiser_field(ds, **k, seed=seed, t_min=solver.t_min)
+             if variant == "krr"
              else checked("model", MlpScoreNetwork, ds.dim, **cfg["model"],
                           input_map=_PAT_INPUT_MAPS[variant], seed=seed),
              ds, None) for variant in cfg["variants"]]

@@ -39,18 +39,12 @@ class RStar:
 def in_supervision_region_batch(ds: Dataset, zs: np.ndarray, t, delta: float) -> np.ndarray:
     """Membership flags in the union of shells, with dist_i = |z - alpha x_i|,
     |dist_i - sigma sqrt(d)| <= sigma sqrt(d log(1/delta)),
-    for a batch of queries at scalar or per-row t. Divided by sigma sqrt(d),
-    that is |r_star - 1| <= sqrt(log(1/delta))."""
+    for a batch of queries at one t. Divided by sigma sqrt(d), that is
+    |r_star - 1| <= sqrt(log(1/delta))."""
     if not (0.0 < delta < 1.0):
         raise InvalidArgumentError("delta must lie in (0, 1)")
     zs = np.atleast_2d(np.asarray(zs, dtype=float))
-    ts = np.broadcast_to(np.asarray(t, dtype=float), (zs.shape[0],))
-    out = np.empty(zs.shape[0], dtype=bool)
-    for tv in np.unique(ts):
-        rows = np.flatnonzero(ts == tv)
-        out[rows] = (np.abs(r_star(ds, zs[rows], tv).r_star - 1.0)
-                     <= np.sqrt(np.log(1.0 / delta)))
-    return out
+    return np.abs(r_star(ds, zs, t).r_star - 1.0) <= np.sqrt(np.log(1.0 / delta))
 
 
 def r_star(ds: Dataset, z, t: float) -> RStar:

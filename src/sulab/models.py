@@ -24,8 +24,8 @@ import numpy as np
 from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
 from .numerics import RngStream, cholesky_solve
-from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
-                       forward_process, marginal_gaussian_score)
+from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED, alpha_sigma,
+                       forward_process)
 
 IDENTITY = "identity"
 POLAR = "polar"
@@ -34,7 +34,7 @@ INPUT_MAPS = (IDENTITY, POLAR, RADIAL_EQUIVARIANT)
 
 _CKPT_MAGIC = b"SUCK"
 _CKPT_VERSION = 2  # version 1 nets used the exact GELU
-# header keys and their JSON types: the descriptor plus has_ema
+# header keys and their JSON types: the descriptor plus has_ema (always true)
 _CKPT_KEYS = {"dim": int, "width": int, "hidden_layers": int,
               "prediction_kind": str, "input_map": str, "time_freqs": int,
               "num_classes": int, "class_emb_dim": int, "has_ema": bool}
@@ -60,7 +60,7 @@ def _layout(dim, width, hidden_layers, input_map, time_freqs, num_classes,
     """(input width, output width, class embedding width, parameter count)
     of a net; the count in closed form, so that load can check a header's
     size against its file before any array is made."""
-    emb = 0 if num_classes <= 0 else class_emb_dim if class_emb_dim > 0 else 8
+    emb = class_emb_dim if num_classes > 0 else 0
     n_in = ({IDENTITY: dim, POLAR: 3, RADIAL_EQUIVARIANT: 1}[input_map]
             + 1 + 2 * time_freqs + emb)
     n_out = 2 if input_map == RADIAL_EQUIVARIANT else dim
@@ -93,8 +93,8 @@ class MlpScoreNetwork:
 
     hidden_layers hidden layers of width `width`, tanh-form GELU activations
     and a zero-initialized linear head (so the initial output is zero).
-    Class-conditional nets reserve embedding row `num_classes` as the null
-    token; evaluating with label None uses that row.
+    Class-conditional nets embed labels in class_emb_dim >= 1 columns and
+    reserve row `num_classes` as the null token, used for label None.
 
     All parameters live in one contiguous float64 vector, `flat`; `params`
     is the list of per-tensor views into it (weights and bias per layer,
@@ -104,7 +104,7 @@ class MlpScoreNetwork:
     def __init__(self, dim: int, width: int = 256, hidden_layers: int = 4,
                  prediction_kind: str = VELOCITY, input_map: str = IDENTITY,
                  time_freqs: int = 16, num_classes: int = 0,
-                 class_emb_dim: int = 0, seed: int = 0):
+                 class_emb_dim: int = 8, seed: int = 0):
         if prediction_kind not in PREDICTION_KINDS:
             raise InvalidArgumentError(f"unknown prediction kind {prediction_kind!r}")
         if input_map not in INPUT_MAPS:
@@ -113,6 +113,8 @@ class MlpScoreNetwork:
             raise InvalidArgumentError(f"{input_map} input map requires dim=2")
         if width < 1 or hidden_layers < 0 or time_freqs < 0:
             raise InvalidArgumentError("need width >= 1, hidden_layers >= 0, time_freqs >= 0")
+        if num_classes > 0 and class_emb_dim < 1:
+            raise InvalidArgumentError(f"class_emb_dim must be >= 1, got {class_emb_dim}")
         self.dim = dim
         self.width = width
         self.hidden_layers = hidden_layers
@@ -310,26 +312,24 @@ class MlpScoreNetwork:
         self.__init__(**state[0])
         self.flat[...] = state[1]
 
-    def save(self, path, ema_params=None) -> None:
+    def save(self, path, ema_params) -> None:
         """Magic, u32 version, u32 header length, the JSON descriptor with
-        has_ema, then the flat parameters and the optional EMA vector as
+        has_ema true, then the flat parameters and the EMA vector as
         little-endian f64."""
-        desc = self.descriptor()
-        desc["has_ema"] = ema_params is not None
-        blob = json.dumps(desc, sort_keys=True).encode()
+        blob = json.dumps({**self.descriptor(), "has_ema": True},
+                          sort_keys=True).encode()
         with open(path, "wb") as fh:
             fh.write(_CKPT_MAGIC)
             fh.write(struct.pack("<II", _CKPT_VERSION, len(blob)))
             fh.write(blob)
             fh.write(np.asarray(self.flat, dtype="<f8").data)
-            if ema_params is not None:
-                fh.write(np.asarray(self._vector(ema_params), dtype="<f8").data)
+            fh.write(np.asarray(self._vector(ema_params), dtype="<f8").data)
 
     @classmethod
     def load(cls, path):
-        """Returns (network, flat EMA vector or None). Anything but a
-        checkpoint with a known header and exactly its parameter bytes raises
-        FormatError naming the file."""
+        """Returns (network, flat EMA vector). Anything but a checkpoint
+        with a known header, has_ema true and exactly its parameter bytes
+        raises FormatError naming the file."""
         try:
             blob = Path(path).read_bytes()
         except OSError as exc:
@@ -344,9 +344,10 @@ class MlpScoreNetwork:
             if (set(desc) != set(_CKPT_KEYS)
                     or any(type(desc[k]) is not t for k, t in _CKPT_KEYS.items())):
                 raise ValueError("unknown keys or value types")
-            has_ema = desc.pop("has_ema")
+            if not desc.pop("has_ema"):
+                raise ValueError("no EMA parameters (has_ema is false)")
             n_bytes = len(blob) - 12 - blob_len
-            want = 8 * _layout(**desc)[3] * (1 + has_ema)  # KeyError: bad map
+            want = 16 * _layout(**desc)[3]  # KeyError: bad map
             if n_bytes != want:
                 raise ValueError(f"{n_bytes} parameter bytes, expected {want}")
             net = cls(**desc)
@@ -354,7 +355,7 @@ class MlpScoreNetwork:
             raise FormatError(f"bad checkpoint {path}: {exc}") from None
         body = np.frombuffer(blob, dtype="<f8", offset=12 + blob_len)
         net.flat[...] = body[:net.flat.size]
-        return net, body[net.flat.size:].copy() if has_ema else None
+        return net, body[net.flat.size:].copy()
 
 
 def _gaussian_kernel(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
@@ -383,7 +384,9 @@ class OracleField:
 
 
 class GaussianGroundTruthField:
-    """Exact marginal score of the forward process under p_data = N(0, I)."""
+    """Exact marginal score of the forward process under p_data = N(0, I):
+    the marginal at t in [0, 1] is N(0, (alpha_t^2 + sigma_t^2) I), so the
+    score is -z / (alpha_t^2 + sigma_t^2). t is a scalar or one per row."""
 
     prediction_kind = SCORE
 
@@ -392,28 +395,27 @@ class GaussianGroundTruthField:
 
     def evaluate_batch(self, zs, ts, labels=None):
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        return marginal_gaussian_score(
-            zs, np.broadcast_to(np.asarray(ts, dtype=float), zs.shape[:1]))
+        a, s = alpha_sigma(np.broadcast_to(ts, zs.shape[:1]))
+        if not np.all((0.0 <= s) & (s <= 1.0)):
+            raise InvalidArgumentError("t must lie in [0, 1]")
+        return -zs / (a * a + s * s)[:, None]
 
 
 class KrrScoreField:
-    """Gaussian-kernel ridge regression from noisy states to clean points, as
-    a ScoreField (x-prediction parameterization).
+    """Gaussian-kernel ridge regression from noisy 2D states to clean points,
+    as a ScoreField (x-prediction parameterization).
 
-    Features are input_map(z) with t appended. The coefficients C solve
-    (K + ridge I) C = targets over the features of the training states zs at
-    ts, with k(a, b) = exp(-gamma |a - b|^2).
+    Features are the polar features (r, cos theta, sin theta) of z with t
+    appended. The coefficients C solve (K + ridge I) C = targets over the
+    features of the training states zs at ts, with
+    k(a, b) = exp(-gamma |a - b|^2).
     """
 
     prediction_kind = XPRED
+    dim = 2
 
-    def __init__(self, zs, ts, targets, gamma: float, ridge: float,
-                 input_map: str = IDENTITY):
-        if input_map not in (IDENTITY, POLAR):
-            raise InvalidArgumentError("KRR field supports identity or polar features")
-        self.input_map = input_map
+    def __init__(self, zs, ts, targets, gamma: float, ridge: float):
         self.inputs = self.features(zs, ts)
-        self.dim = np.shape(zs)[-1]
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
         if self.inputs.shape[0] != targets.shape[0] or targets.shape[0] < 1:
             raise InvalidArgumentError("need matching, nonempty features and targets")
@@ -426,24 +428,23 @@ class KrrScoreField:
 
     def features(self, zs: np.ndarray, ts: np.ndarray) -> np.ndarray:
         zs = np.atleast_2d(np.asarray(zs, dtype=float))
+        if zs.shape[1] != 2:
+            raise InvalidArgumentError("KRR polar features require dim=2")
         ts = np.broadcast_to(np.asarray(ts, dtype=float), (zs.shape[0],))
-        zf = zs if self.input_map == IDENTITY else _polar_features_batch(zs)
-        return np.concatenate([zf, ts[:, None]], axis=1)
+        return np.concatenate([_polar_features_batch(zs), ts[:, None]], axis=1)
 
     def evaluate_batch(self, zs, ts, labels=None):
         queries = self.features(zs, ts)
-        if queries.shape[1] != self.inputs.shape[1]:
-            raise InvalidArgumentError("query dimension mismatch")
         return _gaussian_kernel(queries, self.inputs, self.gamma) @ self.coeffs
 
 
 def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float,
-                           seed: int, input_map: str = IDENTITY,
-                           t_min: float = 1e-3) -> KrrScoreField:
-    """Build KRR training pairs from the forward process over ds and fit.
+                           seed: int, t_min: float = 1e-3) -> KrrScoreField:
+    """Build KRR training pairs from the forward process over a 2D ds and fit.
 
     Draws n_draws (x, eps, t) with t stratified over [t_min, 1 - t_min];
-    features are input_map(z_t) with t appended, targets are clean x.
+    features are the polar features of z_t with t appended, targets are
+    clean x.
     """
     if n_draws < 1:
         raise InvalidArgumentError("n_draws must be >= 1")
@@ -452,5 +453,4 @@ def fit_krr_denoiser_field(ds: Dataset, n_draws: int, gamma: float, ridge: float
     # stratified t: one per draw, jittered within equal bins
     bins = (np.arange(n_draws) + rng.uniform(size=n_draws)) / n_draws
     ts = t_min + (1.0 - 2.0 * t_min) * bins
-    return KrrScoreField(forward_process(x, eps, ts), ts, x, gamma, ridge,
-                         input_map=input_map)
+    return KrrScoreField(forward_process(x, eps, ts), ts, x, gamma, ridge)

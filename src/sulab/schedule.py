@@ -24,15 +24,15 @@ def alpha_sigma(t):
 
 
 def forward_process(x, eps, t) -> np.ndarray:
-    """z_t = alpha_t * x + sigma_t * eps. Broadcasts over leading batch axes."""
+    """z_t = alpha_t * x + sigma_t * eps; t is a scalar or one value per row
+    of a (B, d) batch."""
     x = np.asarray(x, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x.shape != eps.shape:
         raise InvalidArgumentError("x and eps must have the same shape")
     a, s = alpha_sigma(t)
-    if s.ndim > 0:
-        a = a.reshape(s.shape + (1,) * (x.ndim - s.ndim))
-        s = s.reshape(s.shape + (1,) * (x.ndim - s.ndim))
+    if s.ndim:
+        a, s = a[:, None], s[:, None]
     return a * x + s * eps
 
 
@@ -76,14 +76,3 @@ def velocity_weight(t):
     squared velocity error under the linear schedule."""
     t = np.asarray(t, dtype=float)
     return (t * t) / ((1.0 - t) ** 2)
-
-
-def marginal_gaussian_score(z, t) -> np.ndarray:
-    """Exact marginal score of the forward process when p_data = N(0, I):
-    the marginal at time t is N(0, (alpha_t^2 + sigma_t^2) I), so the score is
-    -z / (alpha_t^2 + sigma_t^2). t is a scalar or one value per row of z."""
-    a, s = alpha_sigma(t)
-    if not np.all((0.0 <= s) & (s <= 1.0)):
-        raise InvalidArgumentError("t must lie in [0, 1]")
-    var = a * a + s * s
-    return -np.asarray(z, dtype=float) / (var[:, None] if s.ndim else var)

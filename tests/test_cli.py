@@ -304,7 +304,10 @@ class TestExitCodes:
                      "dataset.separation", id="foe-dataset-separation-NaN"),
         pytest.param("cfg-gap", {"t_grid": [float("nan")]}, "t_grid",
                      id="cfg-gap-t_grid-[NaN]"),
-        pytest.param("foe", {"seed": 2 ** 63}, "seed", id="foe-seed-2**63")])
+        pytest.param("foe", {"seed": 2 ** 63}, "seed", id="foe-seed-2**63"),
+        # a conditional net needs an embedding at least one wide
+        pytest.param("cfg-gap", {"model": {"class_emb_dim": 0}}, "model",
+                     id="cfg-gap-model-class_emb_dim-0")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         self._refused(tmp_path, capsys, monkeypatch, experiment, override,
@@ -445,6 +448,15 @@ class TestRunCommand:
                         "--out", str(out)]) == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"experiment": "overlap-curve\xff"}')
+        out = tmp_path / "out"
+        assert run_cli(["run", "--config", str(bad), "--out", str(out)]) == 2
+        assert f"error: config: invalid JSON in {bad}: " in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg_path = self._overlap_cfg(tmp_path, extra_knob=1)
@@ -833,6 +845,22 @@ class TestTrainSampleDiagnose:
         assert f"error: {ds_path}: points contain non-finite values" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt, unreadable", [
+        ("csv", "data"), ("raw-f64", "data"), ("csv", "sidecar")])
+    def test_diagnose_dataset_that_is_a_directory_exits_2(
+            self, trained, capsys, fmt, unreadable):
+        ckpt, ds_path, tmp_path = trained
+        if unreadable == "data":
+            ds_path = tmp_path / "points_dir"
+            ds_path.mkdir()
+        else:
+            (tmp_path / "points.csv.meta").mkdir()
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        "--dataset-format", fmt]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read {ds_path}: " in err
+        assert unreadable == "data" or "points.csv.meta" in err
+
     def test_diagnose_calibration_n_below_1_exits_2(self, trained, capsys,
                                                     monkeypatch):
         monkeypatch.setattr(cli, "sample", _refuse)
@@ -1007,6 +1035,30 @@ class TestMutatedConfigs:
             code = run_cli([command, "--config", cfg_path, *threads,
                             "--out", str(tmp / "out")])
         assert code in (0, 2, 3)
+
+
+class TestMutatedConfigFiles:
+    # a config file comes from outside the program: truncated, or with 1-4 of
+    # its bytes overwritten, it runs or is refused, and a refusal writes nothing
+    _BLOB = json.dumps({"experiment": "overlap-curve",
+                        "dataset": {"dim": 2, "n_per_class": 4},
+                        "t_grid": [0.5]}).encode()
+
+    @settings(max_examples=100, deadline=None)
+    @example("overwrite", 0, b"\xff")
+    @given(st.sampled_from(["truncate", "overwrite"]), st.integers(0, 1 << 16),
+           st.binary(min_size=1, max_size=4))
+    def test_run_exits_0_or_2(self, tmp_path_factory, how, at, patch):
+        tmp = tmp_path_factory.mktemp("cfgbytes")
+        blob = self._BLOB
+        at %= len(blob) + 1
+        blob = (blob[:at] if how == "truncate"
+                else blob[:at] + patch + blob[at + len(patch):])
+        (tmp / "c.json").write_bytes(blob)
+        code = run_cli(["run", "--config", str(tmp / "c.json"),
+                        "--threads", "1", "--out", str(tmp / "out")])
+        assert code in (0, 2)
+        assert code == 0 or not (tmp / "out").exists()
 
 
 def _tiny_checkpoint(path):

@@ -154,7 +154,7 @@ def _stacked_inputs(region, ds, field, n, ts, rng, solver, labels=None):
     estimators must match."""
     if region == SUPERVISION:
         x, eps, labels = supervision_draws(ds, n, rng)
-        return forward_process(x[None], eps[None], ts), labels
+        return np.stack([forward_process(x, eps, t) for t in ts]), labels
     z0 = np.stack([RngStream(rng.seed, stream=1000 + i).normal(ds.dim)
                    for i in range(n)])
     _, trajs = integrate(field, z0, solver, record=True, label=labels)

@@ -1,8 +1,11 @@
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
 
+from sulab.cli import main
 from sulab.data import make_gaussian_dataset, make_pat_toy_dataset
 from sulab.errors import FormatError, InvalidArgumentError, RankDeficiencyError
 from sulab.models import (GaussianGroundTruthField, IDENTITY, KrrScoreField,
@@ -350,11 +353,18 @@ class TestCheckpoint:
         np.testing.assert_array_equal(tail[net.flat.size:], 2.0 * net.flat)
 
     def test_no_ema(self, tmp_path):
+        # a checkpoint without its EMA, as save once wrote one: refused
         net = MlpScoreNetwork(2, width=4, seed=0)
+        head = json.dumps({**net.descriptor(), "has_ema": False},
+                          sort_keys=True).encode()
         path = tmp_path / "model.ckpt"
-        net.save(path)
-        _, ema = MlpScoreNetwork.load(path)
-        assert ema is None
+        path.write_bytes(b"SUCK" + struct.pack("<II", 2, len(head)) + head
+                         + net.flat.astype("<f8").tobytes())
+        with pytest.raises(FormatError, match=r"model\.ckpt: no EMA"):
+            MlpScoreNetwork.load(path)
+        assert main(["sample", "--checkpoint", str(path), "--n", "1",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -401,12 +411,13 @@ class TestKrr:
         np.testing.assert_allclose(field.evaluate_batch(x, 0.0), y, atol=1e-6)
 
     def test_residual_small_on_fit(self):
-        # the coefficients solve (K + ridge I) C = Y
+        # the coefficients solve (K + ridge I) C = Y over the features
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(15, 3))
+        x = rng.normal(size=(15, 2))
         y = rng.normal(size=(15, 1))
         field = KrrScoreField(x, 0.0, y, gamma=0.5, ridge=1e-10)
-        sq = np.sum((x[:, None, :] - x[None, :, :]) ** 2, axis=2)
+        f = field.inputs
+        sq = np.sum((f[:, None, :] - f[None, :, :]) ** 2, axis=2)
         k = np.exp(-0.5 * sq) + 1e-10 * np.eye(15)
         assert np.linalg.norm(k @ field.coeffs - y) / np.linalg.norm(y) < 1e-6
 
@@ -421,11 +432,22 @@ class TestKrr:
     def test_field_wraps_denoiser_as_xpred(self):
         ds = make_pat_toy_dataset()
         field = fit_krr_denoiser_field(ds, n_draws=128, gamma=2.0, ridge=1e-4,
-                                       seed=0, input_map=POLAR)
+                                       seed=0)
         assert isinstance(field, KrrScoreField)
         assert field.prediction_kind == XPRED
         out = field.evaluate_batch(np.array([[0.5, 0.5]]), 0.3)
         assert out.shape == (1, 2) and np.all(np.isfinite(out))
+
+    def test_polar_features_need_2d(self):
+        # (r, cos theta, sin theta, t), as the MLP's polar map
+        z = np.array([[0.0, 2.0], [0.0, 0.0]])
+        field = KrrScoreField(z, 0.25, z, gamma=1.0, ridge=1e-6)
+        np.testing.assert_array_equal(
+            field.inputs, [[2.0, 0.0, 1.0, 0.25], [0.0, 1.0, 0.0, 0.25]])
+        with pytest.raises(InvalidArgumentError, match="dim=2"):
+            KrrScoreField(np.ones((3, 3)), 0.5, np.ones((3, 3)), 1.0, 1e-6)
+        with pytest.raises(InvalidArgumentError, match="dim=2"):
+            field.evaluate_batch(np.ones((1, 3)), 0.5)
 
 
 class TestScoreFields:

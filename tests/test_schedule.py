@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, SingularTimeError
+from sulab.models import GaussianGroundTruthField
 from sulab.schedule import (SCORE, VELOCITY, XPRED, alpha_sigma,
-                            convert_value, forward_process,
-                            marginal_gaussian_score)
+                            convert_value, forward_process)
 
 finite_vec = st.lists(st.floats(-10, 10), min_size=2, max_size=6)
 interior_t = st.floats(0.05, 0.95)
@@ -124,6 +124,14 @@ class TestPrediction:
 
 
 class TestMarginalGaussianScore:
+    # the exact marginal score under p_data = N(0, I), which
+    # GaussianGroundTruthField computes from the schedule
+
+    @staticmethod
+    def score(z, t):
+        z = np.asarray(z, dtype=float)
+        return GaussianGroundTruthField(z.shape[-1]).evaluate_batch(z, t)[0]
+
     def test_matches_log_density_gradient(self):
         # independent oracle: finite differences of log N(0, (a^2+s^2) I)
         z = np.array([0.3, -0.7, 1.1])
@@ -138,19 +146,20 @@ class TestMarginalGaussianScore:
             (logp(z + h * e) - logp(z - h * e)) / (2 * h)
             for e in np.eye(3)
         ])
-        np.testing.assert_allclose(marginal_gaussian_score(z, t), grad,
+        np.testing.assert_allclose(self.score(z, t), grad,
                                    rtol=1e-6, atol=1e-8)
 
     def test_t_half_variance(self):
         z = np.array([1.0])
-        np.testing.assert_allclose(marginal_gaussian_score(z, 0.5), [-2.0])
+        np.testing.assert_allclose(self.score(z, 0.5), [-2.0])
 
     def test_endpoints_finite(self):
-        np.testing.assert_allclose(marginal_gaussian_score(np.array([2.0]), 0.0),
-                                   [-2.0])
-        np.testing.assert_allclose(marginal_gaussian_score(np.array([2.0]), 1.0),
-                                   [-2.0])
+        np.testing.assert_allclose(self.score(np.array([2.0]), 0.0), [-2.0])
+        np.testing.assert_allclose(self.score(np.array([2.0]), 1.0), [-2.0])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidArgumentError):
-            marginal_gaussian_score(np.ones(2), 1.2)
+            self.score(np.ones(2), 1.2)
+        field = GaussianGroundTruthField(2)
+        with pytest.raises(InvalidArgumentError):  # one row out of range
+            field.evaluate_batch(np.ones((2, 2)), np.array([0.5, -0.1]))
