@@ -292,39 +292,43 @@ def _usage(who: int) -> dict:
 
 def emit_result(result: ExperimentResult, out_dir: Path, cfg: dict,
                 fmt: str, started: float, threads: int = 1) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    """Write the artifacts; one that cannot be written is refused as --out."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        artifacts = []
 
-    def register(path: Path) -> None:
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        artifacts.append({"name": path.name, "sha256": digest})
+        def register(path: Path) -> None:
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            artifacts.append({"name": path.name, "sha256": digest})
 
-    for name in sorted(result.tables):
-        path = out_dir / f"{name}.csv"
-        path.write_bytes(csv_bytes(result.tables[name]))
-        register(path)
-        if fmt == "csv+svg":
-            svg = out_dir / f"{name}.svg"
-            write_line_svg(svg, result.tables[name], name)
-            if svg.exists():
-                register(svg)
-    for name in sorted(result.checkpoints):
-        net, ema = result.checkpoints[name]
-        path = out_dir / f"{name}.ckpt"
-        net.save(path, ema_params=ema)
-        register(path)
-    config_blob = json.dumps(cfg, sort_keys=True).encode()
-    manifest = {
-        "tool_version": __version__,
-        "config_sha256": hashlib.sha256(config_blob).hexdigest(),
-        "config": cfg,
-        "threads": threads,
-        "wall_clock_seconds": round(time.time() - started, 3),
-        "artifacts": artifacts,
-        "telemetry": {"process": {"self": _usage(resource.RUSAGE_SELF),
-                                  "children": _usage(resource.RUSAGE_CHILDREN)}},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+        for name in sorted(result.tables):
+            path = out_dir / f"{name}.csv"
+            path.write_bytes(csv_bytes(result.tables[name]))
+            register(path)
+            if fmt == "csv+svg":
+                svg = out_dir / f"{name}.svg"
+                write_line_svg(svg, result.tables[name], name)
+                if svg.exists():
+                    register(svg)
+        for name in sorted(result.checkpoints):
+            net, ema = result.checkpoints[name]
+            path = out_dir / f"{name}.ckpt"
+            net.save(path, ema_params=ema)
+            register(path)
+        config_blob = json.dumps(cfg, sort_keys=True).encode()
+        manifest = {
+            "tool_version": __version__,
+            "config_sha256": hashlib.sha256(config_blob).hexdigest(),
+            "config": cfg,
+            "threads": threads,
+            "wall_clock_seconds": round(time.time() - started, 3),
+            "artifacts": artifacts,
+            "telemetry": {"process": {"self": _usage(resource.RUSAGE_SELF),
+                                      "children": _usage(resource.RUSAGE_CHILDREN)}},
+        }
+        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out_dir}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -444,11 +448,11 @@ def cmd_diagnose(args) -> int:
                       args.n, args.seed])
     elif args.metric == "overlap":
         c = args.class_id
-        region, size = (("all", ds.size) if c is None
-                        else (str(c), ds.class_indices(c).size))
-        overlaps = bhattacharyya_overlap(ds, ts, class_filter=c)
-        table += [["overlap", region, float(t), value, size, args.seed]
-                  for t, value in zip(ts, overlaps)]
+        where = args.dataset if c is None else "--class-id"
+        part = ds if c is None else checked(where, ds.subset, ds.class_indices(c))
+        overlaps = checked(where, bhattacharyya_overlap, part, ts)
+        table += [["overlap", "all" if c is None else str(c), float(t), value,
+                   part.size, args.seed] for t, value in zip(ts, overlaps)]
     elif args.metric == "rstar":
         _, trajectories = sample(net, args.n, seed=args.seed, record=True)
         for t, vals in rstar_by_t(ds, trajectories, ts):

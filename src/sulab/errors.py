@@ -23,10 +23,6 @@ class SingularTimeError(SulabError, ValueError):
     """An operation was requested at a timestep where it divides by zero."""
 
 
-class EmptyClassError(SulabError, ValueError):
-    """A class filter matched no points."""
-
-
 class RankDeficiencyError(SulabError, ValueError):
     """A linear system is singular or not positive definite."""
 

@@ -276,7 +276,7 @@ def run_cfg_gap(cfg: dict, ctx: RunContext) -> ExperimentResult:
         return convert_value(model.evaluate_batch(zs, t, labels),
                              model.prediction_kind, SCORE, zs, t)
 
-    cond_oracle = {c: EmpiricalScoreOracle(ds, class_filter=c)
+    cond_oracle = {c: EmpiricalScoreOracle(ds.subset(ds.class_indices(c)))
                    for c in range(ds.num_classes)}
     uncond_oracle = EmpiricalScoreOracle(ds)
 
@@ -372,9 +372,11 @@ def run_overlap_curve(cfg: dict, ctx: RunContext) -> ExperimentResult:
     check_t_grid(cfg, "t_grid")
     ds = build_dataset(cfg["dataset"], seed)
     t_grid = np.asarray(cfg["t_grid"], dtype=float)
-    rows = [[float(t), "all" if c is None else str(c), value]
-            for c in [None, *range(ds.num_classes)]
-            for t, value in zip(t_grid, bhattacharyya_overlap(ds, t_grid, c))]
+    parts = {"all": ds, **{str(c): ds.subset(ds.class_indices(c))
+                           for c in range(ds.num_classes)}}
+    rows = [[float(t), name, value] for name, part in parts.items()
+            for t, value in zip(t_grid, checked("dataset", bhattacharyya_overlap,
+                                                part, t_grid))]
     return ExperimentResult(
         tables={"overlap_curve": [["t", "class", "overlap"], *rows]})
 

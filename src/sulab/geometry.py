@@ -16,7 +16,7 @@ from .schedule import alpha_sigma
 # The row blocks of sq_distance_blocks' (rows, d, N) differences and of the
 # oracle's per-row-t (rows, N) weights hold at most this many elements
 # (512 KB, so the passes over them stay in cache), or one row's when larger
-_BLOCK_ELEMENTS = 1 << 16
+BLOCK_ELEMENTS = 1 << 16
 
 
 def sq_distance_blocks(a: np.ndarray, b_t: np.ndarray):
@@ -24,7 +24,7 @@ def sq_distance_blocks(a: np.ndarray, b_t: np.ndarray):
     of b_t (d, N), yielded as (rows, N) blocks in row order, from the direct
     difference (exact on near-duplicates, where |a|^2 - 2 a.b + |b|^2
     cancels) summed over coordinates in order: a row's bits are its own."""
-    block = max(1, _BLOCK_ELEMENTS // b_t.size)
+    block = max(1, BLOCK_ELEMENTS // b_t.size)
     for k in range(0, max(a.shape[0], 1), block):  # (0, N) for no rows
         diff = a[k:k + block, :, None] - b_t
         yield np.add.reduce(np.square(diff, out=diff), axis=1)
@@ -73,19 +73,19 @@ def rstar_by_t(ds: Dataset, trajs, t_grid) -> list:
             for t in map(float, t_grid)]
 
 
-def bhattacharyya_overlap(ds: Dataset, t, class_filter: int | None = None):
-    """Worst-case pairwise overlap of mixture components:
-    max over i != j of exp(-alpha^2 |x_i - x_j|^2 / (8 sigma^2)), at a scalar
-    t (an np.float64) or over an array of timesteps (an array of their
-    overlaps). The closest pair is found once, for every t."""
-    pts = ds.points if class_filter is None else ds.points[ds.class_indices(class_filter)]
-    if pts.shape[0] < 2:
+def bhattacharyya_overlap(ds: Dataset, t):
+    """Worst-case pairwise overlap of ds's mixture components (a class's is
+    that of ds.subset(ds.class_indices(c))): max over i != j of
+    exp(-alpha^2 |x_i - x_j|^2 / (8 sigma^2)), at a scalar t (an np.float64)
+    or over an array of timesteps (an array of their overlaps). The closest
+    pair is found once, for every t."""
+    if ds.size < 2:
         raise InvalidArgumentError("overlap needs at least two points")
     a, s = alpha_sigma(t)
     if np.any(s <= 0.0):
         raise SingularTimeError(f"overlap undefined at t={t} (sigma=0)")
     min_sq, k = np.inf, 0
-    for sq in sq_distance_blocks(pts, np.ascontiguousarray(pts.T)):
+    for sq in sq_distance_blocks(ds.points, ds.points_t):
         rows = np.arange(sq.shape[0])
         sq[rows, k + rows] = np.inf  # self-pairs
         min_sq = min(min_sq, float(sq.min()))

@@ -113,6 +113,8 @@ class MlpScoreNetwork:
             raise InvalidArgumentError(f"{input_map} input map requires dim=2")
         if width < 1 or hidden_layers < 0 or time_freqs < 0:
             raise InvalidArgumentError("need width >= 1, hidden_layers >= 0, time_freqs >= 0")
+        if num_classes < 0:
+            raise InvalidArgumentError(f"num_classes must be >= 0, got {num_classes}")
         if num_classes > 0 and class_emb_dim < 1:
             raise InvalidArgumentError(f"class_emb_dim must be >= 1, got {class_emb_dim}")
         self.dim = dim

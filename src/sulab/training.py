@@ -5,8 +5,8 @@ input points and the clean point y that each input regresses onto:
   dsm - standard denoising regression on forward-process draws; y is the
         point x that made z_t,
   foe - region-decoupled importance-sampled loss: inputs come from the
-        region subset's forward process, y is one point drawn with softmax
-        responsibilities over the score subset.
+        region subset's forward process, y is one point that the score
+        subset's EmpiricalScoreOracle draws from its mixture's posterior.
 train runs foe when it is given a subset pair and dsm otherwise. The target
 is y converted from x-prediction into the network's prediction kind.
 Timesteps are clamped to [t_min, 1 - t_min] to keep every conversion
@@ -23,11 +23,11 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .data import Dataset, SubsetPair, supervision_draws
-from .empirical import _augmented, _shifted_exp
+from .empirical import EmpiricalScoreOracle
 from .errors import InvalidArgumentError, NumericFailureError
 from .models import MlpScoreNetwork
 from .numerics import RngStream
-from .schedule import XPRED, alpha_sigma, convert_value, forward_process
+from .schedule import XPRED, convert_value, forward_process
 
 
 @dataclass(frozen=True)
@@ -129,21 +129,6 @@ def dsm_step(net: MlpScoreNetwork, ds: Dataset, cfg: TrainConfig, rng: RngStream
     return loss
 
 
-def sample_softmax_points(score_points: np.ndarray, zs: np.ndarray,
-                          ts: np.ndarray, rng: RngStream,
-                          aug: np.ndarray | None = None) -> np.ndarray:
-    """Draw index j per row with probability softmax(-|z - alpha x_j|^2 / (2 sigma^2)):
-    j counts the running sums of the shifted exps below u times the row total.
-    aug is _augmented(score_points), built here when not given. The logits are
-    one matrix product, so a row's bits depend on its batch (drawn whole)."""
-    a, s = alpha_sigma(ts)
-    aug = _augmented(score_points) if aug is None else aug
-    e = _shifted_exp(zs, aug, a[:, None], s[:, None])
-    cdf = np.cumsum(e, axis=1, out=e)
-    u = rng.uniform(size=zs.shape[0])
-    return (cdf < (u * cdf[:, -1])[:, None]).sum(axis=1)
-
-
 @dataclass
 class TrainReport:
     """The loss curve and the final EMA; eval hooks keep their own rows."""
@@ -164,21 +149,16 @@ def train(net: MlpScoreNetwork, cfg: TrainConfig, dataset: Dataset,
 
     Without subset_pair the loss is dsm on dataset. With it the loss is foe:
     inputs from the pair's region subset of dataset, each regressing onto a
-    clean point drawn from its score subset. Hooks are callables (iteration,
-    net, ema_net), called at iteration 0 and, unless eval_interval is 0,
-    every eval_interval steps, with the live net and a snapshot of its EMA.
-    They keep what they record; train ignores their return values.
-    Deterministic for a fixed cfg.seed.
+    clean point drawn by the oracle of its score subset. Hooks are callables
+    (iteration, net, ema_net), called at iteration 0 and, unless
+    eval_interval is 0, every eval_interval steps, with the live net and a
+    snapshot of its EMA. They keep what they record; train ignores their
+    return values. Deterministic for a fixed cfg.seed.
     """
     clean = None
     if subset_pair is not None:
-        score_pts = dataset.points[subset_pair.score_idx]
-        score_aug = _augmented(score_pts)
+        clean = EmpiricalScoreOracle(dataset.subset(subset_pair.score_idx)).draw
         dataset = dataset.subset(subset_pair.region_idx)
-
-        def clean(zs, ts, rng):
-            return score_pts[sample_softmax_points(score_pts, zs, ts, rng,
-                                                   aug=score_aug)]
     rng = RngStream(cfg.seed, stream=0)
     adam = AdamState(net.params)
     ema = net.clone_params()

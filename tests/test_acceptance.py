@@ -31,7 +31,6 @@ from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
 from sulab.numerics import RngStream, log_sum_exp
 from sulab.sampling import SolverConfig, integrate, sample
 from sulab.schedule import SCORE, VELOCITY, XPRED, convert_value
-from sulab.training import sample_softmax_points
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +326,8 @@ class TestRegionDecoupledEquivalence:
             eps = rng.normal(x.shape)
             ts = 0.05 + (1.0 - 0.05 - 1e-3) * rng.uniform(size=batch)
             zs = (1.0 - ts)[:, None] * x + ts[:, None] * eps
-            picks = sample_softmax_points(score_pts, zs, ts, rng)
-            single_draw = convert_value(score_pts[picks], XPRED, VELOCITY,
-                                        zs, ts)
+            single_draw = convert_value(oracle.draw(zs, ts, rng), XPRED,
+                                        VELOCITY, zs, ts)
             exact = convert_value(
                 oracle.score_batch(zs, ts), SCORE, VELOCITY, zs, ts)
             _, g_single = net.loss_and_grads(zs, ts, single_draw)

@@ -16,9 +16,9 @@ from sulab import cli, experiments
 from sulab.cli import (ConfigError, DEFAULTS, csv_bytes, format_cell, main,
                        merge_config, resolve_config)
 from sulab.data import Dataset, save_points
-from sulab.errors import (DivergenceError, EmptyClassError, FormatError,
-                          InvalidArgumentError, NumericFailureError,
-                          RankDeficiencyError, SingularTimeError)
+from sulab.errors import (DivergenceError, FormatError, InvalidArgumentError,
+                          NumericFailureError, RankDeficiencyError,
+                          SingularTimeError, SulabError)
 from sulab.experiments import RunContext
 from sulab.geometry import bhattacharyya_overlap
 from sulab.models import MlpScoreNetwork, fit_krr_denoiser_field
@@ -173,7 +173,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("error, code", [
         (ConfigError("x"), 2), (InvalidArgumentError("x"), 2),
         (FormatError("x"), 2), (RankDeficiencyError("x"), 2),
-        (SingularTimeError("x"), 2), (EmptyClassError("x"), 2),
+        (SingularTimeError("x"), 2), (SulabError("x"), 2),
         (NumericFailureError("x"), 3), (DivergenceError("x"), 3)])
     def test_library_errors_map_to_exit_codes(self, monkeypatch, capsys,
                                               error, code):
@@ -307,7 +307,10 @@ class TestExitCodes:
         pytest.param("foe", {"seed": 2 ** 63}, "seed", id="foe-seed-2**63"),
         # a conditional net needs an embedding at least one wide
         pytest.param("cfg-gap", {"model": {"class_emb_dim": 0}}, "model",
-                     id="cfg-gap-model-class_emb_dim-0")])
+                     id="cfg-gap-model-class_emb_dim-0"),
+        # each class's overlap needs a closest pair
+        pytest.param("overlap-curve", {"dataset": {"n_per_class": 1}},
+                     "dataset", id="overlap-curve-dataset-n_per_class-1")])
     def test_settings_checked_before_any_net_trains(
             self, tmp_path, capsys, monkeypatch, experiment, override, field):
         self._refused(tmp_path, capsys, monkeypatch, experiment, override,
@@ -394,6 +397,19 @@ class TestRunCommand:
             assert hashlib.sha256(blob).hexdigest() == art["sha256"]
         blob = json.dumps(manifest["config"], sort_keys=True).encode()
         assert hashlib.sha256(blob).hexdigest() == manifest["config_sha256"]
+
+    @pytest.mark.parametrize("name", ["overlap_curve.csv", "manifest.json"])
+    def test_artifact_that_cannot_be_written_exits_2(self, tmp_path, capsys,
+                                                     name):
+        # a directory stands where the artifact goes; what was written
+        # before it stays
+        cfg_path = self._overlap_cfg(tmp_path)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert run_cli(["run", "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert f"error: --out: cannot write {out}: " in err and name in err
+        assert (out / "overlap_curve.csv").is_file() == (name == "manifest.json")
 
     def test_rerun_is_bit_identical(self, tmp_path):
         csvs = []
@@ -897,6 +913,23 @@ class TestTrainSampleDiagnose:
             assert capsys.readouterr().out.splitlines()[1:] == [
                 ",".join(map(format_cell, row)) for row in want]
 
+    @pytest.mark.parametrize("class_id", [None, "1"])
+    def test_diagnose_overlap_refusal_names_its_field(self, trained, capsys,
+                                                      class_id):
+        # one point has no pair: the refusal names --class-id when it picked
+        # the points, and the dataset file otherwise
+        ckpt, _, tmp_path = trained
+        ds_path = tmp_path / "lonely.csv"
+        pts = np.random.default_rng(3).normal(size=(3, 3))
+        save_points(Dataset(pts, [0, 0, 1]) if class_id else Dataset(pts[:1]),
+                    ds_path)
+        flag = ["--class-id", class_id] if class_id else []
+        assert run_cli(["diagnose", str(ckpt), str(ds_path), "overlap",
+                        *flag]) == 2
+        field = "--class-id" if class_id else ds_path
+        assert (f"error: {field}: overlap needs at least two points"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["run", "train", "sample", "diagnose"])
     def test_negative_seed_names_its_flag(self, trained, capsys, monkeypatch,
                                           command):
@@ -1126,6 +1159,25 @@ class TestMutatedCheckpoints:
             MlpScoreNetwork.load(path)
         assert run_cli(["sample", "--checkpoint", str(path), "--n", "1",
                         "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+
+    def test_header_with_negative_num_classes_is_refused(self, tmp_path):
+        # an unconditional net's bytes under a header claiming -3 classes
+        net = MlpScoreNetwork(2, width=4, hidden_layers=1, time_freqs=1)
+        net.save(tmp_path / "base.ckpt", ema_params=net.clone_params())
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(_with_header((tmp_path / "base.ckpt").read_bytes(),
+                                      num_classes=-3))
+        with pytest.raises(FormatError, match=r"model\.ckpt: num_classes "
+                                              r"must be >= 0, got -3"):
+            MlpScoreNetwork.load(path)
+        ds_path = tmp_path / "points.csv"
+        save_points(Dataset(np.eye(4, 2)), ds_path)
+        for args in (["sample", "--checkpoint", str(path), "--n", "1",
+                      "--out", str(tmp_path / "out")],
+                     ["diagnose", str(path), str(ds_path), "overlap"]):
+            assert run_cli(args) == 2
         assert not (tmp_path / "out").exists()
 
 

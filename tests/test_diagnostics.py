@@ -372,7 +372,7 @@ class TestRowBlocks:
         origins = np.argmin(sq, axis=1)
         origins[::4] = 0
         if block is not None:  # rows per block
-            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", block * pts.size)
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block * pts.size)
         np.testing.assert_array_equal(
             calibrated_l2_values(samples, pts, 8),
             nearest[:, 0] / np.mean(nearest, axis=1))

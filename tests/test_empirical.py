@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from sulab import empirical
 from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset
 from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
-from sulab.errors import (EmptyClassError, InvalidArgumentError,
-                          SingularTimeError)
-from sulab.geometry import _BLOCK_ELEMENTS, sq_distance_blocks
+from sulab.errors import InvalidArgumentError, SingularTimeError
+from sulab.geometry import BLOCK_ELEMENTS, sq_distance_blocks
 from sulab.numerics import RngStream
 from sulab.schedule import forward_process
-from sulab.training import sample_softmax_points
 
 
 def _random_instance(seed, n=16, d=4):
@@ -102,7 +100,7 @@ class TestBatchPath:
 
 def _height(n):
     """Rows per block of an oracle over n points."""
-    return max(1, min(empirical._ROW_BLOCK, _BLOCK_ELEMENTS // n))
+    return max(1, min(empirical._ROW_BLOCK, BLOCK_ELEMENTS // n))
 
 
 _SIZES = [(1, 1), (5, 1), (16, 2), (1024, 16), (4096, 16), (70_000, 2)]
@@ -190,9 +188,18 @@ class TestLogitFloor:
         np.testing.assert_array_equal(floored, oracle.score_batch(zs, t))
 
 
+def _drawn_indices(pts, zs, ts, rng):
+    """The index in pts (distinct points) of each point that the oracle of
+    pts draws for the rows of zs."""
+    drawn = EmpiricalScoreOracle(Dataset(pts)).draw(zs, ts, rng)
+    hits = np.stack([(drawn == p).all(axis=1) for p in pts])
+    assert np.all(hits.sum(axis=0) == 1)  # every row is one of the points
+    return hits.argmax(axis=0)
+
+
 class TestSoftmaxWeights:
-    """foe's target draw: one pick per row from the softmax responsibilities,
-    the logits one product against the augmented points."""
+    """foe's target draw: one point per row from the softmax
+    responsibilities, the logits one product against the augmented points."""
 
     def test_weights_sum_to_one(self):
         # 20,000 draws per row: each point's pick frequency matches its
@@ -201,7 +208,7 @@ class TestSoftmaxWeights:
         reps = 20_000
         zs = np.repeat(np.stack([z, -z, 3.0 * z]), reps, axis=0)
         ts = np.repeat([t, 0.5, 0.9], reps)
-        picks = sample_softmax_points(ds.points, zs, ts, RngStream(3, 0))
+        picks = _drawn_indices(ds.points, zs, ts, RngStream(3, 0))
         assert picks.min() >= 0 and picks.max() < ds.size
         cdf, _ = _direct_softmax_cdf(zs[::reps], ds.points, ts[::reps])
         w = np.diff(cdf, axis=1, prepend=0.0)
@@ -223,7 +230,7 @@ class TestSoftmaxWeights:
         x = region[rng.integers(0, len(region), n)]
         ts = rng.uniform(t_min, 1.0 - t_min, n)
         zs = forward_process(x, rng.normal(x.shape), ts)
-        picks = sample_softmax_points(pts, zs, ts, RngStream(7, 0))
+        picks = _drawn_indices(pts, zs, ts, RngStream(7, 0))
         u = RngStream(7, 0).uniform(size=n)  # the draw's own u, row by row
         cdf, logits = _direct_softmax_cdf(zs, pts, ts)
         assert np.any(logits < -708.0)
@@ -235,9 +242,9 @@ class TestSoftmaxWeights:
 
     def test_nearest_point_dominates_at_small_t(self):
         pts = np.array([[0.0, 0.0], [10.0, 0.0]])
-        picks = sample_softmax_points(pts, np.tile([0.01, 0.0], (1000, 1)),
-                                      np.full(1000, 0.05), RngStream(8, 0))
-        np.testing.assert_array_equal(picks, 0)
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(
+            np.tile([0.01, 0.0], (1000, 1)), np.full(1000, 0.05), RngStream(8, 0))
+        np.testing.assert_array_equal(drawn, np.tile(pts[0], (1000, 1)))
 
 
 class TestCollapsedScore:
@@ -276,24 +283,29 @@ class TestSingularAndClassHandling:
             oracle.score_batch(np.stack([z, z]), np.array([0.5, 0.0]))
 
     def test_class_filter_restricts_mixture(self):
+        # a class's mixture is the oracle of the class's subset: its score
+        # sums over that class alone, and its collapsed index is the subset's
         ds = make_class_mixture(2, 8, seed=1, num_classes=2)
-        cond = EmpiricalScoreOracle(ds, class_filter=0)
-        sub = Dataset(ds.points[ds.class_indices(0)])
+        idx = ds.class_indices(1)  # 8..15: subset and dataset indices differ
+        cond = EmpiricalScoreOracle(ds.subset(idx))
+        sub = Dataset(ds.points[idx])
         plain = EmpiricalScoreOracle(sub)
         z = np.array([0.3, -0.2])
         np.testing.assert_allclose(_score(cond, z, 0.4), _score(plain, z, 0.4),
                                    rtol=1e-12)
+        _, i = cond.collapsed_score(z, 0.4)  # alpha = 0.6
+        assert i == np.argmin(np.linalg.norm(z - 0.6 * sub.points, axis=1))
 
     def test_empty_class_raises(self):
         ds = Dataset(np.zeros((2, 2)), labels=[0, 0])
-        with pytest.raises((EmptyClassError, InvalidArgumentError)):
-            EmpiricalScoreOracle(ds, class_filter=1)
+        with pytest.raises(InvalidArgumentError, match="nonempty"):
+            EmpiricalScoreOracle(ds.subset(ds.class_indices(1)))
 
 
 class TestCfgScores:
     def test_single_class_gap_zero(self):
         ds = make_class_mixture(2, 8, seed=1, num_classes=1)
-        cond = EmpiricalScoreOracle(ds, class_filter=0)
+        cond = EmpiricalScoreOracle(ds.subset(ds.class_indices(0)))
         uncond = EmpiricalScoreOracle(ds)
         z = np.array([[0.1, 0.2]])
         gap = np.linalg.norm(cond.score_batch(z, 0.5) - uncond.score_batch(z, 0.5))
@@ -301,7 +313,7 @@ class TestCfgScores:
 
     def test_two_class_gap_positive_on_one_side(self):
         ds = make_class_mixture(2, 16, seed=1, separation=8.0, num_classes=2)
-        cond = EmpiricalScoreOracle(ds, class_filter=0)
+        cond = EmpiricalScoreOracle(ds.subset(ds.class_indices(0)))
         uncond = EmpiricalScoreOracle(ds)
         z = np.array([[-4.0, 0.0]])  # deep inside class 0 territory
         gap = np.linalg.norm(cond.score_batch(z, 0.9) - uncond.score_batch(z, 0.9))

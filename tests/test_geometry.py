@@ -146,7 +146,7 @@ class TestRStar:
                 # equidistant from points 0, 1 and 2: the tie goes to index 0
                 [[0.0, 0.4], [0.0, -2.0]]])
         if block is not None:  # rows per block
-            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", block * ds.points.size)
+            monkeypatch.setattr(geometry, "BLOCK_ELEMENTS", block * ds.points.size)
         batch = r_star(ds, zs, t)
         assert batch.r_star.shape == batch.i_star.shape == (len(zs),)
         for b, z in enumerate(zs):
@@ -226,10 +226,10 @@ class TestBhattacharyyaOverlap:
         ds = make_class_mixture(3, 12, seed=6, num_classes=3)
         grid = np.array([0.05, 0.1, 0.33, 0.5, 0.77, 0.95, 1.0])
         for c in (None, 0, 1, 2):
-            got = bhattacharyya_overlap(ds, grid, class_filter=c)
+            part = ds if c is None else ds.subset(ds.class_indices(c))
+            got = bhattacharyya_overlap(part, grid)
             assert got.shape == grid.shape
-            want = [bhattacharyya_overlap(ds, float(t), class_filter=c)
-                    for t in grid]
+            want = [bhattacharyya_overlap(part, float(t)) for t in grid]
             assert all(type(w) is np.float64 for w in want)
             assert got.tobytes() == np.array(want).tobytes()
 
@@ -253,9 +253,11 @@ class TestBhattacharyyaOverlap:
     def test_class_filter(self):
         ds = make_class_mixture(2, 8, seed=2, num_classes=2)
         full = bhattacharyya_overlap(ds, 0.5)
-        within = bhattacharyya_overlap(ds, 0.5, class_filter=0)
+        pts = ds.points[ds.class_indices(0)]
+        within = bhattacharyya_overlap(ds.subset(ds.class_indices(0)), 0.5)
         # the max over all pairs dominates the max over a class's pairs
         assert full >= within
-        # and restricting to one class matches computing on its subset
-        sub = Dataset(ds.points[ds.class_indices(0)])
-        assert within == pytest.approx(bhattacharyya_overlap(sub, 0.5))
+        # and a class's overlap is that of its own closest pair
+        sq = min(np.sum((pts[i] - pts[j]) ** 2)
+                 for i in range(len(pts)) for j in range(i))
+        assert within == pytest.approx(np.exp(-0.25 * sq / (8 * 0.25)))

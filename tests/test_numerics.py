@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sulab.data import Dataset
+from sulab.empirical import EmpiricalScoreOracle
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
 from sulab.numerics import (_PROJECTIONS, RngStream, cholesky_solve,
                             log_sum_exp, sliced_wasserstein)
-from sulab.training import sample_softmax_points
 
 
 class TestRngStream:
@@ -87,28 +88,29 @@ class TestStableSoftmax:
         # of the time
         pts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
         n = 30_000
-        picks = sample_softmax_points(pts, np.zeros((n, 2)), np.full(n, 0.5),
-                                      RngStream(0, 0))
-        freq = np.bincount(picks, minlength=3) / n
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(
+            np.zeros((n, 2)), np.full(n, 0.5), RngStream(0, 0))
+        freq = np.array([(drawn == p).all(axis=1).mean() for p in pts])
         np.testing.assert_allclose(freq, 1 / 3, atol=5 * np.sqrt(2 / 9 / n))
 
     def test_huge_logits(self):
         # logits -|z - alpha x_i|^2 / (2 sigma^2) of 0 and about -5e11
         pts = np.array([[0.0], [1e6]])
-        picks = sample_softmax_points(pts, np.zeros((64, 1)), np.full(64, 0.5),
-                                      RngStream(1, 0))
-        np.testing.assert_array_equal(picks, 0)
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(
+            np.zeros((64, 1)), np.full(64, 0.5), RngStream(1, 0))
+        np.testing.assert_array_equal(drawn, 0.0)
 
     @settings(max_examples=50)
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=30),
            st.floats(-100, 100))
     def test_simplex(self, vals, z):
-        # every pick is an index whose weight is not negligible: more than
-        # e^-50 of the largest, as computed from the direct differences
+        # every drawn point is one of the points, and its weight is not
+        # negligible: more than e^-50 of the largest, as computed from the
+        # direct differences
         pts = np.asarray(vals)[:, None]
-        picks = sample_softmax_points(pts, np.full((16, 1), z), np.full(16, 0.1),
-                                      RngStream(2, 0))
-        assert np.all((0 <= picks) & (picks < len(vals)))
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(
+            np.full((16, 1), z), np.full(16, 0.1), RngStream(2, 0))[:, 0]
+        picks = [vals.index(x) for x in drawn]  # ValueError if not a point
         logits = -(z - 0.9 * pts[:, 0]) ** 2 / (2 * 0.1 ** 2)
         assert np.all(logits[picks] - logits.max() > -50.0)
 

@@ -1,6 +1,6 @@
 """Every public function, class and method that src/sulab defines is read
 somewhere in src/sulab or bench/: a helper that only its own unit test
-calls fails here.
+calls fails here. No module imports another's private (underscore) names.
 
 A read is a name or an attribute loaded in code, found by parsing each file
 with ast; a mention in a docstring or a comment does not count.
@@ -57,3 +57,16 @@ def test_every_kept_name_is_still_defined_and_unread():
     defined = {name for _, name in _public_definitions()}
     assert _KEPT <= defined
     assert not _KEPT & _names_read()
+
+
+def test_no_private_name_crosses_modules():
+    # a module's _names are its own: no relative `from .x import _name`
+    crossing = []
+    for path in sorted((_ROOT / "src" / "sulab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                crossing += [f"{path.name} <- {node.module}.{alias.name}"
+                             for alias in node.names
+                             if alias.name.startswith("_")
+                             and not alias.name.startswith("__")]
+    assert crossing == []

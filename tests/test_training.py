@@ -4,14 +4,14 @@ import pytest
 from sulab import training
 from sulab.data import (Dataset, make_class_mixture, make_gaussian_dataset,
                         split_score_region)
-from sulab.empirical import EmpiricalScoreOracle, _augmented
+from sulab.empirical import EmpiricalScoreOracle
 from sulab.errors import InvalidArgumentError, NumericFailureError
 from sulab.models import MlpScoreNetwork
 from sulab.numerics import RngStream
 from sulab.schedule import (SCORE, VELOCITY, XPRED, PREDICTION_KINDS,
                             convert_value, forward_process)
 from sulab.training import (AdamState, TrainConfig, adam_step, dsm_step,
-                            ema_network, sample_softmax_points, train)
+                            ema_network, train)
 
 
 class TestTrainConfig:
@@ -217,8 +217,8 @@ class TestSoftmaxSampling:
         pts = np.array([[0.0, 0.0], [100.0, 0.0]])
         ts = np.full(8, 0.05)
         zs = np.tile((1 - 0.05) * pts[1], (8, 1))
-        picks = sample_softmax_points(pts, zs, ts, RngStream(0, 0))
-        np.testing.assert_array_equal(picks, np.ones(8, dtype=int))
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(zs, ts, RngStream(0, 0))
+        np.testing.assert_array_equal(drawn, np.tile(pts[1], (8, 1)))
 
     def test_uniform_when_symmetric(self):
         # z equidistant from both points at large t: picks split roughly evenly.
@@ -226,19 +226,10 @@ class TestSoftmaxSampling:
         n = 4000
         zs = np.zeros((n, 2))
         ts = np.full(n, 0.9)
-        picks = sample_softmax_points(pts, zs, ts, RngStream(1, 0))
-        frac = picks.mean()
+        drawn = EmpiricalScoreOracle(Dataset(pts)).draw(zs, ts, RngStream(1, 0))
+        assert set(drawn[:, 0]) <= {-1.0, 1.0} and not drawn[:, 1].any()
+        frac = (drawn[:, 0] > 0).mean()
         assert 0.45 < frac < 0.55
-
-    def test_prebuilt_points_give_the_same_picks(self):
-        # train builds the augmented points once and passes them in
-        rng = np.random.default_rng(3)
-        pts, zs = rng.normal(size=(32, 4)), rng.normal(size=(128, 4))
-        ts = rng.uniform(0.01, 0.99, 128)
-        np.testing.assert_array_equal(
-            sample_softmax_points(pts, zs, ts, RngStream(4, 0),
-                                  aug=_augmented(pts)),
-            sample_softmax_points(pts, zs, ts, RngStream(4, 0)))
 
 
 class TestTrainLoop:
