@@ -22,7 +22,7 @@ from .diagnostics import EXTRAPOLATION, SUPERVISION, calibrated_l2_values, \
 from .empirical import EmpiricalScoreOracle
 from .errors import InvalidArgumentError
 from .geometry import bhattacharyya_overlap, rstar_by_t
-from .models import GaussianGroundTruthField, IDENTITY, MlpScoreNetwork, \
+from .models import IDENTITY, MlpScoreNetwork, \
     OracleField, POLAR, RADIAL_EQUIVARIANT, fit_krr_denoiser_field
 from .numerics import RngStream, sliced_wasserstein
 from .sampling import SolverConfig, denoise_from, sample
@@ -142,7 +142,7 @@ def run_gaussian(cfg: dict, ctx: RunContext) -> ExperimentResult:
     net = checked("model", MlpScoreNetwork, ds.dim, **cfg["model"], seed=seed)
     tcfg = checked("train", TrainConfig, **cfg["train"], seed=seed)
     oracle_field = OracleField(EmpiricalScoreOracle(ds))
-    gt_field = GaussianGroundTruthField(ds.dim)
+    gt_field = OracleField(EmpiricalScoreOracle(Dataset(np.zeros((1, ds.dim))), std=1.0))
     diag = cfg["diagnostics"]
     # "ambient" draws come from the true data distribution, not the finite
     # training set: reuse the supervision-region estimator over fresh draws.

@@ -5,7 +5,8 @@ backpropagation (no autodiff), tanh-form GELU activations, sinusoidal
 time features, an optional trainable class embedding with a null-class token,
 and three input maps: identity, polar, and radial-equivariant. The KRR
 score field fits a Gaussian-kernel ridge regression from noisy features to
-clean targets. Both (plus oracle and analytic wrappers) share the ScoreField
+clean targets. Both, and OracleField over a mixture oracle (the empirical
+score, or N(0, I)'s as the one-point std-1 oracle), share the ScoreField
 interface: evaluate_batch(zs, ts, labels) -> predictions in prediction_kind.
 The parameters and checkpoints are float64, and so is every evaluation.
 loss_and_grads runs its forward and backward in the dtype it is given,
@@ -24,7 +25,7 @@ import numpy as np
 from .data import Dataset, supervision_draws
 from .errors import FormatError, InvalidArgumentError
 from .numerics import RngStream, cholesky_solve
-from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED, alpha_sigma,
+from .schedule import (PREDICTION_KINDS, SCORE, VELOCITY, XPRED,
                        forward_process)
 
 IDENTITY = "identity"
@@ -383,24 +384,6 @@ class OracleField:
 
     def evaluate_batch(self, zs, ts, labels=None):
         return self.oracle.score_batch(zs, ts)
-
-
-class GaussianGroundTruthField:
-    """Exact marginal score of the forward process under p_data = N(0, I):
-    the marginal at t in [0, 1] is N(0, (alpha_t^2 + sigma_t^2) I), so the
-    score is -z / (alpha_t^2 + sigma_t^2). t is a scalar or one per row."""
-
-    prediction_kind = SCORE
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def evaluate_batch(self, zs, ts, labels=None):
-        zs = np.atleast_2d(np.asarray(zs, dtype=float))
-        a, s = alpha_sigma(np.broadcast_to(ts, zs.shape[:1]))
-        if not np.all((0.0 <= s) & (s <= 1.0)):
-            raise InvalidArgumentError("t must lie in [0, 1]")
-        return -zs / (a * a + s * s)[:, None]
 
 
 class KrrScoreField:

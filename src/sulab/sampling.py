@@ -282,9 +282,9 @@ def sample(score_field, n: int, cfg: SolverConfig = SolverConfig(), seed: int = 
     Each sample's initial state comes from its own RNG stream (seed, sample
     index), so any prefix of samples starts from the same states whatever n
     is. It also ends on the same bits when the field computes each row on its
-    own (the oracle and the Gaussian field); a network's batched matrix
-    products round a row differently at different n, so there a prefix
-    agrees only to within the solver tolerance.
+    own (an empirical oracle, or N(0, I) as the one-point std-1 oracle); a network's
+    batched matrix products round a row differently at different n, so there
+    a prefix agrees only to within the solver tolerance.
     """
     if n < 1:
         raise InvalidArgumentError("n must be >= 1")

@@ -27,10 +27,11 @@ from sulab.data import Dataset, make_class_mixture, make_gaussian_dataset, \
 from sulab.empirical import EmpiricalScoreOracle, naive_empirical_score
 from sulab.experiments import PAT_VARIANTS, RUNNERS, RunContext
 from sulab.geometry import bhattacharyya_overlap, in_supervision_region_batch
-from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
+from sulab.models import MlpScoreNetwork, OracleField
 from sulab.numerics import RngStream, log_sum_exp
 from sulab.sampling import SolverConfig, integrate, sample
 from sulab.schedule import SCORE, VELOCITY, XPRED, convert_value
+from conftest import population_field
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +208,7 @@ class TestSolverAccuracy:
         for _ in range(100):
             d = int(rng.integers(2, 9))
             z0 = rng.normal(size=d) * rng.uniform(0.5, 2.0)
-            terminal = integrate(GaussianGroundTruthField(d), z0[None, :],
+            terminal = integrate(population_field(d), z0[None, :],
                                  cfg)[0][0]
             exact = _gaussian_closed_form(z0, 0.999, cfg.t_min)
             err = np.linalg.norm(terminal - exact)

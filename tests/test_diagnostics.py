@@ -11,11 +11,12 @@ from sulab.diagnostics import (_T_MIN, EXTRAPOLATION, SUPERVISION,
                                memorization_ratio, pat_quality,
                                regress_to_origin_ratio, score_error)
 from sulab.errors import InvalidArgumentError, RankDeficiencyError
-from sulab.models import GaussianGroundTruthField, MlpScoreNetwork
+from sulab.models import MlpScoreNetwork
 from sulab.numerics import RngStream
 from sulab.sampling import FIXED_HEUN, SolverConfig, integrate, states_at
 from sulab.schedule import (SCORE, VELOCITY, convert_value, forward_process,
                             velocity_weight)
+from conftest import population_field
 
 
 class ConstantScoreField:
@@ -118,7 +119,7 @@ class TestEstimateRegion:
         # With the exact Gaussian field, trajectory states have norm scaling
         # sqrt(V(t)); the mean squared norm over inputs should match d * V(t).
         ds = make_gaussian_dataset(4, 8, seed=0)
-        field = GaussianGroundTruthField(4)
+        field = population_field(4)
         curve = []  # (t, mean squared norm of the inputs at t)
 
         def q(zs, t):
@@ -201,7 +202,7 @@ class TestStreamedMatchesStacked:
         ds = make_gaussian_dataset(3, 16, seed=0)
         net = MlpScoreNetwork(3, width=8, hidden_layers=1, time_freqs=2,
                               seed=1)
-        q = _score_errors(net, [GaussianGroundTruthField(3), net])
+        q = _score_errors(net, [population_field(3), net])
         got = estimate_region(q, region, ds, field=net, n=n,
                               timesteps=timesteps, seed=5)
         want = _stacked_estimates(q, region, ds, net, n, timesteps, seed=5)
@@ -236,7 +237,7 @@ class TestStreamedMatchesStacked:
         # A (T, n, d) query stack alone would take 32 MB here; one
         # timestep's queries take 0.32 MB.
         ds = make_gaussian_dataset(20, 300, seed=0)
-        field = GaussianGroundTruthField(20)
+        field = population_field(20)
         tracemalloc.start()
         try:
             score_error(field, [field], SUPERVISION, ds, n=2000,
@@ -250,7 +251,7 @@ class TestStreamedMatchesStacked:
 class TestScoreError:
     def test_zero_for_identical_fields(self):
         ds = make_gaussian_dataset(2, 8, seed=0)
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         est, = score_error(field, [field], SUPERVISION, ds, n=10,
                            timesteps=10)
         assert est.value == 0.0

@@ -11,6 +11,7 @@ from sulab.errors import InvalidArgumentError, SingularTimeError
 from sulab.geometry import BLOCK_ELEMENTS, sq_distance_blocks
 from sulab.numerics import RngStream
 from sulab.schedule import forward_process
+from conftest import population_field
 
 
 def _random_instance(seed, n=16, d=4):
@@ -271,6 +272,107 @@ class TestCollapsedScore:
         collapsed, idx = EmpiricalScoreOracle(Dataset(pts)).collapsed_score(z, t)
         np.testing.assert_allclose(collapsed, (-z + 0.5 * pts[0]) / 0.25)
         assert idx == 0
+
+
+class TestPopulationScore:
+    """At std > 0 the oracle is the score of the population that mixes
+    N(x_i, std^2 I): components about alpha x_i with variance
+    sigma^2 + (alpha std)^2. p_data = N(0, I) is the one-point std-1 oracle,
+    whose score is -z / (alpha^2 + sigma^2)."""
+
+    @staticmethod
+    def score(z, t):
+        z = np.asarray(z, dtype=float)
+        return population_field(z.shape[-1]).evaluate_batch(z, t)[0]
+
+    def test_matches_log_density_gradient(self):
+        # independent oracle: finite differences of log N(0, (a^2+s^2) I)
+        z = np.array([0.3, -0.7, 1.1])
+        t = 0.4
+        var = (1 - t) ** 2 + t**2
+        h = 1e-6
+
+        def logp(zz):
+            return -0.5 * np.sum(zz * zz) / var
+
+        grad = np.array([
+            (logp(z + h * e) - logp(z - h * e)) / (2 * h)
+            for e in np.eye(3)
+        ])
+        np.testing.assert_allclose(self.score(z, t), grad,
+                                   rtol=1e-6, atol=1e-8)
+
+    def test_t_half_variance(self):
+        z = np.array([1.0])
+        np.testing.assert_allclose(self.score(z, 0.5), [-2.0])
+
+    def test_endpoints_finite(self):
+        np.testing.assert_allclose(self.score(np.array([2.0]), 0.0), [-2.0])
+        np.testing.assert_allclose(self.score(np.array([2.0]), 1.0), [-2.0])
+
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar", "per-row"])
+    @pytest.mark.parametrize("t", [1.2, -0.1, np.nan], ids=["1.2", "-0.1", "nan"])
+    @pytest.mark.parametrize("std", [0.0, 1.0], ids=["empirical", "population"])
+    def test_out_of_range_rejected(self, std, t, per_row):
+        # t outside [0, 1] has no alpha_t; per row, one row out of range is
+        # enough. score_batch, draw and collapsed_score share the one check.
+        oracle = (EmpiricalScoreOracle(_random_instance(0, n=4, d=2)[0])
+                  if std == 0.0 else population_field(2).oracle)
+        zs = np.ones((2, 2))
+        ts = np.array([0.5, t]) if per_row else t
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            oracle.score_batch(zs, ts)
+        with pytest.raises(InvalidArgumentError, match="outside"):
+            oracle.draw(zs, np.broadcast_to(ts, 2), RngStream(0, 0))
+        if not per_row:
+            with pytest.raises(InvalidArgumentError, match="outside"):
+                oracle.collapsed_score(zs[0], t)
+
+    def test_one_point_equals_the_closed_form_bitwise(self):
+        zs = RngStream(5, 0).normal((300, 20))
+        oracle = population_field(20).oracle
+        for t in (0.0, 0.37, 1.0, np.linspace(0.0, 1.0, 300)):
+            a, s = np.broadcast_to(1.0 - t, 300), np.broadcast_to(t, 300)
+            want = -zs / (a * a + s * s)[:, None]
+            assert oracle.score_batch(zs, t).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("t", [0.0, 0.4])
+    def test_mixture_matches_log_density_gradient(self, t):
+        # independent oracle: finite differences of the log density of the
+        # mixture of N(a x_i, (s^2 + a^2 0.49) I); at std > 0, t = 0 is the
+        # population itself
+        ds, z, _ = _random_instance(11, n=5, d=3)
+        a, s = 1.0 - t, t
+        var = s * s + a * a * 0.49
+        h = 1e-6
+
+        def logp(zz):
+            logits = -np.sum((zz - a * ds.points) ** 2, axis=1) / (2 * var)
+            m = logits.max()
+            return m + np.log(np.mean(np.exp(logits - m)))
+
+        grad = np.array([
+            (logp(z + h * e) - logp(z - h * e)) / (2 * h)
+            for e in np.eye(3)
+        ])
+        got = _score(EmpiricalScoreOracle(ds, std=0.7), z, t)
+        np.testing.assert_allclose(got, grad, rtol=1e-6, atol=1e-8)
+
+    def test_draw_and_collapsed_score_read_the_same_variance(self):
+        # one point: draw returns it, and the collapsed score is the score
+        x = np.array([1.5, -0.5, 2.0])
+        oracle = EmpiricalScoreOracle(Dataset(x[None, :]), std=0.7)
+        zs = RngStream(12, 0).normal((3, 3))
+        ts = np.array([0.0, 0.5, 1.0])
+        np.testing.assert_array_equal(oracle.draw(zs, ts, RngStream(13, 0)),
+                                      np.tile(x, (3, 1)))
+        for z, t in zip(zs, ts):
+            collapsed, i = oracle.collapsed_score(z, t)
+            assert i == 0
+            assert collapsed.tobytes() == _score(oracle, z, t).tobytes()
+            var = t * t + (1.0 - t) ** 2 * 0.49
+            np.testing.assert_allclose(collapsed, (-z + (1.0 - t) * x) / var,
+                                       rtol=1e-12)
 
 
 class TestSingularAndClassHandling:

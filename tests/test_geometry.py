@@ -13,8 +13,8 @@ from sulab.experiments import RUNNERS, RunContext
 from sulab.geometry import (bhattacharyya_overlap,
                             in_supervision_region_batch, r_star, rstar_by_t)
 from sulab.numerics import RngStream
-from sulab.models import GaussianGroundTruthField
 from sulab.sampling import SolverConfig, integrate, states_at
+from conftest import population_field
 
 
 class TestSupervisionRegion:
@@ -107,7 +107,7 @@ class TestRStar:
         # rstar_by_t's rows over the whole grid equal, bit for bit, r_star
         # of the (B, d) states read at each t in turn
         ds = make_gaussian_dataset(3, 12, seed=2)
-        _, trajs = integrate(GaussianGroundTruthField(3),
+        _, trajs = integrate(population_field(3),
                              RngStream(4, 0).normal((16, 3)), SolverConfig(),
                              record=True)
         grid = [0.9995, 0.8, 0.5, 0.31, 0.1, 5e-4]  # both ends clamp
@@ -120,7 +120,7 @@ class TestRStar:
     def test_profile_runs_over_trajectory(self):
         # r* read along recorded trajectories, as rstar-profile does
         ds = make_gaussian_dataset(3, 4, seed=1)
-        _, trajs = integrate(GaussianGroundTruthField(3), np.eye(3),
+        _, trajs = integrate(population_field(3), np.eye(3),
                              SolverConfig(), record=True)
         for t in (0.9, 0.5):
             batch = r_star(ds, states_at(trajs, t), t)

@@ -8,7 +8,7 @@ import pytest
 from sulab.cli import main
 from sulab.data import make_gaussian_dataset, make_pat_toy_dataset
 from sulab.errors import FormatError, InvalidArgumentError, RankDeficiencyError
-from sulab.models import (GaussianGroundTruthField, IDENTITY, KrrScoreField,
+from sulab.models import (IDENTITY, KrrScoreField,
                           MlpScoreNetwork, OracleField, POLAR,
                           RADIAL_EQUIVARIANT, _polar_features_batch,
                           fit_krr_denoiser_field)
@@ -461,13 +461,6 @@ class TestScoreFields:
         np.testing.assert_array_equal(field.evaluate_batch(zs, ts),
                                       oracle.score_batch(zs, ts))
 
-    def test_gaussian_field_formula(self):
-        field = GaussianGroundTruthField(2)
-        z = np.array([[1.0, -2.0]])
-        var = 0.5**2 + 0.5**2
-        np.testing.assert_allclose(field.evaluate_batch(z, 0.5), -z / var)
-
     def test_fields_expose_dim(self):
-        assert GaussianGroundTruthField(7).dim == 7
         ds = make_gaussian_dataset(3, 4, seed=0)
         assert OracleField(EmpiricalScoreOracle(ds)).dim == 3

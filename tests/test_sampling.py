@@ -5,12 +5,13 @@ from sulab.data import Dataset, make_gaussian_dataset
 from sulab.empirical import EmpiricalScoreOracle
 from sulab.errors import (DivergenceError, InvalidArgumentError,
                           NumericFailureError)
-from sulab.models import GaussianGroundTruthField, MlpScoreNetwork, OracleField
+from sulab.models import MlpScoreNetwork, OracleField
 from sulab import sampling
 from sulab.sampling import (ADAPTIVE_RK45, FIXED_HEUN, SolverConfig,
                             denoise_from, integrate, sample, states_at,
                             velocity_fn)
 from sulab.schedule import VELOCITY
+from conftest import population_field
 
 
 def _variance(t):
@@ -65,11 +66,11 @@ class TestSolverConfig:
             with pytest.raises(InvalidArgumentError):
                 SolverConfig(t_min=t_min)
         with pytest.raises(InvalidArgumentError, match="t_start"):
-            integrate(GaussianGroundTruthField(2), np.ones((1, 2)),
+            integrate(population_field(2), np.ones((1, 2)),
                       SolverConfig(t_min=0.3), t_start=0.2)
 
     def test_default_span(self):
-        _, (traj,) = integrate(GaussianGroundTruthField(2), np.ones((1, 2)),
+        _, (traj,) = integrate(population_field(2), np.ones((1, 2)),
                                SolverConfig(t_min=1e-3), record=True)
         assert (traj.times[0], traj.times[-1]) == (0.999, 1e-3)
 
@@ -82,7 +83,7 @@ class TestVelocityFn:
                                       [[2.0, -1.0]])
 
     def test_score_kind_converted(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         v = velocity_fn(field)
         z = np.array([[1.0, -0.5], [2.0, 0.25]])
         t = np.array([0.3, 0.8])
@@ -103,7 +104,7 @@ class TestExactSolutions:
     def test_gaussian_field_closed_form(self):
         # dz/dt = (V'/2V) z with V(t) = (1-t)^2 + t^2, hence
         # z(t_min) = z(t_start) * sqrt(V(t_min) / V(t_start)).
-        field = GaussianGroundTruthField(3)
+        field = population_field(3)
         z0 = np.array([[1.0, -2.0, 0.5]])
         cfg = SolverConfig(t_min=0.2, atol=1e-10, rtol=1e-8)
         z, _ = integrate(field, z0, cfg, t_start=0.9)
@@ -112,7 +113,7 @@ class TestExactSolutions:
 
     def test_gaussian_full_span_is_identity(self):
         # V is symmetric about 1/2, so V(t_min) = V(1 - t_min).
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         z0 = np.array([[0.7, -1.3]])
         z, _ = integrate(field, z0, SolverConfig(atol=1e-10, rtol=1e-8))
         np.testing.assert_allclose(z, z0, rtol=1e-6)
@@ -120,7 +121,7 @@ class TestExactSolutions:
 
 class TestTrajectory:
     def test_times_strictly_decreasing_and_counts(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         z0 = np.array([[1.0, 0.0]])
         _, (traj,) = integrate(field, z0, SolverConfig(), record=True)
         ts = np.array(traj.times)
@@ -129,7 +130,7 @@ class TestTrajectory:
         assert traj.accepted == len(traj) - 1
 
     def test_state_at_interpolates_closed_form(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         z0 = np.array([[1.0, -1.0]])
         _, (traj,) = integrate(field, z0,
                                SolverConfig(kind=FIXED_HEUN, fixed_steps=400),
@@ -154,7 +155,7 @@ class TestTrajectory:
             [[1e-3], [0.1], [1.0], [10.0], [1e3]])
         cfg = SolverConfig(kind=kind, atol=1e-9, rtol=1e-7, t_min=0.1,
                            fixed_steps=7)
-        return integrate(GaussianGroundTruthField(2), z0, cfg, record=True,
+        return integrate(population_field(2), z0, cfg, record=True,
                          t_start=0.9)[1]
 
     @pytest.mark.parametrize("kind", [ADAPTIVE_RK45, FIXED_HEUN])
@@ -205,7 +206,7 @@ class TestFailures:
 
     def test_max_steps_divergence(self, monkeypatch):
         monkeypatch.setattr(sampling, "_MAX_STEPS", 2)
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         with pytest.raises(DivergenceError, match=r"max steps \(2\)"):
             integrate(field, np.ones((1, 2)),
                       SolverConfig(atol=1e-14, rtol=1e-13))
@@ -222,7 +223,7 @@ class TestBatchedIntegration:
 
     @pytest.mark.parametrize("kind", [ADAPTIVE_RK45, FIXED_HEUN])
     def test_elementwise_field_rows_match_single_runs_bitwise(self, kind):
-        field = GaussianGroundTruthField(3)
+        field = population_field(3)
         cfg = SolverConfig(kind=kind, atol=1e-9, rtol=1e-7, fixed_steps=20)
         z0 = self._starts()
         zs, trajs = integrate(field, z0, cfg, record=True)
@@ -267,32 +268,32 @@ class TestBatchedIntegration:
             integrate(ExplodingField(), z0, SolverConfig())
         monkeypatch.setattr(sampling, "_MAX_STEPS", 50)
         with pytest.raises(DivergenceError, match="sample 1"):
-            integrate(GaussianGroundTruthField(2), np.array([[0.0, 0.0], [1.0, 1.0]]),
+            integrate(population_field(2), np.array([[0.0, 0.0], [1.0, 1.0]]),
                       SolverConfig(atol=1e-14, rtol=1e-13))
 
     def test_rejects_unbatched_state(self):
         with pytest.raises(InvalidArgumentError):
-            integrate(GaussianGroundTruthField(2), np.ones(2))
+            integrate(population_field(2), np.ones(2))
 
 
 class TestSample:
     def test_prefix_reproducibility(self):
         oracle = OracleField(EmpiricalScoreOracle(make_gaussian_dataset(2, 16, seed=1)))
         cfg = SolverConfig()
-        for field in (GaussianGroundTruthField(2), oracle):
+        for field in (population_field(2), oracle):
             a, _ = sample(field, 5, cfg, seed=3)
             b, _ = sample(field, 2, cfg, seed=3)
             np.testing.assert_array_equal(a[:2], b)
 
     def test_seed_changes_samples(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         a, _ = sample(field, 3, SolverConfig(), seed=0)
         b, _ = sample(field, 3, SolverConfig(), seed=1)
         assert not np.allclose(a, b)
 
     def test_n_validation(self):
         with pytest.raises(InvalidArgumentError):
-            sample(GaussianGroundTruthField(2), 0)
+            sample(population_field(2), 0)
 
     def test_empirical_oracle_memorizes_at_small_t_end(self):
         # With few well-separated points, the empirical-score flow collapses
@@ -308,13 +309,13 @@ class TestSample:
 
 class TestDenoiseFrom:
     def test_below_t_min_returns_input(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         z = np.array([[1.0, 2.0]])
         np.testing.assert_array_equal(
             denoise_from(field, z, 5e-4, SolverConfig(t_min=1e-3)), z)
 
     def test_matches_closed_form(self):
-        field = GaussianGroundTruthField(2)
+        field = population_field(2)
         z = np.array([[0.5, -0.5], [2.0, 1.0]])
         out = denoise_from(field, z, 0.6,
                            SolverConfig(atol=1e-10, rtol=1e-8, t_min=1e-3))

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sulab.errors import InvalidArgumentError, SingularTimeError
-from sulab.models import GaussianGroundTruthField
 from sulab.schedule import (SCORE, VELOCITY, XPRED, alpha_sigma,
                             convert_value, forward_process)
 
@@ -121,45 +120,3 @@ class TestPrediction:
         # an unknown target kind, as an unknown source kind above
         with pytest.raises(InvalidArgumentError):
             convert_value(np.ones(2), SCORE, "huh", np.ones(2), 0.5)
-
-
-class TestMarginalGaussianScore:
-    # the exact marginal score under p_data = N(0, I), which
-    # GaussianGroundTruthField computes from the schedule
-
-    @staticmethod
-    def score(z, t):
-        z = np.asarray(z, dtype=float)
-        return GaussianGroundTruthField(z.shape[-1]).evaluate_batch(z, t)[0]
-
-    def test_matches_log_density_gradient(self):
-        # independent oracle: finite differences of log N(0, (a^2+s^2) I)
-        z = np.array([0.3, -0.7, 1.1])
-        t = 0.4
-        var = (1 - t) ** 2 + t**2
-        h = 1e-6
-
-        def logp(zz):
-            return -0.5 * np.sum(zz * zz) / var
-
-        grad = np.array([
-            (logp(z + h * e) - logp(z - h * e)) / (2 * h)
-            for e in np.eye(3)
-        ])
-        np.testing.assert_allclose(self.score(z, t), grad,
-                                   rtol=1e-6, atol=1e-8)
-
-    def test_t_half_variance(self):
-        z = np.array([1.0])
-        np.testing.assert_allclose(self.score(z, 0.5), [-2.0])
-
-    def test_endpoints_finite(self):
-        np.testing.assert_allclose(self.score(np.array([2.0]), 0.0), [-2.0])
-        np.testing.assert_allclose(self.score(np.array([2.0]), 1.0), [-2.0])
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            self.score(np.ones(2), 1.2)
-        field = GaussianGroundTruthField(2)
-        with pytest.raises(InvalidArgumentError):  # one row out of range
-            field.evaluate_batch(np.ones((2, 2)), np.array([0.5, -0.1]))
